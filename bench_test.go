@@ -242,22 +242,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// sweepBenchGrid is a dense icache sensitivity sweep at reference geometry:
-// a perfect-icache baseline plus every power-of-two size from 1KB to 64KB
-// (the Figure 6/7 sizes and their surrounding octaves), all sharing one
-// recorded trace. Dense grids are the fused engine's natural workload — the
-// stack-distance profiler prices every extra power-of-two size at one cheap
-// timing lane.
-func sweepBenchGrid() []uarch.Config {
-	cfgs := []uarch.Config{{}}
-	for sz := 1024; sz <= 65536; sz *= 2 {
-		var cfg uarch.Config
-		cfg.ICache.SizeBytes = sz
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
+// sweepBenchTrace records the li trace the sweep benchmarks share.
 func sweepBenchTrace(b *testing.B) *emu.Trace {
 	b.Helper()
 	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
@@ -269,74 +254,6 @@ func sweepBenchTrace(b *testing.B) *emu.Trace {
 		b.Fatal(err)
 	}
 	return tr
-}
-
-// BenchmarkICacheSweepLegacy times the pre-fusion icache sweep: one full
-// trace replay per configuration via SimulateMany.
-func BenchmarkICacheSweepLegacy(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := sweepBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkICacheSweepFused times the unified engine on the identical grid:
-// one enriched decode pass shared by all sweep points, then per-config
-// timing lanes.
-func BenchmarkICacheSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := sweepBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// predBenchGrid is the 8-point predictor history sweep from the predsweep
-// experiment: one configuration per history length over the reference
-// machine with a 32KB icache, all sharing one recorded trace.
-func predBenchGrid() []uarch.Config {
-	var cfgs []uarch.Config
-	for _, hb := range []int{1, 2, 4, 6, 8, 10, 12, 16} {
-		var cfg uarch.Config
-		cfg.ICache.SizeBytes = 32 * 1024
-		cfg.Predictor.HistoryBits = hb
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-// BenchmarkPredSweepLegacy times the pre-fusion predictor sweep: one full
-// trace replay per configuration via SimulateMany.
-func BenchmarkPredSweepLegacy(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := predBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredSweepFused times the unified engine on the identical
-// predictor grid: one enriched decode pass with a predictor bank evaluating
-// every history length per control event, then per-config timing lanes.
-func BenchmarkPredSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := predBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // xsweepBenchGrid is the acceptance grid for the unified engine: four
@@ -405,7 +322,7 @@ func BenchmarkPredictorBank(b *testing.B) {
 	for _, hb := range []int{1, 2, 4, 6, 8, 10, 12, 16} {
 		pcfgs = append(pcfgs, bpred.Config{HistoryBits: hb})
 	}
-	bank := bpred.NewBank(isa.BlockStructured, pcfgs)
+	bank := bpred.NewBank(true, pcfgs)
 	out := make([]isa.BlockID, bank.Len())
 	b.ReportAllocs()
 	b.ResetTimer()

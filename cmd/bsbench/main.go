@@ -8,8 +8,7 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 headtohead mispredicts
 // ablate-size ablate-faults ablate-superblock ablate-history ablate-minbias
-// sweepspeed segspeed predsweep xsweep predsens tracestore mmapreplay
-// summary all (default: the paper's tables and figures).
+// segspeed xsweep predsens tracestore mmapreplay summary all (default: the paper's tables and figures).
 //
 // -json additionally writes each experiment's results to BENCH_<name>.json
 // using the same versioned svc.SimResponse envelope the bsimd service
@@ -83,8 +82,8 @@ func main() {
 	paper := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "headtohead"}
 	extra := []string{"mispredicts", "ablate-size", "ablate-faults", "ablate-superblock",
 		"ablate-history", "ablate-minbias", "ablate-tracecache", "ablate-ifconvert",
-		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "sweepspeed", "segspeed",
-		"predsweep", "xsweep", "predsens", "tracestore", "mmapreplay", "summary"}
+		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "segspeed",
+		"xsweep", "predsens", "tracestore", "mmapreplay", "summary"}
 
 	var names []string
 	switch *exps {
@@ -172,12 +171,8 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 		return h.AblateProfileLayout()
 	case "ablate-multiblock":
 		return h.AblateMultiBlock()
-	case "sweepspeed":
-		return h.SweepSpeed()
 	case "segspeed":
 		return h.SegSpeed()
-	case "predsweep":
-		return h.PredSweepSpeed()
 	case "xsweep":
 		return h.XSweepSpeed()
 	case "predsens":
@@ -189,7 +184,7 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 	case "summary":
 		return h.Summary()
 	default:
-		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* sweepspeed segspeed predsweep xsweep predsens tracestore mmapreplay summary)")
+		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* segspeed xsweep predsens tracestore mmapreplay summary)")
 	}
 }
 

@@ -199,7 +199,7 @@ func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, 
 		}
 	}
 	var results []*uarch.Result
-	if ok, _ := uarch.CanSweep(cfgs); ok && len(cfgs) > 1 && uarch.CanSweepKind(prog.Kind) {
+	if ok, _ := uarch.CanSweep(cfgs); ok && len(cfgs) > 1 {
 		fmt.Printf("trace:             %d blocks recorded (%d KB), fused multi-axis sweep over %d configs\n",
 			tr.NumEvents(), tr.Footprint()/1024, len(cfgs))
 		results, err = uarch.Sweep(tr, cfgs, 0)

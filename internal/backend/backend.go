@@ -73,11 +73,6 @@ type Policy struct {
 	// EncodedSize is the layout authority; this lets audits and reports see
 	// it without switching on the kind).
 	HeaderBytes uint32
-	// Sweepable marks the backend's fetch policy as expressible by the
-	// fused multi-axis sweep engine's timing lanes (which bake the
-	// speculative predictor-driven fetch pipeline). Non-sweepable backends
-	// fall back to per-config replay.
-	Sweepable bool
 }
 
 // Backend is one ISA target: everything outside the shared middle end that
@@ -157,7 +152,7 @@ func PolicyFor(k isa.Kind) Policy {
 	if b, ok := byKind[k]; ok {
 		return b.Policy()
 	}
-	return Policy{Predictor: PredTwoLevel, Sweepable: true}
+	return Policy{Predictor: PredTwoLevel}
 }
 
 // Tag returns a backend's compact display tag — conv, bsa, bb, fused — used

@@ -75,8 +75,8 @@ func TestPolicies(t *testing.T) {
 		name string
 		want Policy
 	}{
-		{"conv", Policy{Predictor: PredTwoLevel, Sweepable: true}},
-		{"bsa", Policy{Predictor: PredBSA, HeaderBytes: isa.HeaderBytes, Sweepable: true}},
+		{"conv", Policy{Predictor: PredTwoLevel}},
+		{"bsa", Policy{Predictor: PredBSA, HeaderBytes: isa.HeaderBytes}},
 		{"bb", Policy{Predictor: PredNone, SerializeControl: true, HeaderBytes: isa.HeaderBytes}},
 		{"mof", Policy{Predictor: PredTwoLevel, FuseMacroOps: true}},
 	}
@@ -97,7 +97,7 @@ func TestPolicies(t *testing.T) {
 		}
 	}
 	// Unregistered kinds fall back to the conventional policy.
-	if got := PolicyFor(isa.Kind(250)); got != (Policy{Predictor: PredTwoLevel, Sweepable: true}) {
+	if got := PolicyFor(isa.Kind(250)); got != (Policy{Predictor: PredTwoLevel}) {
 		t.Errorf("PolicyFor(unregistered) = %+v", got)
 	}
 }

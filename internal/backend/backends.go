@@ -35,17 +35,15 @@ func (d *def) Shape(p *isa.Program, params core.Params) (*core.Stats, error) {
 // the repo's original hardcoded binary: conv has no shaping pass and the
 // speculative two-level front end; bsa's shaping pass is the paper's block
 // enlarger and its front end uses the modified multi-successor predictor.
-// Both are Sweepable — the fused sweep engine's lanes were built for exactly
-// these two fetch policies, and conv/bsa results are byte-identical to the
-// pre-registry code (pinned by the golden figures and the equivalence
-// tests).
+// conv/bsa results are byte-identical to the pre-registry code (pinned by the
+// golden figures and the equivalence tests).
 func init() {
 	Register(&def{
 		name:    "conventional",
 		aliases: []string{"conv"},
 		kind:    isa.Conventional,
 		desc:    "baseline load/store ISA, speculative two-level prediction",
-		policy:  Policy{Predictor: PredTwoLevel, Sweepable: true},
+		policy:  Policy{Predictor: PredTwoLevel},
 	})
 	Register(&def{
 		name:    "block-structured",
@@ -56,7 +54,7 @@ func init() {
 			return core.Enlarge(p, params)
 		},
 		params: true,
-		policy: Policy{Predictor: PredBSA, HeaderBytes: isa.HeaderBytes, Sweepable: true},
+		policy: Policy{Predictor: PredBSA, HeaderBytes: isa.HeaderBytes},
 	})
 	Register(&def{
 		name:    "basicblocker",

@@ -26,11 +26,13 @@ type Bank struct {
 	bsa  []*BSA
 }
 
-// NewBank builds one predictor lane per configuration, of the kind matching
-// the program's ISA (the same rule uarch.New applies).
-func NewBank(kind isa.Kind, cfgs []Config) *Bank {
+// NewBank builds one predictor lane per configuration: the paper's
+// multi-successor BSA predictor when multiSuccessor is set, the two-level
+// predictor otherwise. The caller picks the family from the backend's fetch
+// policy, as uarch.New does.
+func NewBank(multiSuccessor bool, cfgs []Config) *Bank {
 	bk := &Bank{}
-	if kind == isa.BlockStructured {
+	if multiSuccessor {
 		bk.bsa = make([]*BSA, len(cfgs))
 		for i, cfg := range cfgs {
 			bk.bsa[i] = NewBSA(cfg)

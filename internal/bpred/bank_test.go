@@ -143,7 +143,7 @@ func TestBankMatchesSingles(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				cfgs := bankGrid()
-				bank := NewBank(tc.kind, cfgs)
+				bank := NewBank(tc.kind == isa.BlockStructured, cfgs)
 				singles := make([]Predictor, len(cfgs))
 				for i, cfg := range cfgs {
 					if tc.kind == isa.BlockStructured {
@@ -188,7 +188,7 @@ func TestBankStepAllocs(t *testing.T) {
 		{"bsa", isa.BlockStructured, bsaStream},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bank := NewBank(tc.kind, bankGrid())
+			bank := NewBank(tc.kind == isa.BlockStructured, bankGrid())
 			evs := tc.stream(rand.New(rand.NewSource(9)), 2000)
 			out := make([]isa.BlockID, bank.Len())
 			step := func() {

@@ -111,7 +111,7 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 			{HistoryBits: 6, PHTEntries: 256, BTBSets: 16, BTBWays: 2, RASDepth: 4},
 			{HistoryBits: 4, PHTEntries: 128, BTBSets: 8, BTBWays: 2, RASDepth: 4},
 		}
-		bk := NewBank(kind, cfgs)
+		bk := NewBank(kind == isa.BlockStructured, cfgs)
 		bsa := kind == isa.BlockStructured
 		out := make([]isa.BlockID, bk.Len())
 		driveBank := func(s *predStream, n int) []isa.BlockID {
@@ -148,7 +148,7 @@ func TestSnapshotRestoreMismatch(t *testing.T) {
 
 	tl := NewTwoLevel(small)
 	bsa := NewBSA(small)
-	bank := NewBank(isa.Conventional, []Config{small})
+	bank := NewBank(false, []Config{small})
 
 	cases := []struct {
 		name string
@@ -162,8 +162,8 @@ func TestSnapshotRestoreMismatch(t *testing.T) {
 		// BSA divides PHT entries by four with a 1024-entry floor, so the
 		// mismatching geometries must sit above the floor.
 		{"bsa pht size mismatch", NewBSA(Config{PHTEntries: 32768}).Restore(NewBSA(Config{PHTEntries: 8192}).Snapshot())},
-		{"bank lane count mismatch", NewBank(isa.Conventional, []Config{small, small}).Restore(bank.Snapshot())},
-		{"bank kind mismatch", NewBank(isa.BlockStructured, []Config{small}).Restore(bank.Snapshot())},
+		{"bank lane count mismatch", NewBank(false, []Config{small, small}).Restore(bank.Snapshot())},
+		{"bank kind mismatch", NewBank(true, []Config{small}).Restore(bank.Snapshot())},
 		{"ras depth mismatch", func() error {
 			other := small
 			other.RASDepth = 8

@@ -334,7 +334,6 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 		}
 		var rs []*uarch.Result
 		sweepable, _ := uarch.CanSweep(need)
-		sweepable = sweepable && uarch.CanSweepKind(prog.Kind)
 		switch {
 		case len(need) > 1 && sweepable:
 			rs, err = uarch.SweepContext(h.Opts.ctx(), tr, need, h.Opts.workers())

@@ -2,85 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"bsisa/internal/bpred"
 	"bsisa/internal/isa"
 	"bsisa/internal/stats"
 	"bsisa/internal/uarch"
 )
-
-// predSpeedGrid is the 8-point history-length sweep PredSweepSpeed times:
-// the acceptance grid for the fused predictor-sweep engine (ISSUE 5 pins
-// the target at 8 sweep points).
-func predSpeedGrid() []uarch.Config {
-	var cfgs []uarch.Config
-	for _, hb := range []int{1, 2, 4, 6, 8, 10, 12, 16} {
-		cfg := baseConfig(LargeICache, false)
-		cfg.Predictor.HistoryBits = hb
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-// PredSweepSpeed times an 8-point predictor history sweep both ways: one
-// independent replay per configuration (uarch.SimulateMany) versus the
-// unified multi-axis sweep engine (uarch.Sweep), over every
-// benchmark and both ISAs, verifying on the way that the two engines return
-// identical results. Like SweepSpeed it deliberately ignores the result
-// memo: every cell is real simulation work, so the table is the perf
-// trajectory record for the predictor-sweep path (bsbench exports it as
-// BENCH_predsweep.json).
-func (h *Harness) PredSweepSpeed() (*stats.Table, error) {
-	t := &stats.Table{
-		Title:   "Predictor sweep speed: per-config replay (legacy) vs fused single-pass sweep",
-		Columns: []string{"Benchmark", "ISA", "Configs", "Legacy (ms)", "Fused (ms)", "Speedup"},
-		Note:    "8-point history-length grid at the Figure 3 machine; engines verified to return identical results.",
-	}
-	cfgs := predSpeedGrid()
-	var legacyTotal, fusedTotal time.Duration
-	for _, b := range h.Benches {
-		for _, side := range []struct {
-			tag  string
-			prog *isa.Program
-		}{{"conv", b.Conv}, {"bsa", b.BSA}} {
-			tr, traced, err := h.Trace(side.prog)
-			if err != nil {
-				return nil, err
-			}
-			if !traced {
-				return nil, fmt.Errorf("harness: predsweep: %s/%s has no trace slot", b.Profile.Name, side.tag)
-			}
-			h.Opts.progress("predsweep %-8s %s", b.Profile.Name, side.tag)
-			start := time.Now()
-			legacy, err := uarch.SimulateMany(tr, cfgs, h.Opts.workers())
-			if err != nil {
-				return nil, err
-			}
-			legacyMs := time.Since(start)
-			start = time.Now()
-			fused, err := uarch.Sweep(tr, cfgs, h.Opts.workers())
-			if err != nil {
-				return nil, err
-			}
-			fusedMs := time.Since(start)
-			for i := range legacy {
-				if *legacy[i] != *fused[i] {
-					return nil, fmt.Errorf("harness: predsweep: %s/%s config %d: fused result diverges:\nlegacy %+v\nfused  %+v",
-						b.Profile.Name, side.tag, i, *legacy[i], *fused[i])
-				}
-			}
-			legacyTotal += legacyMs
-			fusedTotal += fusedMs
-			t.AddRow(b.Profile.Name, side.tag, len(cfgs),
-				legacyMs.Milliseconds(), fusedMs.Milliseconds(),
-				fmt.Sprintf("%.2fx", float64(legacyMs)/float64(fusedMs)))
-		}
-	}
-	t.AddRow("TOTAL", "", len(cfgs), legacyTotal.Milliseconds(), fusedTotal.Milliseconds(),
-		fmt.Sprintf("%.2fx", float64(legacyTotal)/float64(fusedTotal)))
-	return t, nil
-}
 
 // PredictorSensitivity renders the predictor-sensitivity table: mean cycles
 // and mispredicts per 1000 retired operations for both ISAs over a history ×
@@ -152,9 +79,6 @@ func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
 // unified engine's gate — a grid drifting out of CanSweep would silently
 // fall back to per-config replay.
 var _ = func() bool {
-	if ok, reason := uarch.CanSweep(predSpeedGrid()); !ok {
-		panic("harness: predSpeedGrid is not sweepable: " + reason)
-	}
 	// The A4 grid: baseConfig differing only in HistoryBits.
 	var a4 []uarch.Config
 	for _, hb := range []int{2, 16} {

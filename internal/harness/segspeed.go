@@ -20,7 +20,7 @@ var segSpeedWorkers = []int{1, 2, 4, 8}
 // (uarch.ReplayTraceSegmented) at 1/2/4/8 workers — over every benchmark and
 // both ISAs at the Figure-3 machine, verifying on the way that every
 // segmented result is field-for-field identical to the sequential one. Like
-// SweepSpeed it bypasses the result memo: every cell is real simulation
+// XSweepSpeed it bypasses the result memo: every cell is real simulation
 // work, so the table is the perf trajectory record for the segmented path.
 //
 // The speedup ceiling is the host's core count: the segmented engine adds a

@@ -181,6 +181,9 @@ func TestServerErrorCodes(t *testing.T) {
 			Config: &ConfigSpec{}}, http.StatusBadRequest, "bad_program"},
 		{"bad geometry", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"},
 			Config: &ConfigSpec{ICache: &CacheSpec{SizeBytes: 3000}}}, http.StatusBadRequest, "bad_geometry"},
+		// The FU scoreboard every engine runs holds per-cycle byte counts.
+		{"fus beyond the scoreboard", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Config: &ConfigSpec{NumFUs: 256}}, http.StatusBadRequest, "bad_geometry"},
 		{"bad sweep", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"},
 			Sweep: &SweepSpec{}}, http.StatusBadRequest, "bad_sweep"},
 		{"no engine", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"}},

@@ -184,6 +184,19 @@ func (c *artifactCache) releaseEvicted(old *cacheEntry) {
 	}
 }
 
+// purge drops every resident entry through the eviction path, so the cache
+// releases its references on mapped traces: in-flight users keep theirs, and
+// the pages unmap once the last of them drains. Counters are untouched.
+func (c *artifactCache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		c.releaseEvicted(el.Value.(*cacheEntry))
+	}
+	c.order.Init()
+	clear(c.entries)
+}
+
 // cacheCounters is a consistent snapshot of the cache's counters.
 type cacheCounters struct {
 	Hits, Misses, Evictions int64

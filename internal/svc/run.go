@@ -146,7 +146,6 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	// job has workers to spend (no sweep to fan out over).
 	engine, stage := engineMany, stageReplay
 	sweepable, _ := uarch.CanSweep(plan.Configs)
-	sweepable = sweepable && uarch.CanSweepKind(plan.Kind())
 	switch {
 	case len(plan.Configs) > 1 && sweepable:
 		engine, stage = engineSweep, stageSweep

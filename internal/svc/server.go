@@ -151,7 +151,9 @@ func (s *Server) worker() {
 }
 
 // Close drains the worker pool: every job already accepted runs to
-// completion, then the workers exit. New submissions are refused with 503.
+// completion, then the workers exit and the artifact caches drop their
+// entries, unmapping store-mapped traces. New submissions are refused with
+// 503.
 // Shut the HTTP listener down (http.Server.Shutdown) before calling Close so
 // handlers are not still enqueueing.
 func (s *Server) Close() {
@@ -164,6 +166,12 @@ func (s *Server) Close() {
 	s.stopMu.Unlock()
 	close(s.jobs)
 	s.wg.Wait()
+	// With the workers drained nothing holds a job reference, so dropping
+	// the caches' references unmaps every store-mapped trace now rather than
+	// at process exit.
+	s.traces.purge()
+	s.programs.purge()
+	s.predecodes.purge()
 }
 
 // Handler returns the service's HTTP mux:

@@ -373,12 +373,18 @@ func (s *Store) isLive(path string) bool {
 // the old "last width wins" behavior: with one untagged section, attaching a
 // predecode table for a second issue width clobbered the first width's table,
 // and the two widths then thrashed each other's write-through forever.
+//
+// The current sections are read through a private mapping of the file, never
+// a heap copy of it (section data is copied at decode), and the mapping is
+// released before the write. The read bypasses the store's tiers, so it moves
+// none of the hit or map counters.
 func (s *Store) AttachAux(key string, tr *emu.Trace, sec emu.AuxSection) error {
 	var sections []emu.AuxSection
-	if data, err := os.ReadFile(s.path(key)); err == nil {
-		if cur, aux, derr := emu.DecodeTrace(data, tr.Program()); derr == nil && cur.EmuConfig() == tr.EmuConfig() {
-			sections = aux
+	if m, err := emu.OpenTraceFile(s.path(key), tr.Program()); err == nil {
+		if m.Trace().EmuConfig() == tr.EmuConfig() {
+			sections = m.Aux()
 		}
+		m.Release()
 	}
 	merged := make([]emu.AuxSection, 0, len(sections)+1)
 	inserted := false

@@ -3,6 +3,8 @@ package svc
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"sync"
@@ -64,6 +66,60 @@ func TestStoreMappedHitAndRelease(t *testing.T) {
 	mt.Release()
 	if got := st.counters(); got.MmapUnmaps != 1 || got.ResidentBytes != 0 {
 		t.Fatalf("final release did not unmap: %+v", got)
+	}
+}
+
+// TestServerCloseUnmapsTraces: a closed server drops its trace cache's
+// references, so every trace it mapped from the store is unmapped at Close —
+// not at process exit — and the store holds no resident bytes.
+func TestServerCloseUnmapsTraces(t *testing.T) {
+	dir := t.TempDir()
+	seed := int64(5151)
+	reqs := []*SimRequest{}
+	for _, isa := range []string{"conv", "bsa", "bb", "fused"} {
+		reqs = append(reqs, &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: isa},
+			Sweep:   &SweepSpec{ICacheSizes: []int{0, 1024}},
+		})
+	}
+	serve := func(st *Store) *Server {
+		cfg := quietConfig()
+		cfg.Store = st
+		s := NewServer(cfg)
+		ts := httptest.NewServer(s.Handler())
+		for _, req := range reqs {
+			if status, resp := post(t, ts, req); status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", req.Program.ISA, status, resp.Error)
+			}
+		}
+		ts.Close()
+		return s
+	}
+	// The first server records and writes the traces through.
+	first, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(first).Close()
+
+	// The second serves them mapped from the store.
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve(st)
+	open := st.counters()
+	if open.MmapMaps == 0 {
+		t.Skip("platform mapped no trace files; mmap-tier accounting does not apply")
+	}
+	if open.MmapUnmaps != 0 || open.ResidentBytes <= 0 {
+		t.Fatalf("before Close: %+v, want the cache holding every mapping", open)
+	}
+	s.Close()
+	if got := st.counters(); got.MmapUnmaps != got.MmapMaps || got.ResidentBytes != 0 {
+		t.Fatalf("after Close: %d maps, %d unmaps, %d resident bytes",
+			got.MmapMaps, got.MmapUnmaps, got.ResidentBytes)
 	}
 }
 

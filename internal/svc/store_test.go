@@ -169,11 +169,17 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 	}
 
 	// Attach width 16 first, then width 8: both must survive, in tag order.
+	before := st.counters()
 	if err := st.AttachAux(key, tr, emu.AuxSection{Tag: 16, Data: []byte("wide")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AttachAux(key, tr, emu.AuxSection{Tag: 8, Data: []byte("narrow")}); err != nil {
 		t.Fatal(err)
+	}
+	// Reading the current sections bypasses the store's tiers.
+	if after := st.counters(); after.Hits != before.Hits || after.MmapMaps != before.MmapMaps ||
+		after.MmapUnmaps != before.MmapUnmaps || after.ResidentBytes != before.ResidentBytes {
+		t.Fatalf("AttachAux moved the hit/map counters: before %+v, after %+v", before, after)
 	}
 	want := []emu.AuxSection{{Tag: 8, Data: []byte("narrow")}, {Tag: 16, Data: []byte("wide")}}
 	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})

@@ -1,13 +1,13 @@
 package uarch
 
 import (
-	"bsisa/internal/backend"
 	"bsisa/internal/isa"
 )
 
 // This file is the timing side of the backend fetch policy
-// (backend.Policy): predictor selection lives in New, the BasicBlocker
-// serialization stall and the macro-op fusion pass live here.
+// (backend.Policy): predictor selection lives in New and the sweep, while
+// the BasicBlocker serialization and the macro-op fusion patterns defined
+// here are baked into the predecoded table (kernel.go's flatten).
 
 // serializesFetch reports whether a terminator's transfer only resolves at
 // execute — conditionally (BR) or indirectly (JR, RET). Under
@@ -26,37 +26,20 @@ func serializesFetch(t *isa.Op) bool {
 	return false
 }
 
-// fusionPairs returns the indices at which a macro-op pair starts in b's
-// operation list (each pair spans ops i and i+1; pairs never overlap), or nil
-// when the policy does not fuse. Fusion is a decode-time rewrite of static
-// code, so the result is memoized per block.
-func (s *Sim) fusionPairs(b *isa.Block) []int {
-	if !s.policy.FuseMacroOps {
-		return nil
-	}
-	if p, ok := s.fuse[b.ID]; ok {
-		return p
-	}
-	p := fusePairs(b.Ops)
-	if s.fuse == nil {
-		s.fuse = map[isa.BlockID][]int{}
-	}
-	s.fuse[b.ID] = p
-	return p
-}
-
-// fusePairs greedily scans for adjacent dependent pairs matching the fusion
-// patterns. Greedy left-to-right matches the hardware: decode sees the ops in
-// order and fuses the first opportunity in each pair of slots.
-func fusePairs(ops []isa.Op) []int {
-	var pairs []int
+// fusePairs appends to dst the indices at which a macro-op pair starts in
+// ops (each pair spans ops i and i+1; pairs never overlap). It scans greedily
+// for adjacent dependent pairs matching the fusion patterns: left to right
+// matches the hardware, whose decode sees the ops in order and fuses the
+// first opportunity in each pair of slots. Fusion is a decode-time rewrite
+// of static code, so flatten applies it once per block.
+func fusePairs(dst []int, ops []isa.Op) []int {
 	for i := 0; i+1 < len(ops); i++ {
 		if fusible(&ops[i], &ops[i+1]) {
-			pairs = append(pairs, i)
+			dst = append(dst, i)
 			i++
 		}
 	}
-	return pairs
+	return dst
 }
 
 // fusible reports whether op a feeds op b in one of the fused patterns
@@ -92,10 +75,9 @@ func readsReg(o *isa.Op, r isa.Reg) bool {
 	return false
 }
 
-// CanSweepKind reports whether the fused multi-axis sweep engine's timing
-// lanes express this program kind's fetch policy. The lanes bake the
-// speculative predictor-driven pipeline, so only backends that declare
-// Sweepable (conv, bsa) qualify; others fall back to per-config replay.
-func CanSweepKind(k isa.Kind) bool {
-	return backend.PolicyFor(k).Sweepable
-}
+// CanSweepKind reports whether the sweep engine serves programs of kind k.
+// It does for every kind: the sweep lanes and a live Sim run one timing
+// kernel, which applies each backend's fetch policy itself.
+//
+// Deprecated: every kind sweeps; route on CanSweep alone.
+func CanSweepKind(isa.Kind) bool { return true }

@@ -1,7 +1,7 @@
 package uarch
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"bsisa/internal/backend"
@@ -60,7 +60,7 @@ func TestFusePairsPatterns(t *testing.T) {
 		}, []int{0, 2}},
 	}
 	for _, tc := range cases {
-		got := fusePairs(tc.ops)
+		got := fusePairs(nil, tc.ops)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: pairs %v, want %v", tc.name, got, tc.want)
 			continue
@@ -70,6 +70,55 @@ func TestFusePairsPatterns(t *testing.T) {
 				t.Errorf("%s: pairs %v, want %v", tc.name, got, tc.want)
 				break
 			}
+		}
+	}
+}
+
+// TestPackOpFusedPairs pins how the predecoded table encodes each fusion
+// pattern: a pair is one op that reads the first op's sources plus the
+// second's other than the first's destination, writes both destinations,
+// takes the slower latency, and carries the second op's flags.
+func TestPackOpFusedPairs(t *testing.T) {
+	r5, r6, r7, r8 := isa.Reg(5), isa.Reg(6), isa.Reg(7), isa.Reg(8)
+	sink := isa.Reg(laneRegSink)
+	cases := []struct {
+		name   string
+		a, b   isa.Op
+		reads  []isa.Reg
+		writes [2]isa.Reg
+		flags  uint8
+	}{
+		{"compare-branch", op(isa.SLT, r5, r6, r7), isa.Op{Opcode: isa.BR, Rs1: r5, Target: 1},
+			[]isa.Reg{r6, r7}, [2]isa.Reg{r5, sink}, laneTerm},
+		{"load-immediate", isa.Op{Opcode: isa.LUI, Rd: r5, Imm: 4096}, isa.Op{Opcode: isa.ADDI, Rd: r5, Rs1: r5, Imm: 12},
+			nil, [2]isa.Reg{r5, r5}, 0},
+		{"address-gen-load", op(isa.ADD, r5, r6, r7), isa.Op{Opcode: isa.LD, Rd: r8, Rs1: r5},
+			[]isa.Reg{r6, r7}, [2]isa.Reg{r5, r8}, laneLD},
+		{"shift-add-index", isa.Op{Opcode: isa.SHLI, Rd: r5, Rs1: r6, Imm: 3}, op(isa.ADD, r7, r5, r8),
+			[]isa.Reg{r6, r8}, [2]isa.Reg{r5, r7}, 0},
+	}
+	for _, tc := range cases {
+		if !fusible(&tc.a, &tc.b) {
+			t.Fatalf("%s: pattern not fusible", tc.name)
+		}
+		o := packOp(&tc.a, &tc.b)
+		var reads []isa.Reg
+		for k := 0; k < 3; k++ {
+			if r := isa.Reg(uint8(o >> (8 * k))); r != isa.RegZero {
+				reads = append(reads, r)
+			}
+		}
+		if fmt.Sprint(reads) != fmt.Sprint(tc.reads) {
+			t.Errorf("%s: reads %v, want %v", tc.name, reads, tc.reads)
+		}
+		if w := [2]isa.Reg{isa.Reg(uint8(o >> 24)), isa.Reg(uint8(o >> 32))}; w != tc.writes {
+			t.Errorf("%s: writes %v, want %v", tc.name, w, tc.writes)
+		}
+		if f := uint8(o >> 40); f != tc.flags {
+			t.Errorf("%s: flags %b, want %b", tc.name, f, tc.flags)
+		}
+		if lat, want := int(o>>48), max(tc.a.Opcode.Latency(), tc.b.Opcode.Latency()); lat != want {
+			t.Errorf("%s: latency %d, want %d", tc.name, lat, want)
 		}
 	}
 }
@@ -210,36 +259,5 @@ func TestSegmentedMatchesReplayPolicyBackends(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSweepRejectsNonSweepableKind: the fused multi-axis engine's timing
-// lanes bake the speculative fetch pipeline, so non-sweepable backends must
-// be refused with a self-describing error rather than silently mis-timed.
-func TestSweepRejectsNonSweepableKind(t *testing.T) {
-	if !CanSweepKind(isa.Conventional) || !CanSweepKind(isa.BlockStructured) {
-		t.Fatal("conv/bsa must stay sweepable")
-	}
-	if CanSweepKind(isa.BasicBlocker) || CanSweepKind(isa.MacroFused) {
-		t.Fatal("bb/fused must not be sweepable")
-	}
-	prog := policyProgram(t, 903, isa.BasicBlocker)
-	tr, err := emu.Record(prog, emu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []Config{
-		{ICache: cache.Config{SizeBytes: 2048, Ways: 4}},
-		{ICache: cache.Config{SizeBytes: 4096, Ways: 4}},
-	}
-	if ok, _ := CanSweep(cfgs); !ok {
-		t.Fatal("grid itself should be sweepable")
-	}
-	if _, err := Sweep(tr, cfgs, 0); err == nil || !strings.Contains(err.Error(), "not sweepable") {
-		t.Fatalf("Sweep on a basicblocker trace: err = %v, want a not-sweepable rejection", err)
-	}
-	// The per-config engine still serves the same grid.
-	if _, err := SimulateMany(tr, cfgs, 0); err != nil {
-		t.Fatalf("SimulateMany fallback: %v", err)
 	}
 }

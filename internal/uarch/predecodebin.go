@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/isa"
 )
 
@@ -20,8 +21,10 @@ import (
 //
 // Layout: version u8 · issue width, block count (uvarint) · per block a
 // presence byte and, when present, addr/size/op count (uvarint) followed by
-// the raw 8-byte laneOps. fetchCycles is derived from the op count and issue
-// width on decode, exactly as flattenSweepProgram derives it.
+// the raw 8-byte laneOps. The op count is the table's: a fused pair is one
+// op. Everything else a table entry holds — the architectural op count,
+// fetch cycles, the serialization and memory flags — is derived from the
+// program on decode, exactly as flatten derives it.
 
 // ErrBadPredecode is wrapped by every DecodePredecoded failure.
 var ErrBadPredecode = errors.New("uarch: bad predecode encoding")
@@ -29,7 +32,9 @@ var ErrBadPredecode = errors.New("uarch: bad predecode encoding")
 // Version 2: the laneOp register encoding became branchless — three
 // RegZero-padded read slots (no read count) and sink-padded write slots.
 // Version-1 blobs fail decode and rebuild through the normal quarantine
-// path.
+// path. Fused tables share version 2: no fused blob predates the fused op
+// encoding, and a blob whose op counts disagree with the program's fusion
+// pairs fails decode like any stale layout.
 const predecodeVersion = 2
 
 // EncodeBytes serializes the predecoded tables.
@@ -59,9 +64,10 @@ func (p *Predecoded) EncodeBytes() []byte {
 
 // DecodePredecoded reconstructs predecoded tables for prog from one encoded
 // blob. The block structure is validated against prog — block count,
-// presence, layout address/size, and op count must all match — so a blob
-// written for a different program (or a stale layout) decodes to an error.
-// The returned tables are exactly what Predecode(prog, issueWidth) builds.
+// presence, layout address/size, and the op count flatten builds for the
+// program's kind must all match — so a blob written for a different program
+// (or a stale layout) decodes to an error. The returned tables are exactly
+// what Predecode(prog, issueWidth) builds.
 func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("%w: nil program", ErrBadPredecode)
@@ -96,7 +102,10 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 	if numBlocks != uint64(len(prog.Blocks)) {
 		return nil, fmt.Errorf("%w: tables cover %d blocks, program has %d", ErrBadPredecode, numBlocks, len(prog.Blocks))
 	}
+	pol := backend.PolicyFor(prog.Kind)
 	lp := make([]laneBlock, len(prog.Blocks))
+	var pairs []int
+	maxOps := 0
 	for id := range lp {
 		if pos >= len(data) {
 			return nil, fmt.Errorf("%w: truncated at block %d", ErrBadPredecode, id)
@@ -128,21 +137,29 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 		if err != nil {
 			return nil, err
 		}
-		if addr != uint64(b.Addr) || size != uint64(b.Size) || nOps != uint64(len(b.Ops)) {
+		winOps := len(b.Ops)
+		if pol.FuseMacroOps {
+			pairs = fusePairs(pairs[:0], b.Ops)
+			winOps -= len(pairs)
+		}
+		if addr != uint64(b.Addr) || size != uint64(b.Size) || nOps != uint64(winOps) {
 			return nil, fmt.Errorf("%w: B%d is %d ops at %d+%d in the tables, %d ops at %d+%d in the program",
-				ErrBadPredecode, id, nOps, addr, size, len(b.Ops), b.Addr, b.Size)
+				ErrBadPredecode, id, nOps, addr, size, winOps, b.Addr, b.Size)
 		}
 		lb := &lp[id]
-		lb.addr = uint32(addr)
-		lb.size = uint32(size)
-		lb.numOps = int(nOps)
-		n := (int(nOps) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
-		}
-		lb.fetchCycles = int64(n)
+		setBlockMeta(lb, b, pol, issueWidth)
+		maxOps = max(maxOps, winOps)
 		if pos+int(nOps)*8 > len(data) {
 			return nil, fmt.Errorf("%w: truncated op table for B%d", ErrBadPredecode, id)
+		}
+		// Every engine reads one load outcome per load-flagged op from a
+		// stream holding one per committed load, so the flags must count
+		// the block's loads exactly.
+		loads := 0
+		for i := range b.Ops {
+			if b.Ops[i].Opcode == isa.LD {
+				loads++
+			}
 		}
 		lb.ops = make([]laneOp, nOps)
 		for j := range lb.ops {
@@ -158,11 +175,17 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 				w2 == uint8(isa.RegZero) || w2 > laneRegSink {
 				return nil, fmt.Errorf("%w: B%d op %d writes register beyond the file", ErrBadPredecode, id, j)
 			}
+			if uint8(v>>40)&laneLD != 0 {
+				loads--
+			}
 			lb.ops[j] = laneOp(v)
+		}
+		if loads != 0 {
+			return nil, fmt.Errorf("%w: B%d load flags disagree with the program's loads", ErrBadPredecode, id)
 		}
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPredecode, len(data)-pos)
 	}
-	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp}, nil
+	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp, noMiss: make([]uint8, maxOps+1)}, nil
 }

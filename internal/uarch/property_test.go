@@ -3,6 +3,7 @@ package uarch
 import (
 	"testing"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/compile"
@@ -34,9 +35,10 @@ func figureConfigs() []Config {
 }
 
 // TestReplayMatchesDirectSimulation is the trace-equivalence property: for
-// every figure configuration, replaying a recorded committed-block trace
-// produces a Result bitwise-identical to the execution-driven RunProgram
-// path, and SimulateMany agrees with standalone replays.
+// every backend and every figure configuration, replaying a recorded
+// committed-block trace produces a Result bitwise-identical to the
+// execution-driven RunProgram path, and SimulateMany agrees with standalone
+// replays.
 func TestReplayMatchesDirectSimulation(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -44,17 +46,9 @@ func TestReplayMatchesDirectSimulation(t *testing.T) {
 	}
 	cfgs := figureConfigs()
 	for seed := int64(3000); seed < 3000+int64(seeds); seed++ {
-		src := testgen.Program(seed)
-		for _, kind := range []isa.Kind{isa.Conventional, isa.BlockStructured} {
-			prog, err := compile.Compile(src, "replay", compile.DefaultOptions(kind))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if kind == isa.BlockStructured {
-				if _, err := core.Enlarge(prog, core.Params{}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			}
+		for _, be := range backend.All() {
+			kind := be.Kind()
+			prog := policyProgram(t, seed, kind)
 			emuCfg := emu.Config{MaxOps: 80_000_000}
 			tr, err := emu.Record(prog, emuCfg)
 			if err != nil {

@@ -23,10 +23,17 @@ func ReplayTrace(t *emu.Trace, cfg Config) (*Result, error) {
 // replay checks ctx between trace chunks and returns ctx.Err() promptly once
 // the context is done.
 func ReplayTraceContext(ctx context.Context, t *emu.Trace, cfg Config) (*Result, error) {
-	sim, err := New(t.Program(), cfg)
+	return replayTrace(ctx, t, cfg, nil)
+}
+
+// replayTrace is ReplayTraceContext on a shared predecoded table (nil
+// flattens one for this replay).
+func replayTrace(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded) (*Result, error) {
+	sim, err := newSim(t.Program(), cfg, tab)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.release()
 	if err := t.ReplayContext(ctx, sim.OnBlock); err != nil {
 		return nil, err
 	}
@@ -104,7 +111,8 @@ feed:
 // configuration, fanning the replays out over a bounded worker pool (workers
 // <= 0 means GOMAXPROCS). Results are returned in configuration order; each
 // is identical to a standalone ReplayTrace regardless of the worker count
-// (simulators share only the read-only trace and program).
+// (simulators share only the read-only trace, program and predecoded
+// tables).
 func SimulateMany(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
 	return SimulateManyContext(context.Background(), t, cfgs, workers)
 }
@@ -114,9 +122,10 @@ func SimulateMany(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
 // are dropped once ctx is done, and the call returns an error satisfying
 // errors.Is(err, ctx.Err()) with the worker pool fully drained.
 func SimulateManyContext(ctx context.Context, t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
+	tabs := tablesFor(t.Program(), cfgs, nil)
 	results := make([]*Result, len(cfgs))
 	err := fanOut(ctx, len(cfgs), workers, func(i int) error {
-		r, err := ReplayTraceContext(ctx, t, cfgs[i])
+		r, err := replayTrace(ctx, t, cfgs[i], tabs[i])
 		if err != nil {
 			return fmt.Errorf("uarch: config %d: %w", i, err)
 		}

@@ -5,16 +5,16 @@
 // box has. This engine splits the trace into contiguous segments and times
 // them concurrently, exactly:
 //
-//  1. A warm pass walks the stream once through live icache/dcache/predictor
-//     models — no per-operation scheduling — and captures an exact
-//     architectural checkpoint (cache.Snapshot, bpred.State) at every
-//     segment boundary. This is sound because the architectural operation
-//     sequence OnBlock performs (fetch icache probes, committed dcache
-//     accesses, predict/update, wrong-path pollution probes) depends only on
-//     the committed stream and the configuration, never on timing state —
-//     provided the trace cache and multi-block fetch are disabled, which is
-//     exactly what CanSegment gates (both take the fetch cycle as an input
-//     to their architectural behavior).
+//  1. A warm pass walks the stream once through a live Sim's outcome source
+//     — its icache/dcache/predictor models, with no timing kernel — and
+//     captures an exact architectural checkpoint (cache.Snapshot,
+//     bpred.State) at every segment boundary. This is sound because the
+//     outcome source's operation sequence (fetch icache probes, committed
+//     dcache accesses, predict/update, wrong-path pollution probes) depends
+//     only on the committed stream and the configuration, never on timing
+//     state — provided the trace cache and multi-block fetch are disabled,
+//     which is exactly what CanSegment gates (both take the fetch cycle as
+//     an input to their architectural behavior).
 //
 //  2. Per-segment timing lanes run concurrently on a bounded worker pool,
 //     each a full Sim restored from its boundary checkpoint but starting
@@ -57,7 +57,6 @@ import (
 	"runtime"
 	"time"
 
-	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/emu"
@@ -164,6 +163,10 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 		return nil, err
 	}
 
+	// Every Sim of the request — warm pass, lanes, stitch replicas — runs on
+	// one predecoded table.
+	tab := flatten(t.Program(), cfg.EffectiveIssueWidth())
+
 	// bounds[i] is the first event of segment i; segment i covers
 	// [bounds[i], bounds[i+1]). The split is even and independent of the
 	// worker count.
@@ -186,7 +189,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 	go func() {
 		defer close(warmDone)
 		closed := 0
-		warmErr = warmCheckpoints(wctx, t, cfg, bounds, func(i int, ck archCheckpoint) {
+		warmErr = warmCheckpoints(wctx, t, cfg, tab, bounds, func(i int, ck archCheckpoint) {
 			ckpts[i] = ck
 			close(ready[i])
 			closed = i
@@ -220,7 +223,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 			obs.SegmentStart()
 		}
 		start := time.Now()
-		l, err := runSegmentLane(ctx, t, cfg, bounds[i], bounds[i+1], ck, i == segs-1)
+		l, err := runSegmentLane(ctx, t, cfg, tab, bounds[i], bounds[i+1], ck, i == segs-1)
 		if err != nil {
 			return fmt.Errorf("uarch: segment %d: %w", i, err)
 		}
@@ -247,7 +250,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 	res := lanes[0].res
 	front := lanes[0].front
 	for i := 1; i < segs; i++ {
-		fsw, rs, fsc, next, err := stitchSegment(ctx, t, cfg, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
+		fsw, rs, fsc, next, err := stitchSegment(ctx, t, cfg, tab, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
 		if err != nil {
 			return nil, fmt.Errorf("uarch: stitch at segment %d: %w", i, err)
 		}
@@ -272,42 +275,20 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 	return &res, nil
 }
 
-// warmCheckpoints walks events [0, bounds[len(bounds)-2]] through live
-// icache/dcache/predictor models — no timing — invoking capture with the
-// exact architectural state at the start of every segment but the first.
-// It replicates OnBlock's architectural operation order precisely: the
-// fetched block's icache range probe, the committed memory accesses in
-// operation order (every committed block executes all of its static loads
-// and stores, so the event's MemAddrs list is exactly the dcache access
-// sequence), predict-then-update, and on a misprediction the wrong-path
-// icache pollution probe (the wrong block for a trap misprediction, the
-// predicted variant for a fault misprediction).
-func warmCheckpoints(ctx context.Context, t *emu.Trace, cfg Config, bounds []int, capture func(i int, ck archCheckpoint)) error {
-	cfg = cfg.withDefaults()
-	prog := t.Program()
-	ic, err := cache.New(cfg.ICache)
+// warmCheckpoints walks events [0, bounds[len(bounds)-2]] through a live
+// Sim's outcome source alone — the fetch probe and resolve, no timing —
+// invoking capture with the exact architectural state at the start of every
+// segment but the first.
+func warmCheckpoints(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded, bounds []int, capture func(i int, ck archCheckpoint)) error {
+	sim, err := newSim(t.Program(), cfg, tab)
 	if err != nil {
-		return fmt.Errorf("uarch: icache: %w", err)
+		return err
 	}
-	dc, err := cache.New(cfg.DCache)
-	if err != nil {
-		return fmt.Errorf("uarch: dcache: %w", err)
-	}
-	var pred bpred.Predictor
-	if !cfg.PerfectBP {
-		switch backend.PolicyFor(prog.Kind).Predictor {
-		case backend.PredBSA:
-			pred = bpred.NewBSA(cfg.Predictor)
-		case backend.PredNone:
-			// Non-speculative front end: no predictor state to warm.
-		default:
-			pred = bpred.NewTwoLevel(cfg.Predictor)
-		}
-	}
+	defer sim.release()
 	snap := func() archCheckpoint {
-		ck := archCheckpoint{ic: ic.Snapshot(), dc: dc.Snapshot()}
-		if pred != nil {
-			ck.pred = pred.Snapshot()
+		ck := archCheckpoint{ic: sim.ic.Snapshot(), dc: sim.dc.Snapshot()}
+		if sim.pred != nil {
+			ck.pred = sim.pred.Snapshot()
 		}
 		return ck
 	}
@@ -326,27 +307,8 @@ func warmCheckpoints(ctx context.Context, t *emu.Trace, cfg Config, bounds []int
 			next++
 		}
 		ev := cur.Next()
-		b := ev.Block
-		ic.AccessRange(b.Addr, b.Size)
-		for _, a := range ev.MemAddrs {
-			dc.Access(a)
-		}
-		if ev.Next != isa.NoBlock && pred != nil {
-			predicted := pred.Predict(b)
-			pred.Update(b, ev.Next, ev.Taken, ev.SuccIdx)
-			if predicted != ev.Next {
-				switch classifyMispredict(b, predicted, ev.Next) {
-				case mpTrap:
-					if wb := prog.Block(predicted); wb != nil {
-						ic.AccessRange(wb.Addr, wb.Size)
-					}
-				case mpFault:
-					if pb := prog.Block(predicted); pb != nil {
-						ic.AccessRange(pb.Addr, pb.Size)
-					}
-				}
-			}
-		}
+		sim.ic.AccessRange(ev.Block.Addr, ev.Block.Size)
+		sim.resolve(ev)
 	}
 	for next < nseg {
 		capture(next, snap())
@@ -384,11 +346,12 @@ func restoreCheckpoint(s *Sim, ck *archCheckpoint) error {
 // runSegmentLane replays events [lo, hi) through a fresh Sim restored from
 // ck (nil for the first segment), starting from the canonical empty timing
 // frontier.
-func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck *archCheckpoint, last bool) (*segLane, error) {
-	sim, err := New(t.Program(), cfg)
+func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded, lo, hi int, ck *archCheckpoint, last bool) (*segLane, error) {
+	sim, err := newSim(t.Program(), cfg, tab)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.release()
 	if err := restoreCheckpoint(sim, ck); err != nil {
 		return nil, err
 	}
@@ -416,9 +379,9 @@ func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, c
 // FetchStallWindow, RecoveryStall and FetchStallControl contributions — the
 // three frontier-dependent stall counters — and the true frontier at hi. See
 // the package comment for the argument.
-func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (fsw, rs, fsc int64, out frontier, err error) {
+func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (fsw, rs, fsc int64, out frontier, err error) {
 	mk := func() (*Sim, error) {
-		s, err := New(t.Program(), cfg)
+		s, err := newSim(t.Program(), cfg, tab)
 		if err != nil {
 			return nil, err
 		}
@@ -428,11 +391,14 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck
 	if err != nil {
 		return 0, 0, 0, out, err
 	}
+	defer a.release()
 	restoreFrontier(a, f)
 	b, err := mk()
 	if err != nil {
 		return 0, 0, 0, out, err
 	}
+	replica := b
+	defer replica.release()
 	cur := t.CursorAt(lo)
 	for i := lo; i < hi; i++ {
 		if (i-lo)&(segChunk-1) == 0 {
@@ -470,17 +436,20 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck
 	return a.res.FetchStallWindow, a.res.RecoveryStall, a.res.FetchStallControl, captureFrontier(a), nil
 }
 
-// frontier is a raw copy of a Sim's timing state: everything OnBlock reads
-// or writes besides the architectural models and the Result accumulators.
+// frontier is a raw copy of a Sim's timing state: everything the kernel
+// reads or writes besides the outcome source and the Result accumulators.
+// Register-ready times cover the architectural registers only: the kernel
+// never reads the sink slot, and the shadow table is rebuilt from the
+// architectural one on every fault misprediction.
 type frontier struct {
 	cycle      int64
 	nextFetch  int64
 	lastRetire int64
-	regReady   [isa.NumRegs]int64
+	regs       [isa.NumRegs]int64
 	win        []windowEntry // live in-flight blocks, oldest first
 	winOps     int
 	fuBase     int64
-	fuCounts   []int32 // FU busy counts for cycles [fuBase, fuBase+len)
+	fuCounts   []uint8 // FU busy counts for cycles [fuBase, fuBase+len)
 }
 
 // captureFrontier copies s's timing state out. The result shares nothing
@@ -490,10 +459,10 @@ func captureFrontier(s *Sim) frontier {
 		cycle:      s.cycle,
 		nextFetch:  s.nextFetch,
 		lastRetire: s.lastRetire,
-		regReady:   s.regReady,
 		winOps:     s.winOps,
-		fuBase:     s.fu.base,
+		fuBase:     s.scr.ring.base,
 	}
+	copy(f.regs[:], s.scr.regs[:isa.NumRegs])
 	f.win = make([]windowEntry, s.winLen)
 	for k := 0; k < s.winLen; k++ {
 		i := s.winHead + k
@@ -502,7 +471,7 @@ func captureFrontier(s *Sim) frontier {
 		}
 		f.win[k] = s.win[i]
 	}
-	r := &s.fu
+	r := &s.scr.ring
 	last := int64(-1)
 	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
 		if r.counts[c&r.mask] != 0 {
@@ -510,7 +479,7 @@ func captureFrontier(s *Sim) frontier {
 		}
 	}
 	if last >= 0 {
-		f.fuCounts = make([]int32, last-r.base+1)
+		f.fuCounts = make([]uint8, last-r.base+1)
 		for c := r.base; c <= last; c++ {
 			f.fuCounts[c-r.base] = r.counts[c&r.mask]
 		}
@@ -525,8 +494,8 @@ func (f *frontier) shift(d int64) {
 	f.nextFetch += d
 	f.lastRetire += d
 	f.fuBase += d
-	for i := range f.regReady {
-		f.regReady[i] += d
+	for i := range f.regs {
+		f.regs[i] += d
 	}
 	for i := range f.win {
 		f.win[i].retire += d
@@ -537,10 +506,10 @@ func (f *frontier) shift(d int64) {
 // canonical zero state).
 func restoreFrontier(s *Sim, f *frontier) {
 	s.cycle, s.nextFetch, s.lastRetire = f.cycle, f.nextFetch, f.lastRetire
-	s.regReady = f.regReady
+	copy(s.scr.regs[:isa.NumRegs], f.regs[:])
 	s.winHead, s.winLen, s.winOps = 0, len(f.win), f.winOps
 	copy(s.win, f.win)
-	r := &s.fu
+	r := &s.scr.ring
 	r.base = f.fuBase
 	if n := int64(len(f.fuCounts)); n > 0 {
 		if n > int64(len(r.counts)) {
@@ -564,7 +533,7 @@ func normCycle(x, base int64) int64 {
 
 // fuCountAt reads the FU busy count at an absolute cycle, treating cycles
 // outside the ring's live span as free.
-func fuCountAt(r *fuRing, c int64) int32 {
+func fuCountAt(r *laneRing, c int64) uint8 {
 	if c < r.base || c-r.base >= int64(len(r.counts)) {
 		return 0
 	}
@@ -629,18 +598,19 @@ func frontiersConverge(a, b *Sim) bool {
 		}
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if normCycle(a.regReady[r], ba) != normCycle(b.regReady[r], bb) {
+		if normCycle(a.scr.regs[r], ba) != normCycle(b.scr.regs[r], bb) {
 			return false
 		}
 	}
-	spanA := a.fu.base + int64(len(a.fu.counts)) - ba
-	spanB := b.fu.base + int64(len(b.fu.counts)) - bb
+	ra, rb := &a.scr.ring, &b.scr.ring
+	spanA := ra.base + int64(len(ra.counts)) - ba
+	spanB := rb.base + int64(len(rb.counts)) - bb
 	span := spanA
 	if spanB > span {
 		span = spanB
 	}
 	for o := int64(0); o < span; o++ {
-		if fuCountAt(&a.fu, ba+o) != fuCountAt(&b.fu, bb+o) {
+		if fuCountAt(ra, ba+o) != fuCountAt(rb, bb+o) {
 			return false
 		}
 	}

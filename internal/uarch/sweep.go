@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/emu"
 	"bsisa/internal/isa"
 )
 
-// This file implements the unified multi-axis sweep engine. A sweep runs the
+// This file implements the unified multi-axis sweep engine: the timing
+// kernel's second outcome source (kernel.go). A sweep runs the
 // same trace under N configurations drawn from a config grid whose axes are
 // icache size, predictor tables, and core geometry (issue width, window
 // size, FU count, front-end depth, latencies). Under SimulateMany that costs
@@ -30,174 +31,40 @@ import (
 //
 //   - Pass A replays the trace once, driving the real dcache (shared: load
 //     outcomes are config-independent) and a bpred.Bank holding one lane per
-//     *distinct* predictor config — the grid's predictor classes. Each
-//     class's mispredictions are classified and stored sparsely (ascending
-//     event indices, kinds, wrong-path blocks), and the committed and
-//     wrong-path line counts are accumulated for perfect-icache accounting.
+//     *distinct* predictor config — the grid's predictor classes (one class
+//     with no mispredictions under perfect prediction or a backend without
+//     a predictor). Each class's mispredictions are classified and stored
+//     sparsely (ascending event indices, kinds, wrong-path blocks), and the
+//     committed and wrong-path line counts are accumulated for
+//     perfect-icache accounting.
 //   - Pass B walks the committed block stream once per class through a
 //     cache.StackDist profiler fed with that class's pollution stream,
 //     yielding exact per-event fetch miss counts for every swept icache
 //     size simultaneously. Classes profile independently (pollution alters
 //     LRU state), but every class shares pass A and the block tables.
-//   - Each lane then re-runs only the timing arithmetic — window, FU
-//     scoreboard, rename ready times, retire, recovery — against the
-//     precomputed outcomes of its (class, icache level) pair, over a
-//     flattened operation table that strips decode work out of the hot
-//     loop. Core-geometry axes need no shared state at all: they are plain
-//     per-lane knobs of that arithmetic.
+//   - Each lane then runs only the timing kernel — window, FU scoreboard,
+//     rename ready times, retire, recovery, serialization — against the
+//     precomputed outcomes of its (class, icache level) pair. Core-geometry
+//     axes need no shared state at all: they are plain per-lane knobs of the
+//     kernel.
 //
-// Lane results are identical, field for field, to ReplayTrace under the
-// same configuration (sweep_test.go enforces this exhaustively against
-// SimulateMany, including cross-axis grids and per-axis marginals).
-
-// laneOp is a predecoded operation: exactly the fields laneSchedule needs,
-// packed to eight bytes so a block's operation table stays dense in cache
-// (lat fits a byte because Table 1 latencies top out at 8 cycles). The
-// register encoding makes the scheduling loop branchless: unused read slots
-// are padded with isa.RegZero, whose ready slot is never written, and unused
-// write slots point at laneRegSink, which is never read — so every op does
-// exactly three ready-table reads and two writes, no count checks.
-// laneOp packs one predecoded operation into a single word so the scheduling
-// loop extracts fields with shifts instead of memory round-trips (byte order,
-// low to high: r0, r1, r2, w1, w2, flags, lat, unused). Source slots pad with
-// RegZero, destination slots with laneRegSink.
-type laneOp uint64
-
-func packLaneOp(r0, r1, r2, w1, w2, flags, lat uint8) laneOp {
-	return laneOp(uint64(r0) | uint64(r1)<<8 | uint64(r2)<<16 |
-		uint64(w1)<<24 | uint64(w2)<<32 | uint64(flags)<<40 | uint64(lat)<<48)
-}
-
-const (
-	laneLD uint8 = 1 << iota
-	laneTerm
-	laneFault
-)
-
-// laneRegSink is the write target of ops without one: a scratch slot past
-// the architectural registers that no read slot can name.
-const laneRegSink = isa.NumRegs
-
-// laneRegsUsed bounds the live prefix of a laneRegs table: the architectural
-// registers plus the sink.
-const laneRegsUsed = isa.NumRegs + 1
-
-// laneRegs is a lane's register-ready table. It is sized to the uint8 index
-// space so the scheduling loop needs no bounds checks or masking; only the
-// first laneRegsUsed slots are ever touched, so the dead tail costs no cache
-// traffic.
-type laneRegs [256]int64
-
-// laneBlock is a predecoded block, indexed by BlockID in a laneProg slice.
-// addr/size carry the block's layout footprint for the predecode codec and
-// the enrichment passes.
-type laneBlock struct {
-	ops         []laneOp
-	numOps      int
-	fetchCycles int64
-	addr        uint32
-	size        uint32
-}
-
-// flattenSweepProgram predecodes every block once for all lanes. The op
-// tables of all blocks live in one arena allocation so lane walks stream
-// through contiguous memory instead of chasing per-block slices.
-func flattenSweepProgram(prog *isa.Program, issueWidth int) []laneBlock {
-	lp := make([]laneBlock, len(prog.Blocks))
-	total := 0
-	for _, b := range prog.Blocks {
-		if b != nil {
-			total += len(b.Ops)
-		}
-	}
-	arena := make([]laneOp, total)
-	off := 0
-	for id, b := range prog.Blocks {
-		if b == nil {
-			continue
-		}
-		lb := &lp[id]
-		lb.numOps = len(b.Ops)
-		lb.addr = b.Addr
-		lb.size = b.Size
-		n := (len(b.Ops) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
-		}
-		lb.fetchCycles = int64(n)
-		lb.ops = arena[off : off+len(b.Ops) : off+len(b.Ops)]
-		off += len(b.Ops)
-		for i := range b.Ops {
-			op := &b.Ops[i]
-			reads, nr := op.ReadRegs()
-			var rs [3]uint8
-			for k := 0; k < nr; k++ {
-				rs[k] = uint8(reads[k])
-			}
-			w1, w2 := uint8(laneRegSink), uint8(laneRegSink)
-			if rd, ok := op.Writes(); ok && rd != isa.RegZero {
-				w1 = uint8(rd)
-			}
-			if op.Opcode == isa.CALL {
-				w2 = uint8(isa.RegLR)
-			}
-			var flags uint8
-			if op.Opcode == isa.LD {
-				flags |= laneLD
-			}
-			if op.Opcode.IsBlockEnd() {
-				flags |= laneTerm
-			}
-			if op.Opcode == isa.FAULT {
-				flags |= laneFault
-			}
-			lb.ops[i] = packLaneOp(rs[0], rs[1], rs[2], w1, w2, flags,
-				uint8(op.Opcode.Latency()))
-		}
-	}
-	return lp
-}
-
-// widthTables returns a block table with fetchCycles recomputed for a
-// non-base issue width. The op arena is shared with base — only the
-// per-block metadata is copied.
-func widthTables(prog *isa.Program, base []laneBlock, issueWidth int) []laneBlock {
-	lp := append([]laneBlock(nil), base...)
-	for id, b := range prog.Blocks {
-		if b == nil {
-			continue
-		}
-		n := (len(b.Ops) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
-		}
-		lp[id].fetchCycles = int64(n)
-	}
-	return lp
-}
+// A lane runs the same kernel as a live Sim, so lane results are identical,
+// field for field, to ReplayTrace under the same configuration; sweep_test.go
+// checks the two outcome sources against each other over every backend,
+// including cross-axis grids and per-axis marginals.
 
 // sweepCancelChunk is how many lockstep events a lane group (or enrichment
 // walk) processes between context checks (power of two; mirrors emu's replay
 // chunking).
 const sweepCancelChunk = 4096
 
-// Per-event misprediction kinds as stored by the enrich pass. swFaultNoBlock
-// is mpFault whose predicted block does not exist (nothing to shadow-issue).
-const (
-	swNone uint8 = iota
-	swMisfetch
-	swTrap
-	swFault
-	swFaultNoBlock
-)
-
 // sweepNoMp is the nextMp sentinel for a lane with no mispredictions left.
 const sweepNoMp = ^uint32(0)
 
 // sweepClass holds everything the enrichment passes compute for one
 // predictor class — one distinct Predictor config in the grid (or the single
-// implicit class under perfect prediction). Lanes read it concurrently and
-// never write it.
+// implicit class when nothing predicts). Lanes read it concurrently and never
+// write it.
 type sweepClass struct {
 	// Sparse mispredict streams: ascending event indices, a parallel kind
 	// stream, and (fault kinds only, same order) the wrongly predicted
@@ -227,14 +94,10 @@ type sweepClass struct {
 
 // sweepShared is the config-independent half of the enrichment output.
 type sweepShared struct {
-	levels int // profiled icache levels; stride of fetchMiss
 	// ldMiss is 1 per committed load that misses the shared dcache, 0 on a
-	// hit: a maskable byte, so the scheduling loop folds L2 latency in with
-	// arithmetic instead of a branch.
+	// hit: every lane's committed-load outcome stream.
 	ldMiss  []uint8
-	noMiss  []uint8 // all-zero table for shadow passes (length ≥ any block's ops)
 	dcStats cache.Stats
-	classes []*sweepClass
 }
 
 // sweepEnrich carries pass A outputs that only pass B consumes.
@@ -246,134 +109,30 @@ type sweepEnrich struct {
 	poll [][]isa.BlockID
 }
 
-// laneRing is a lane's functional-unit scoreboard: the same ring arithmetic
-// as fuRing with byte-sized counts, so the rings of a whole lockstep lane
-// group stay L1-resident together. Byte counts are safe because a slot's
-// count never exceeds NumFUs, which sweepCheck bounds at 255.
-type laneRing struct {
-	counts []uint8
-	mask   int64
-	base   int64 // counts hold cycles in [base, base+len(counts))
-}
-
-func newLaneRing() laneRing {
-	// Power of two; grows on demand, mirroring fuRing. The initial size is
-	// deliberately small: a lane only needs to span the latencies in flight
-	// (tens of cycles — grow handles the rare deep stall), and a whole
-	// lockstep group's rings must stay L1-resident together, so every
-	// kilobyte here is multiplied by the lane count.
-	const size = 256
-	return laneRing{counts: make([]uint8, size), mask: size - 1}
-}
-
-func (r *laneRing) advance(cycle int64) {
-	n := cycle - r.base
-	if n <= 0 {
-		return
-	}
-	if n >= int64(len(r.counts)) {
-		clear(r.counts)
-	} else if n <= 4 {
-		// Typical step: a block's one-to-few fetch cycles.
-		for c := r.base; c < cycle; c++ {
-			r.counts[c&r.mask] = 0
-		}
-	} else {
-		// Stall-sized steps (icache misses, recovery) clear a run at a time;
-		// the run wraps at most once.
-		i := r.base & r.mask
-		j := cycle & r.mask
-		if i < j {
-			clear(r.counts[i:j])
-		} else {
-			clear(r.counts[i:])
-			clear(r.counts[:j])
-		}
-	}
-	r.base = cycle
-}
-
-func (r *laneRing) grow(cycle int64) {
-	n := len(r.counts)
-	for int64(n) <= cycle-r.base {
-		n *= 2
-	}
-	nc := make([]uint8, n)
-	nm := int64(n - 1)
-	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
-		nc[c&nm] = r.counts[c&r.mask]
-	}
-	r.counts, r.mask = nc, nm
-}
-
-// laneScratch is the mutable per-lane working set — FU ring, register-ready
-// tables, window ring — pooled across sweeps (keyed by window geometry) so
-// repeated daemon sweeps stop re-allocating it.
-type laneScratch struct {
-	ring   laneRing
-	regs   laneRegs
-	shadow laneRegs
-	win    []windowEntry
-}
-
-// laneScratchPools maps WindowBlocks -> *sync.Pool of *laneScratch. The key
-// is the one geometry knob baked into the scratch (the window ring's
-// length); everything else resets cheaply.
-var laneScratchPools sync.Map
-
-func getLaneScratch(windowBlocks int) *laneScratch {
-	p, ok := laneScratchPools.Load(windowBlocks)
-	if !ok {
-		p, _ = laneScratchPools.LoadOrStore(windowBlocks, &sync.Pool{})
-	}
-	if v := p.(*sync.Pool).Get(); v != nil {
-		s := v.(*laneScratch)
-		s.reset()
-		return s
-	}
-	return &laneScratch{
-		ring: newLaneRing(),
-		win:  make([]windowEntry, windowBlocks+1),
-	}
-}
-
-func putLaneScratch(windowBlocks int, s *laneScratch) {
-	if p, ok := laneScratchPools.Load(windowBlocks); ok {
-		p.(*sync.Pool).Put(s)
-	}
-}
-
-func (s *laneScratch) reset() {
-	clear(s.ring.counts)
-	s.ring.base = 0
-	clear(s.regs[:laneRegsUsed])
-	clear(s.shadow[:laneRegsUsed])
-	// win needs no clear: pushWindow writes every entry before popWindow
-	// reads it.
-}
-
-// sweepLane is one configuration's view of the shared enrichment. fm and wm
-// are this lane's level runs of its class's fetchMiss/wrongMiss (nil for a
-// perfect icache).
+// sweepLane is one configuration's view of the shared enrichment: the
+// outcome source of a Sim that runs as a sweep lane. fm and wm are this
+// lane's level runs of its class's fetchMiss/wrongMiss (nil for a perfect
+// icache).
 type sweepLane struct {
 	sh       *sweepShared
 	cls      *sweepClass
-	lp       []laneBlock
+	lp       []laneBlock // the lane's table, for wrongly fetched variants
 	fm       []uint8
 	wm       []uint8
-	scr      *laneScratch
 	level    int    // profiler level of this config's icache size; -1 = perfect
-	ldOff    int    // cursor into sh.ldHit
 	mpOff    int    // cursor into cls.mpEv/mpKind
 	faultOff int    // cursor into cls.faultBlock / wm
 	nextMp   uint32 // cls.mpEv[mpOff], or sweepNoMp when exhausted
+	mp       mispredict
 }
 
 // enrichSweepA replays the trace once, training the whole predictor-class
-// Bank (nil classCfgs under perfect prediction) and the shared dcache, and
+// Bank (nil classCfgs when nothing predicts) and the shared dcache, and
 // recording per-class sparse mispredict streams, pollution blocks, and line
-// traffic. classes has one entry per predictor class, already allocated.
-func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bpred.Config, classes []*sweepClass) (*sweepEnrich, error) {
+// traffic. It drives the dcache and classifies mispredictions exactly as a
+// live Sim's resolve does. classes has one entry per predictor class,
+// already allocated; lp is the program's table, for its memory flags.
+func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, family backend.PredictorSel, classCfgs []bpred.Config, classes []*sweepClass) (*sweepEnrich, error) {
 	dc, err := cache.New(base.DCache)
 	if err != nil {
 		return nil, fmt.Errorf("uarch: sweep: dcache: %w", err)
@@ -382,7 +141,7 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	var bank *bpred.Bank
 	var preds []isa.BlockID
 	if len(classCfgs) > 0 {
-		bank = bpred.NewBank(prog.Kind, classCfgs)
+		bank = bpred.NewBank(family == backend.PredBSA, classCfgs)
 		preds = make([]isa.BlockID, bank.Len())
 	}
 
@@ -392,11 +151,6 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	// first line).
 	shift := uint32(bits.TrailingZeros32(uint32(base.ICache.LineBytes)))
 	lineCnt := make([]int64, len(prog.Blocks))
-	// Most blocks touch no memory; precompute which do (one pass over the
-	// static program) so the dynamic handler skips the per-op scan for the
-	// rest.
-	hasMem := make([]bool, len(prog.Blocks))
-	maxOps := 0
 	for id, b := range prog.Blocks {
 		if b == nil {
 			continue
@@ -406,52 +160,21 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 			sz = 1
 		}
 		lineCnt[id] = int64((b.Addr+sz-1)>>shift - b.Addr>>shift + 1)
-		for i := range b.Ops {
-			if op := b.Ops[i].Opcode; op == isa.LD || op == isa.ST {
-				hasMem[id] = true
-				break
-			}
-		}
-		maxOps = max(maxOps, len(b.Ops))
 	}
 
 	en := &sweepEnrich{
-		sh:   &sweepShared{classes: classes},
+		sh:   &sweepShared{},
 		poll: make([][]isa.BlockID, len(classes)),
 	}
 	sh := en.sh
-	// Shadow scheduling passes read this zeroed miss table: wrong-path loads
-	// assume L1 hits, exactly like scheduleOps. One extra byte keeps the
-	// cursor in bounds for ops past a block's last load.
-	sh.noMiss = make([]uint8, maxOps+1)
 	var commitLines int64
 	pollLines := make([]int64, len(classes))
 	ei := 0
 	err = t.ReplayContext(ctx, func(ev *emu.BlockEvent) error {
 		b := ev.Block
 		commitLines += lineCnt[b.ID]
-		if hasMem[b.ID] {
-			memIdx := 0
-			for i := range b.Ops {
-				switch b.Ops[i].Opcode {
-				case isa.LD:
-					hit := true
-					if memIdx < len(ev.MemAddrs) {
-						hit = dc.Access(ev.MemAddrs[memIdx])
-						memIdx++
-					}
-					var m uint8
-					if !hit {
-						m = 1
-					}
-					sh.ldMiss = append(sh.ldMiss, m)
-				case isa.ST:
-					if memIdx < len(ev.MemAddrs) {
-						dc.Access(ev.MemAddrs[memIdx])
-						memIdx++
-					}
-				}
-			}
+		if lp[b.ID].mem {
+			sh.ldMiss = loadOutcomes(sh.ldMiss, dc, b, ev.MemAddrs)
 		}
 		if ev.Next != isa.NoBlock && bank != nil {
 			bank.Step(b, ev.Next, ev.Taken, ev.SuccIdx, preds)
@@ -460,28 +183,12 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 					continue
 				}
 				cls := classes[c]
-				var kind uint8
-				wb := isa.NoBlock
-				switch classifyMispredict(b, predicted, ev.Next) {
-				case mpMisfetch:
-					kind = swMisfetch
-				case mpTrap:
-					kind = swTrap
-					// The wrong-path block pollutes the class's icache
-					// stream only if it exists.
-					if prog.Block(predicted) != nil {
-						wb = predicted
-						pollLines[c] += lineCnt[predicted]
-					}
-				case mpFault:
-					if prog.Block(predicted) == nil {
-						kind = swFaultNoBlock
-						break
-					}
-					kind = swFault
-					wb = predicted
-					pollLines[c] += lineCnt[predicted]
-					cls.faultBlock = append(cls.faultBlock, predicted)
+				kind, wb := classify(prog, b, predicted, ev.Next)
+				if wb != isa.NoBlock {
+					pollLines[c] += lineCnt[wb]
+				}
+				if kind == mpFault {
+					cls.faultBlock = append(cls.faultBlock, wb)
 				}
 				cls.mpEv = append(cls.mpEv, uint32(ei))
 				cls.mpKind = append(cls.mpKind, kind)
@@ -494,9 +201,6 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	if err != nil {
 		return nil, err
 	}
-	// Non-load ops read (and mask off) the byte at the cursor, so ops after
-	// the trace's final load need one sentinel byte to stay in bounds.
-	sh.ldMiss = append(sh.ldMiss, 0)
 	sh.dcStats = dc.Stats()
 	for c, cls := range classes {
 		cls.accesses = commitLines + pollLines[c]
@@ -540,12 +244,12 @@ func enrichSweepB(ctx context.Context, t *emu.Trace, prof *cache.StackDist, cls 
 			wb := poll[mpOff]
 			mpOff++
 			switch kind {
-			case swTrap:
+			case mpTrap:
 				if wb != isa.NoBlock {
 					pb := prog.Blocks[wb]
 					prof.AccessRange(pb.Addr, pb.Size, nil)
 				}
-			case swFault:
+			case mpFault:
 				pb := prog.Blocks[wb]
 				clear(scratch)
 				prof.AccessRange(pb.Addr, pb.Size, scratch)
@@ -565,298 +269,43 @@ func enrichSweepB(ctx context.Context, t *emu.Trace, prof *cache.StackDist, cls 
 	return nil
 }
 
-// laneFlagState is the minority-path scheduling state — load outcomes,
-// terminator and fault times. It lives behind a pointer in a noinline helper
-// so the hot loop's live set fits the register file; inlining it back (or
-// folding these updates into per-op masked arithmetic) measurably slows the
-// sweep down.
-type laneFlagState struct {
-	ldMiss     []uint8
-	ldOff      int
-	l2         int64
-	term       int64
-	firstFault int64
+// fetchMiss is the lane's outcome for event ei's fetch probe.
+func (sw *sweepLane) fetchMiss(ei int) int {
+	if sw.fm == nil {
+		return 0
+	}
+	return int(sw.fm[ei])
 }
 
-// flagged applies a flagged op's extra scheduling: L2 latency on a missing
-// load, terminator and first-fault completion times. Shadow passes wire the
-// zeroed miss table in, so wrong-path loads assume L1 hits exactly like
-// scheduleOps.
-//
-//go:noinline
-func (fs *laneFlagState) flagged(flags uint8, done int64) int64 {
-	if flags&laneLD != 0 {
-		if fs.ldMiss[fs.ldOff] != 0 {
-			done += fs.l2
-		}
-		fs.ldOff++
+// mispredictAt is the lane's misprediction outcome for event ei, nil when
+// its class predicted right. Lanes ask once per event, in order; the check
+// inlines into the lockstep loop and leaves the rare mispredicting event to
+// consume.
+func (sw *sweepLane) mispredictAt(ei int) *mispredict {
+	if uint32(ei) != sw.nextMp {
+		return nil
 	}
-	if flags&laneTerm != 0 {
-		fs.term = done
-	}
-	if flags&laneFault != 0 && fs.firstFault == 0 {
-		fs.firstFault = done
-	}
-	return done
+	return sw.consume()
 }
 
-// laneSchedule is scheduleOps for a lane: identical dataflow/FU arithmetic
-// over the predecoded operation table, with dcache outcomes read from the
-// shared pass instead of a live cache.
-func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bool) schedTimes {
-	// The FU ring allocation (allocFU) is inlined with the ring state held in
-	// locals: this loop runs once per operation per lane and dominates sweep
-	// time. grow is the only call that moves counts; advance (which moves
-	// base) never runs mid-block.
-	r := &s.sw.scr.ring
-	base, counts := r.base, r.counts
-	if len(counts) == 0 {
-		return schedTimes{done: issue, term: issue + 1} // unreachable: newLaneRing allocates
+// consume takes the lane's next misprediction off its class streams.
+func (sw *sweepLane) consume() *mispredict {
+	cls := sw.cls
+	sw.mp = mispredict{kind: cls.mpKind[sw.mpOff]}
+	sw.mpOff++
+	if sw.mpOff < len(cls.mpEv) {
+		sw.nextMp = cls.mpEv[sw.mpOff]
+	} else {
+		sw.nextMp = sweepNoMp
 	}
-	// mask mirrors len(counts)-1 so ready&mask provably stays in bounds.
-	mask := uint64(len(counts)) - 1
-	limit := uint8(s.cfg.NumFUs)
-	fs := laneFlagState{l2: int64(s.cfg.L2Latency), term: issue + 1, ldMiss: s.sw.sh.noMiss}
-	if commit {
-		fs.ldMiss = s.sw.sh.ldMiss
-		fs.ldOff = s.sw.ldOff
-	}
-	stDone := issue
-	for _, op := range lb.ops {
-		// Branchless operand reads: unused slots read RegZero's slot, which
-		// is never written and so never raises ready. max compiles to
-		// conditional moves — these compares are data-dependent, so branches
-		// here would mispredict constantly.
-		ready := max(issue, regs[op&0xff], regs[(op>>8)&0xff], regs[(op>>16)&0xff])
-		// No ready < base clamp is needed here (unlike allocFU): ready starts
-		// at issue, which is at or past the fetch cycle the ring base was
-		// advanced to.
-		for {
-			if uint64(ready-base) > mask {
-				r.grow(ready)
-				counts = r.counts
-				if len(counts) == 0 {
-					break // unreachable: grow only enlarges
-				}
-				mask = uint64(len(counts)) - 1
-			}
-			if c := counts[uint64(ready)&mask]; c < limit {
-				counts[uint64(ready)&mask] = c + 1
-				break
-			}
-			ready++
+	if sw.mp.kind == mpFault {
+		sw.mp.wrong = &sw.lp[cls.faultBlock[sw.faultOff]]
+		if sw.wm != nil {
+			sw.mp.wrongMiss = int(sw.wm[sw.faultOff])
 		}
-		done := ready + int64(op>>48)
-		if flags := uint8(op >> 40); flags != 0 {
-			// Flagged ops (loads, terminators, faults) are the minority.
-			done = fs.flagged(flags, done)
-		}
-		// Branchless writes: ops without a destination write the sink slot,
-		// which is never read.
-		regs[(op>>24)&0xff] = done
-		regs[(op>>32)&0xff] = done
-		stDone = max(stDone, done)
+		sw.faultOff++
 	}
-	if commit {
-		s.sw.ldOff = fs.ldOff
-	}
-	return schedTimes{done: stDone, term: fs.term, firstFault: fs.firstFault}
-}
-
-// laneSchedule2 is laneSchedule for two committed lanes at once. Every lane
-// schedules the identical operation stream (the per-width tables share one op
-// arena), so fusing a pair gives the core two independent dependency chains
-// per op where the single-lane loop is bound by one serial regs
-// store-to-load chain. Results are bit-identical to two laneSchedule calls:
-// the lanes touch disjoint state except the read-only shared streams.
-func laneSchedule2(sa, sb *Sim, lb *laneBlock, issueA, issueB int64) (schedTimes, schedTimes) {
-	ra, rb := &sa.sw.scr.ring, &sb.sw.scr.ring
-	regsA, regsB := &sa.sw.scr.regs, &sb.sw.scr.regs
-	baseA, countsA := ra.base, ra.counts
-	baseB, countsB := rb.base, rb.counts
-	if len(countsA) == 0 || len(countsB) == 0 {
-		// Unreachable: newLaneRing allocates.
-		return schedTimes{done: issueA, term: issueA + 1}, schedTimes{done: issueB, term: issueB + 1}
-	}
-	maskA := uint64(len(countsA)) - 1
-	maskB := uint64(len(countsB)) - 1
-	limitA := uint8(sa.cfg.NumFUs)
-	limitB := uint8(sb.cfg.NumFUs)
-	fsA := laneFlagState{l2: int64(sa.cfg.L2Latency), term: issueA + 1, ldMiss: sa.sw.sh.ldMiss, ldOff: sa.sw.ldOff}
-	fsB := laneFlagState{l2: int64(sb.cfg.L2Latency), term: issueB + 1, ldMiss: sb.sw.sh.ldMiss, ldOff: sb.sw.ldOff}
-	stDoneA, stDoneB := issueA, issueB
-	for _, op := range lb.ops {
-		readyA := max(issueA, regsA[op&0xff], regsA[(op>>8)&0xff], regsA[(op>>16)&0xff])
-		readyB := max(issueB, regsB[op&0xff], regsB[(op>>8)&0xff], regsB[(op>>16)&0xff])
-		for {
-			if uint64(readyA-baseA) > maskA {
-				ra.grow(readyA)
-				countsA = ra.counts
-				if len(countsA) == 0 {
-					break // unreachable: grow only enlarges
-				}
-				maskA = uint64(len(countsA)) - 1
-			}
-			if c := countsA[uint64(readyA)&maskA]; c < limitA {
-				countsA[uint64(readyA)&maskA] = c + 1
-				break
-			}
-			readyA++
-		}
-		for {
-			if uint64(readyB-baseB) > maskB {
-				rb.grow(readyB)
-				countsB = rb.counts
-				if len(countsB) == 0 {
-					break // unreachable: grow only enlarges
-				}
-				maskB = uint64(len(countsB)) - 1
-			}
-			if c := countsB[uint64(readyB)&maskB]; c < limitB {
-				countsB[uint64(readyB)&maskB] = c + 1
-				break
-			}
-			readyB++
-		}
-		lat := int64(op >> 48)
-		doneA := readyA + lat
-		doneB := readyB + lat
-		if flags := uint8(op >> 40); flags != 0 {
-			doneA = fsA.flagged(flags, doneA)
-			doneB = fsB.flagged(flags, doneB)
-		}
-		regsA[(op>>24)&0xff] = doneA
-		regsA[(op>>32)&0xff] = doneA
-		regsB[(op>>24)&0xff] = doneB
-		regsB[(op>>32)&0xff] = doneB
-		stDoneA = max(stDoneA, doneA)
-		stDoneB = max(stDoneB, doneB)
-	}
-	sa.sw.ldOff = fsA.ldOff
-	sb.sw.ldOff = fsB.ldOff
-	return schedTimes{done: stDoneA, term: fsA.term, firstFault: fsA.firstFault},
-		schedTimes{done: stDoneB, term: fsB.term, firstFault: fsB.firstFault}
-}
-
-// sweepRecover is recover for a lane: the kind, the wrong-path block and the
-// shadow fetch's icache outcome all come from the lane's class streams.
-func (s *Sim) sweepRecover(kind uint8, trapResolve, issue int64) (int64, bool) {
-	sw := s.sw
-	switch kind {
-	case swMisfetch:
-		s.res.Misfetches++
-		return trapResolve, false
-	case swTrap:
-		s.res.TrapMispredicts++
-		return trapResolve, false
-	case swFaultNoBlock:
-		s.res.FaultMispredicts++
-		return trapResolve, true
-	}
-	s.res.FaultMispredicts++
-	pb := &sw.lp[sw.cls.faultBlock[sw.faultOff]]
-	scr := sw.scr
-	copy(scr.shadow[:laneRegsUsed], scr.regs[:laneRegsUsed])
-	shadowIssue := issue + 1
-	if sw.wm != nil {
-		if misses := int(sw.wm[sw.faultOff]); misses > 0 {
-			shadowIssue += int64(s.cfg.L2Latency + (misses - 1))
-		}
-	}
-	sw.faultOff++
-	shadow := s.laneSchedule(pb, shadowIssue, &scr.shadow, false)
-	faultResolve := shadow.firstFault
-	if faultResolve == 0 {
-		faultResolve = shadow.done
-	}
-	if faultResolve < trapResolve {
-		faultResolve = trapResolve
-	}
-	return faultResolve, true
-}
-
-// sweepStep is OnBlock for a lane: the same window, stall, retire and
-// recovery arithmetic, with every cache/predictor outcome precomputed. It is
-// split into sweepPre (window/fetch) and sweepPost (retire/recovery) halves
-// so the lockstep loop can fuse the scheduling of two lanes in between.
-func (s *Sim) sweepStep(idx, ei int) {
-	lb, issue := s.sweepPre(idx, ei)
-	sched := s.laneSchedule(lb, issue, &s.sw.scr.regs, true)
-	s.sweepPost(lb, ei, issue, sched)
-}
-
-// sweepPre is the front half of sweepStep: window drain, fetch stalls, cycle
-// and FU-ring advance. It returns the lane's table entry for the block and
-// the issue time its scheduling starts from.
-func (s *Sim) sweepPre(idx, ei int) (lb *laneBlock, issue int64) {
-	sw := s.sw
-	lb = &sw.lp[idx]
-
-	fetch := s.nextFetch
-	for s.winLen > 0 {
-		head := s.win[s.winHead].retire
-		if s.winLen >= s.cfg.WindowBlocks || s.winOps+lb.numOps > s.cfg.WindowOps {
-			if head > fetch {
-				s.res.FetchStallWindow += head - fetch
-				fetch = head
-			}
-			s.popWindow()
-			continue
-		}
-		if head <= fetch {
-			s.popWindow()
-			continue
-		}
-		break
-	}
-	if sw.fm != nil {
-		if misses := int(sw.fm[ei]); misses > 0 {
-			stall := int64(s.cfg.L2Latency + (misses - 1))
-			s.res.FetchStallICache += stall
-			fetch += stall
-		}
-	}
-	s.cycle = fetch
-	sw.scr.ring.advance(fetch)
-	return lb, fetch + int64(s.cfg.FrontEndDepth)
-}
-
-// sweepPost is the back half of sweepStep: retire bookkeeping, window push
-// and mispredict/fault recovery for the block just scheduled.
-func (s *Sim) sweepPost(lb *laneBlock, ei int, issue int64, sched schedTimes) {
-	sw := s.sw
-	fetch := issue - int64(s.cfg.FrontEndDepth)
-	blockDone, trapResolve := sched.done, sched.term
-
-	retire := blockDone + 1
-	if retire <= s.lastRetire {
-		retire = s.lastRetire + 1
-	}
-	s.lastRetire = retire
-	s.pushWindow(windowEntry{retire: retire, ops: lb.numOps})
-	s.res.Ops += int64(lb.numOps)
-	s.res.Blocks++
-
-	nextFetch := fetch + lb.fetchCycles
-	if uint32(ei) == sw.nextMp {
-		kind := sw.cls.mpKind[sw.mpOff]
-		sw.mpOff++
-		if sw.mpOff < len(sw.cls.mpEv) {
-			sw.nextMp = sw.cls.mpEv[sw.mpOff]
-		} else {
-			sw.nextMp = sweepNoMp
-		}
-		resolve, wasFault := s.sweepRecover(kind, trapResolve, issue)
-		restart := resolve + int64(s.cfg.FrontEndDepth)
-		if wasFault {
-			restart += int64(s.cfg.FaultSquashPenalty)
-		}
-		if restart > nextFetch {
-			s.res.RecoveryStall += restart - nextFetch
-			nextFetch = restart
-		}
-	}
-	s.nextFetch = nextFetch
+	return &sw.mp
 }
 
 // sweepFinish is Finish for a lane: shared statistics are copied into the
@@ -918,10 +367,6 @@ func sweepCheck(norm []Config) error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("uarch: sweep: config %d: %w", i, err)
 		}
-		if cfg.NumFUs > 255 {
-			// The lane FU scoreboard holds per-cycle byte counts.
-			return fmt.Errorf("uarch: sweep: config %d: %d functional units exceed the lane scoreboard range", i, cfg.NumFUs)
-		}
 		if stripSweepAxes(cfg) != ref {
 			return fmt.Errorf("uarch: sweep: config %d differs from config 0 beyond the swept axes", i)
 		}
@@ -932,13 +377,13 @@ func sweepCheck(norm []Config) error {
 // CanSweep reports whether Sweep accepts cfgs, and if not, why. A grid is
 // sweepable when every configuration is valid, uses neither a trace cache
 // nor multi-block fetch (their fetch paths observe per-config timing, which
-// breaks the shared enrichment), fits the lane scoreboard (NumFUs ≤ 255),
-// and differs from config 0 only along the swept axes: ICache.SizeBytes
+// breaks the shared enrichment), and differs from config 0 only along the
+// swept axes: ICache.SizeBytes
 // (perfect allowed), the Predictor tables, and the core-geometry knobs
 // (IssueWidth, WindowBlocks, WindowOps, NumFUs, FrontEndDepth, L2Latency,
 // FaultSquashPenalty). Icache ways and line size, the dcache, and perfect-BP
-// mode must be shared. Rejected grids fall back to SimulateMany, which
-// accepts anything.
+// mode must be shared. Every program kind sweeps. Rejected grids fall back
+// to SimulateMany, which accepts any valid configurations.
 func CanSweep(cfgs []Config) (bool, string) {
 	if err := sweepCheck(normalizeSweepConfigs(cfgs)); err != nil {
 		return false, err.Error()
@@ -977,16 +422,17 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 	}
 	base := norm[0]
 	prog := t.Program()
-	if !CanSweepKind(prog.Kind) {
-		return nil, fmt.Errorf("uarch: sweep: %s programs are not sweepable (fetch policy outside the lane pipeline); use SimulateMany", prog.Kind)
-	}
+	tabs := tablesFor(prog, norm, pre)
 
 	// Predictor classes: one Bank lane (and one pollution stream) per
-	// distinct Predictor config, in first-appearance order. Perfect
-	// prediction collapses to a single implicit class with no mispredicts.
+	// distinct Predictor config, in first-appearance order, from the family
+	// the backend's policy selects (as New does). Perfect prediction and a
+	// backend without a predictor collapse to a single implicit class with no
+	// mispredicts, however the grid varies the predictor tables.
+	family := backend.PolicyFor(prog.Kind).Predictor
 	classOf := make([]int, len(norm))
 	var classCfgs []bpred.Config
-	if !base.PerfectBP {
+	if !base.PerfectBP && family != backend.PredNone {
 		idx := make(map[bpred.Config]int)
 		for i, cfg := range norm {
 			c, ok := idx[cfg.Predictor]
@@ -1007,7 +453,7 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 		classes[c] = &sweepClass{}
 	}
 
-	en, err := enrichSweepA(ctx, t, base, classCfgs, classes)
+	en, err := enrichSweepA(ctx, t, base, tabs[0].lp, family, classCfgs, classes)
 	if err != nil {
 		return nil, err
 	}
@@ -1016,23 +462,17 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 	// Profile each class that has at least one real-icache lane. All
 	// profilers share one level range (the grid's min/max swept sizes), so
 	// every lane's size maps to the same level index.
-	var sizes []int
+	minSize, maxSize := 0, 0
 	for _, cfg := range norm {
-		if cfg.ICache.SizeBytes != 0 {
-			sizes = append(sizes, cfg.ICache.SizeBytes)
+		if sz := cfg.ICache.SizeBytes; sz != 0 {
+			if minSize == 0 || sz < minSize {
+				minSize = sz
+			}
+			maxSize = max(maxSize, sz)
 		}
 	}
 	levelOf := make(map[int]int)
-	if len(sizes) > 0 {
-		minSize, maxSize := sizes[0], sizes[0]
-		for _, sz := range sizes[1:] {
-			if sz < minSize {
-				minSize = sz
-			}
-			if sz > maxSize {
-				maxSize = sz
-			}
-		}
+	if maxSize > 0 {
 		profiled := make([]bool, nClasses)
 		for i, cfg := range norm {
 			if cfg.ICache.SizeBytes != 0 {
@@ -1041,6 +481,7 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 		}
 		profs := make([]*cache.StackDist, nClasses)
 		var profClasses []int
+		levels := 0
 		for c := range classes {
 			if !profiled[c] {
 				continue
@@ -1050,10 +491,10 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 				return nil, fmt.Errorf("uarch: sweep: %w", err)
 			}
 			profs[c] = prof
-			sh.levels = prof.Levels()
+			levels = prof.Levels()
 			profClasses = append(profClasses, c)
 		}
-		for sz, lvl := minSize, 0; lvl < sh.levels; sz, lvl = sz*2, lvl+1 {
+		for sz, lvl := minSize, 0; lvl < levels; sz, lvl = sz*2, lvl+1 {
 			levelOf[sz] = lvl
 		}
 		// Classes profile independently (each walk folds in its own
@@ -1075,19 +516,6 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 	}
 	en.poll = nil // pass B consumed the pollution streams
 
-	// Block tables: the op arena is issue-width-independent; only
-	// fetchCycles varies, so non-base widths get a cheap metadata copy over
-	// the shared arena.
-	lpBase := pre.tables(prog, base.IssueWidth)
-	lpByWidth := map[int][]laneBlock{base.IssueWidth: lpBase}
-	lpFor := func(iw int) []laneBlock {
-		lp, ok := lpByWidth[iw]
-		if !ok {
-			lp = widthTables(prog, lpBase, iw)
-			lpByWidth[iw] = lp
-		}
-		return lp
-	}
 	ids := t.BlockIDs()
 	ne := len(ids)
 
@@ -1097,7 +525,7 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 		lane := &sweepLane{
 			sh:     sh,
 			cls:    cls,
-			lp:     lpFor(cfg.IssueWidth),
+			lp:     tabs[i].lp,
 			level:  -1,
 			nextMp: sweepNoMp,
 		}
@@ -1113,18 +541,25 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 			lane.fm = cls.fetchMiss[lvl*ne : (lvl+1)*ne]
 			lane.wm = cls.wrongMiss[lvl]
 		}
-		lane.scr = getLaneScratch(cfg.WindowBlocks)
+		scr := getLaneScratch(cfg.WindowBlocks)
 		sims[i] = &Sim{
-			cfg: cfg,
-			win: lane.scr.win,
-			sw:  lane,
+			cfg:    cfg,
+			lp:     tabs[i].lp,
+			noMiss: tabs[i].noMiss,
+			scr:    scr,
+			win:    scr.win,
+			ldMiss: sh.ldMiss,
+			sw:     lane,
 		}
 	}
 
 	// Lanes advance through the trace in lockstep, grouped by worker: every
 	// lane in a group consumes each predecoded block back to back while it is
-	// hot in cache, instead of streaming the whole trace once per lane. Lanes
-	// never interact, so the grouping (and group count) cannot change results.
+	// hot in cache, instead of streaming the whole trace once per lane. Group
+	// g holds lanes g, g+w, g+2w, …: neighbouring configurations of a grid
+	// cost alike, so dealing lanes round robin spreads its cheap and dear
+	// corners over every worker. Lanes never interact, so the grouping (and
+	// group count) cannot change results.
 	w := workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -1134,9 +569,6 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 	}
 	results := make([]*Result, len(norm))
 	err = fanOut(ctx, w, w, func(g int) error {
-		lo := g * len(sims) / w
-		hi := (g + 1) * len(sims) / w
-		group := sims[lo:hi]
 		for ei, id := range ids {
 			// The same chunked check as Trace.ReplayContext, so a canceled
 			// sweep stops mid-lane rather than after the full event stream.
@@ -1148,25 +580,28 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 			// Lanes are fused in pairs so each block's scheduling loop carries
 			// two independent dependency chains (see laneSchedule2); an odd
 			// trailing lane steps alone.
-			i := 0
-			for ; i+2 <= len(group); i += 2 {
-				a, b := group[i], group[i+1]
-				lbA, issueA := a.sweepPre(int(id), ei)
-				lbB, issueB := b.sweepPre(int(id), ei)
-				schedA, schedB := laneSchedule2(a, b, lbA, issueA, issueB)
-				a.sweepPost(lbA, ei, issueA, schedA)
-				b.sweepPost(lbB, ei, issueB, schedB)
+			last := ei == len(ids)-1
+			i := g
+			for ; i+w < len(sims); i += 2 * w {
+				a, b := sims[i], sims[i+w]
+				lbA, lbB := &a.lp[id], &b.lp[id]
+				issueA := a.issueAt(a.drain(len(lbA.ops)) + a.icacheStall(a.sw.fetchMiss(ei)))
+				issueB := b.issueAt(b.drain(len(lbB.ops)) + b.icacheStall(b.sw.fetchMiss(ei)))
+				stA, stB := laneSchedule2(a, b, lbA, issueA, issueB)
+				a.post(lbA, issueA, stA, int64(lbA.fetchCycles), a.sw.mispredictAt(ei), last)
+				b.post(lbB, issueB, stB, int64(lbB.fetchCycles), b.sw.mispredictAt(ei), last)
 			}
-			if i < len(group) {
-				group[i].sweepStep(int(id), ei)
+			if i < len(sims) {
+				s := sims[i]
+				lb := &s.lp[id]
+				issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss(ei)))
+				st := s.laneSchedule(lb, issue, &s.scr.regs, true)
+				s.post(lb, issue, st, int64(lb.fetchCycles), s.sw.mispredictAt(ei), last)
 			}
 		}
-		for i, s := range group {
-			results[lo+i] = s.sweepFinish()
-			scr := s.sw.scr
-			s.sw.scr = nil
-			s.win = nil
-			putLaneScratch(s.cfg.WindowBlocks, scr)
+		for i := g; i < len(sims); i += w {
+			results[i] = sims[i].sweepFinish()
+			sims[i].release()
 		}
 		return nil
 	})

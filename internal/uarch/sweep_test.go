@@ -1,8 +1,10 @@
 package uarch
 
 import (
+	"fmt"
 	"testing"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/compile"
@@ -10,6 +12,7 @@ import (
 	"bsisa/internal/emu"
 	"bsisa/internal/isa"
 	"bsisa/internal/testgen"
+	"bsisa/internal/workload"
 )
 
 // sweepGrid is the test-scale Figure 6/7 grid: a perfect reference plus
@@ -84,29 +87,30 @@ func equalResults(t *testing.T, label string, cfgs []Config, got, want []*Result
 	}
 }
 
-// TestSweepMatchesSimulateMany is the tentpole equivalence property: over
-// randomized programs for both ISAs, Sweep must return results
-// bitwise-identical to SimulateMany on the same trace — every field,
-// including cache statistics, misprediction counts and stall breakdowns —
-// over icache-only, predictor-only and cross-product grids, with real and
-// perfect branch prediction, at any worker count, including degenerate
-// one-point grids.
+// TestSweepMatchesSimulateMany checks the timing kernel's two outcome
+// sources against each other: over randomized programs for every registered
+// backend, the sweep's enrichment tables must drive the kernel to results
+// bitwise-identical to live Sims under SimulateMany on the same trace —
+// every field, including cache statistics, misprediction counts and stall
+// breakdowns — over icache-only, predictor-only and cross-product grids,
+// with real and perfect branch prediction, at any worker count (one worker
+// pairs every lane through laneSchedule2), including degenerate one-point
+// grids. Most random programs run only a handful of blocks, so a small
+// Table-2 workload joins them: thousands of events with real icache misses,
+// trap and fault mispredictions, serialization stalls and fused pairs.
 func TestSweepMatchesSimulateMany(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	for seed := int64(4000); seed < 4000+int64(seeds); seed++ {
-		src := testgen.Program(seed)
-		for _, kind := range []isa.Kind{isa.Conventional, isa.BlockStructured} {
-			prog, err := compile.Compile(src, "sweep", compile.DefaultOptions(kind))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if kind == isa.BlockStructured {
-				if _, err := core.Enlarge(prog, core.Params{}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+	for seed := int64(4000); seed < 4000+int64(seeds)+1; seed++ {
+		for _, be := range backend.All() {
+			kind := be.Kind()
+			var prog *isa.Program
+			if seed == 4000+int64(seeds) {
+				prog = workloadProgram(t, "gcc", 0.002, kind)
+			} else {
+				prog = policyProgram(t, seed, kind)
 			}
 			tr, err := emu.Record(prog, emu.Config{MaxOps: 80_000_000})
 			if err != nil {
@@ -133,11 +137,33 @@ func TestSweepMatchesSimulateMany(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s %s workers %d: sweep: %v", seed, kind, label, workers, err)
 					}
-					equalResults(t, label, cfgs, got, want)
+					equalResults(t, fmt.Sprintf("seed %d %s %s workers %d", seed, kind, label, workers), cfgs, got, want)
 				}
 			}
 		}
 	}
+}
+
+// workloadProgram compiles and shapes a Table-2 workload for a backend.
+func workloadProgram(t *testing.T, name string, scale float64, kind isa.Kind) *isa.Program {
+	t.Helper()
+	p, ok := workload.ProfileByName(name, scale)
+	if !ok {
+		t.Fatalf("no workload %q", name)
+	}
+	src, err := workload.Source(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compile.Compile(src, name, compile.DefaultOptions(kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, _ := backend.ForKind(kind)
+	if _, err := be.Shape(prog, core.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 // TestSweepMarginals is the axis-composition property: slicing a
@@ -246,8 +272,6 @@ func TestSweepConfigValidation(t *testing.T) {
 	badPHT.Predictor.PHTEntries = 3000
 	badHist := ic(1024)
 	badHist.Predictor.HistoryBits = 40
-	manyFUs := ic(1024)
-	manyFUs.NumFUs = 300
 	bad := [][]Config{
 		{},
 		{ic(1024), tc},       // trace cache observes per-config timing
@@ -258,7 +282,6 @@ func TestSweepConfigValidation(t *testing.T) {
 		{ic(1024), dcDiffers}, // dcache must be shared
 		{ic(1024), badPHT},    // invalid predictor geometry
 		{ic(1024), badHist},   // history beyond the BHR
-		{manyFUs, ic(1024)},   // beyond the byte scoreboard
 	}
 	for i, cfgs := range bad {
 		if ok, _ := CanSweep(cfgs); ok {

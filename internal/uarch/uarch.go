@@ -105,12 +105,13 @@ func (c Config) withDefaults() Config {
 // classify validation errors with errors.Is without matching message text.
 var ErrBadConfig = errors.New("uarch: invalid configuration")
 
-// Validate rejects configurations New (or the sweep engine) would refuse or
-// silently mis-simulate: non-positive machine widths, negative latencies,
-// illegal cache or predictor-table geometry, and trace-cache sets/ways that
-// break its power-of-two index masking. Every failure wraps ErrBadConfig
-// and, for cache or predictor geometry, the underlying package's error. Defaults are applied first, so
-// the zero Config validates.
+// Validate rejects configurations the timing engines would refuse or
+// silently mis-simulate: non-positive machine widths, more functional units
+// than the byte-count FU scoreboard holds (255), negative latencies, illegal
+// cache or predictor-table geometry, and trace-cache sets/ways that break
+// its power-of-two index masking. Every failure wraps ErrBadConfig and, for
+// cache or predictor geometry, the underlying package's error. Defaults are
+// applied first, so the zero Config validates.
 func (c Config) Validate() error {
 	d := c.withDefaults()
 	switch {
@@ -122,6 +123,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: window of %d operations < 1", ErrBadConfig, d.WindowOps)
 	case d.NumFUs < 1:
 		return fmt.Errorf("%w: %d functional units < 1", ErrBadConfig, d.NumFUs)
+	case d.NumFUs > 255:
+		// The FU scoreboard holds per-cycle byte counts (kernel.go).
+		return fmt.Errorf("%w: %d functional units > 255", ErrBadConfig, d.NumFUs)
 	case d.FrontEndDepth < 0:
 		return fmt.Errorf("%w: negative front-end depth %d", ErrBadConfig, d.FrontEndDepth)
 	case d.L2Latency < 0:
@@ -205,93 +209,56 @@ func (r *Result) Mispredicts() int64 {
 	return r.TrapMispredicts + r.FaultMispredicts + r.Misfetches
 }
 
-// Sim consumes a committed block stream and accumulates timing.
+// Sim is one configuration's timing state — the kernel's window, FU ring,
+// register-ready times and result — plus the source its outcomes come from.
+// A Sim built by New is live: its own icache, dcache and predictor decide
+// each committed block's outcomes (OnBlock). A sweep lane is a Sim whose
+// outcomes come from the sweep's shared enrichment tables instead (sw).
 type Sim struct {
 	cfg    Config
 	prog   *isa.Program
 	policy backend.Policy
-	pred   bpred.Predictor
-	ic     *cache.Cache
-	dc     *cache.Cache
-	fuse   map[isa.BlockID][]int // per-block macro-op fusion memo (policy.go)
+	lp     []laneBlock // predecoded table at this Sim's issue width (shared, read-only)
+	noMiss []uint8     // zeroed load outcomes for shadow passes (shared, read-only)
 
-	cycle          int64 // current fetch cycle
-	nextFetch      int64
-	tc             *traceCache
-	mb             *multiBlock
-	regReady       [isa.NumRegs]int64
-	fu             fuRing
-	win            []windowEntry // ring buffer of in-flight blocks
-	winHead        int
-	winLen         int
-	winOps         int // running in-flight operation count
-	lastRetire     int64
-	res            Result
-	shadowRegReady [isa.NumRegs]int64
+	// Live outcome source; unused on sweep lanes.
+	pred bpred.Predictor
+	ic   *cache.Cache
+	dc   *cache.Cache
+	tc   *traceCache
+	mb   *multiBlock
 
-	// sw, when non-nil, marks this Sim as a sweep lane: per-config timing
-	// state driven from shared precomputed cache/predictor outcomes instead
-	// of live ic/dc/pred models (see sweep.go). Lanes never touch ic, dc or
-	// pred.
+	cycle      int64 // current fetch cycle
+	nextFetch  int64
+	lastRetire int64
+	scr        *laneScratch  // FU ring, register-ready tables, window ring
+	win        []windowEntry // scr.win: ring buffer of in-flight blocks
+	winHead    int
+	winLen     int
+	winOps     int     // running in-flight (window) operation count
+	ldMiss     []uint8 // committed load outcomes: 1 = dcache miss
+	ldOff      int     // cursor into ldMiss
+	mp         mispredict
+	res        Result
+
+	// sw, when non-nil, marks this Sim as a sweep lane (see sweep.go).
 	sw *sweepLane
 }
 
-type windowEntry struct {
-	retire int64
-	ops    int
-}
-
-// fuRing is the functional-unit scoreboard: a fixed-size ring of busy counts
-// indexed by cycle. It replaces a map[int64]int — the scheduler only ever
-// claims cycles in a bounded window at or after the current fetch cycle, so
-// a power-of-two ring with a sliding base covers every access without
-// hashing or periodic sweeps.
-type fuRing struct {
-	counts []int32
-	mask   int64
-	base   int64 // counts hold cycles in [base, base+len(counts))
-}
-
-func newFURing() fuRing {
-	const size = 2048 // power of two; grows on demand
-	return fuRing{counts: make([]int32, size), mask: size - 1}
-}
-
-// advance slides the window start to cycle, clearing vacated slots. Cycles
-// before the current fetch cycle can never be claimed again (operations
-// issue strictly after fetch), so their counts are dead.
-func (r *fuRing) advance(cycle int64) {
-	if cycle <= r.base {
-		return
-	}
-	if cycle-r.base >= int64(len(r.counts)) {
-		clear(r.counts)
-	} else {
-		for c := r.base; c < cycle; c++ {
-			r.counts[c&r.mask] = 0
-		}
-	}
-	r.base = cycle
-}
-
-// grow doubles the ring until cycle fits, re-placing live counts.
-func (r *fuRing) grow(cycle int64) {
-	n := len(r.counts)
-	for int64(n) <= cycle-r.base {
-		n *= 2
-	}
-	nc := make([]int32, n)
-	nm := int64(n - 1)
-	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
-		nc[c&nm] = r.counts[c&r.mask]
-	}
-	r.counts, r.mask = nc, nm
-}
-
-// New builds a timing simulator for the program. The fetch policy —
-// predictor family, serialization, fusion — follows the backend registered
-// for the program's ISA kind.
+// New builds a live timing simulator for the program, with its own
+// predecoded table. The fetch policy — predictor family, serialization,
+// fusion — follows the backend registered for the program's ISA kind.
 func New(prog *isa.Program, cfg Config) (*Sim, error) {
+	return newSim(prog, cfg, nil)
+}
+
+// newSim is New over a shared table: tab serves when it was built for prog
+// (re-timed if its issue width differs), and a nil or foreign tab flattens
+// afresh. The Sim's scratch comes from the lane pool.
+func newSim(prog *isa.Program, cfg Config, tab *Predecoded) (*Sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
@@ -301,17 +268,21 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("uarch: dcache: %w", err)
 	}
+	if tab == nil || tab.prog != prog {
+		tab = flatten(prog, cfg.IssueWidth)
+	}
+	tab = tab.atWidth(cfg.IssueWidth)
+	scr := getLaneScratch(cfg.WindowBlocks)
 	s := &Sim{
 		cfg:    cfg,
 		prog:   prog,
 		policy: backend.PolicyFor(prog.Kind),
+		lp:     tab.lp,
+		noMiss: tab.noMiss,
 		ic:     ic,
 		dc:     dc,
-		fu:     newFURing(),
-		// The pop-before-push discipline in OnBlock keeps at most
-		// WindowBlocks entries in flight; one spare slot keeps the ring
-		// arithmetic simple.
-		win: make([]windowEntry, cfg.WindowBlocks+1),
+		scr:    scr,
+		win:    scr.win,
 	}
 	if !cfg.PerfectBP {
 		switch s.policy.Predictor {
@@ -335,67 +306,47 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// allocFU returns the first cycle at or after ready with a free functional
-// unit, and claims it.
-func (s *Sim) allocFU(ready int64) int64 {
-	r := &s.fu
-	if ready < r.base {
-		// Defensive: operations always issue after the current fetch cycle,
-		// which is where the ring base sits.
-		ready = r.base
-	}
-	limit := int32(s.cfg.NumFUs)
-	for {
-		if ready-r.base >= int64(len(r.counts)) {
-			r.grow(ready)
-		}
-		if r.counts[ready&r.mask] < limit {
-			break
-		}
-		ready++
-	}
-	r.counts[ready&r.mask]++
-	return ready
-}
-
-// fetchCycles returns how many cycles fetching a block takes (long
-// conventional basic blocks stream over several cycles).
-func (s *Sim) fetchCycles(b *isa.Block) int64 {
-	n := (len(b.Ops) + s.cfg.IssueWidth - 1) / s.cfg.IssueWidth
-	if n < 1 {
-		n = 1
-	}
-	return int64(n)
-}
-
-// OnBlock consumes one committed block event. Pass it as the emulator's
-// handler.
+// OnBlock consumes one committed block event through the timing kernel,
+// with the Sim's own caches and predictor deciding its outcomes. Pass it as
+// the emulator's handler.
 func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 	b := ev.Block
-
-	// Macro-op fusion shrinks the block's window and FU footprint; retired
-	// operation counts stay architectural.
-	pairs := s.fusionPairs(b)
-	winOps := len(b.Ops) - len(pairs)
-
-	// Fetch: wait for window capacity, then access the icache.
-	fetch := s.nextFetch
-	for s.winLen > 0 {
-		head := s.win[s.winHead].retire
-		if s.winLen >= s.cfg.WindowBlocks || s.winOps+winOps > s.cfg.WindowOps {
-			if head > fetch {
-				s.res.FetchStallWindow += head - fetch
-				fetch = head
-			}
-			s.popWindow()
-			continue
+	lb := &s.lp[b.ID]
+	fetch := s.drain(len(lb.ops))
+	cycles := int64(lb.fetchCycles)
+	if s.tc != nil || s.mb != nil {
+		var covered bool
+		if fetch, covered = s.fetchRivals(b, fetch); covered {
+			// A covered block consumed no fetch slot, so the next block may
+			// fetch in the same cycle.
+			cycles = 0
 		}
-		if head <= fetch {
-			s.popWindow()
-			continue
-		}
-		break
+	} else {
+		fetch += s.icacheStall(s.ic.AccessRange(b.Addr, b.Size))
 	}
+	issue := s.issueAt(fetch)
+	mp := s.resolve(ev)
+	if mp != nil {
+		if s.tc != nil {
+			s.tc.breakWindow()
+		}
+		if s.mb != nil {
+			s.mb.breakGroup()
+		}
+	}
+	st := s.laneSchedule(lb, issue, &s.scr.regs, true)
+	s.post(lb, issue, st, cycles, mp, ev.Next == isa.NoBlock)
+	if s.tc != nil {
+		s.tc.retire(b)
+	}
+	return nil
+}
+
+// fetchRivals is the fetch step under a trace cache or multi-block fetch,
+// whose decisions read the fetch cycle: it returns the block's fetch cycle
+// and whether the block shares an earlier block's fetch slot. It probes the
+// icache itself — before resolve's wrong-path probes, as the machine does.
+func (s *Sim) fetchRivals(b *isa.Block, fetch int64) (int64, bool) {
 	// Trace cache: a block covered by an open trace window shares the
 	// window's fetch cycle and bypasses the icache (the trace cache stores
 	// the operations).
@@ -412,9 +363,7 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 			// Group members still access the icache (they come from it),
 			// but any miss breaks the group.
 			if misses := s.ic.AccessRange(b.Addr, b.Size); misses > 0 {
-				stall := int64(s.cfg.L2Latency + (misses - 1))
-				s.res.FetchStallICache += stall
-				fetch = s.nextFetch + stall
+				fetch = s.nextFetch + s.icacheStall(misses)
 				covered = false
 				s.mb.breakGroup()
 			}
@@ -422,299 +371,75 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 	}
 	if !covered {
 		if misses := s.ic.AccessRange(b.Addr, b.Size); misses > 0 {
-			stall := int64(s.cfg.L2Latency + (misses - 1))
-			s.res.FetchStallICache += stall
-			fetch += stall
+			fetch += s.icacheStall(misses)
 			if s.mb != nil {
 				s.mb.breakGroup()
 			}
 		}
 	}
-	s.cycle = fetch
-	s.fu.advance(fetch)
+	return fetch, covered
+}
 
-	issue := fetch + int64(s.cfg.FrontEndDepth)
-
-	// Schedule the block's operations through rename + dataflow + FUs.
-	sched := s.scheduleOps(b, ev.MemAddrs, issue, &s.regReady, true)
-	blockDone, trapResolve := sched.done, sched.term
-
-	// Retire in order, one block per cycle.
-	retire := blockDone + 1
-	if retire <= s.lastRetire {
-		retire = s.lastRetire + 1
+// resolve is the live outcome source for everything after the fetch probe.
+// In the machine's order it drives the block's committed loads and stores
+// through the dcache, steps the predictor, and on a misprediction fetches the
+// wrong path through the icache. It returns the misprediction (nil when the
+// prediction was right); the load outcomes land in s.ldMiss for the
+// scheduler.
+func (s *Sim) resolve(ev *emu.BlockEvent) *mispredict {
+	b := ev.Block
+	s.ldMiss, s.ldOff = s.ldMiss[:0], 0
+	if s.lp[b.ID].mem {
+		s.ldMiss = loadOutcomes(s.ldMiss, s.dc, b, ev.MemAddrs)
 	}
-	s.lastRetire = retire
-	s.pushWindow(windowEntry{retire: retire, ops: winOps})
-	s.res.Ops += int64(len(b.Ops))
-	s.res.Blocks++
-	s.res.FusedPairs += int64(len(pairs))
-
-	if s.tc != nil {
-		s.tc.retire(b)
+	if ev.Next == isa.NoBlock || s.pred == nil {
+		return nil
 	}
-
-	// Next-block prediction. A trace-covered block consumed no fetch slot,
-	// so the next block may fetch in the same cycle.
-	nextFetch := fetch + s.fetchCycles(b)
-	if covered {
-		nextFetch = fetch
+	predicted := s.pred.Predict(b)
+	s.pred.Update(b, ev.Next, ev.Taken, ev.SuccIdx)
+	if predicted == ev.Next {
+		return nil
 	}
-	if ev.Next != isa.NoBlock && s.pred != nil {
-		predicted := s.pred.Predict(b)
-		s.pred.Update(b, ev.Next, ev.Taken, ev.SuccIdx)
-		if predicted != ev.Next {
-			if s.tc != nil {
-				s.tc.breakWindow()
-			}
-			if s.mb != nil {
-				s.mb.breakGroup()
-			}
-			resolve, wasFault := s.recover(b, predicted, ev.Next, trapResolve, issue)
-			restart := resolve + int64(s.cfg.FrontEndDepth)
-			if wasFault {
-				restart += int64(s.cfg.FaultSquashPenalty)
-			}
-			if restart > nextFetch {
-				s.res.RecoveryStall += restart - nextFetch
-				nextFetch = restart
-			}
+	kind, wb := classify(s.prog, b, predicted, ev.Next)
+	s.mp = mispredict{kind: kind}
+	if wb != isa.NoBlock {
+		wrong := &s.lp[wb]
+		misses := s.ic.AccessRange(wrong.addr, wrong.size)
+		// A trap misprediction's wrong path only pollutes the icache.
+		if kind == mpFault {
+			s.mp.wrong, s.mp.wrongMiss = wrong, misses
 		}
 	}
-	// Non-speculative fetch (BasicBlocker): a transfer that only resolves at
-	// execute serializes the front end — fetch waits for the terminator and
-	// refills the pipeline, on every such block. PerfectBP idealizes the
-	// whole front end and lifts the serialization too.
-	if s.policy.SerializeControl && !s.cfg.PerfectBP && ev.Next != isa.NoBlock {
-		if serializesFetch(b.Terminator()) {
-			restart := trapResolve + int64(s.cfg.FrontEndDepth)
-			if restart > nextFetch {
-				s.res.FetchStallControl += restart - nextFetch
-				nextFetch = restart
-			}
-		}
-	}
-	s.nextFetch = nextFetch
-	return nil
+	return &s.mp
 }
 
-// popWindow retires the oldest in-flight block from the window ring.
-func (s *Sim) popWindow() {
-	s.winOps -= s.win[s.winHead].ops
-	s.winHead++
-	if s.winHead == len(s.win) {
-		s.winHead = 0
-	}
-	s.winLen--
-}
-
-// pushWindow adds a newly fetched block to the window ring.
-func (s *Sim) pushWindow(e windowEntry) {
-	i := s.winHead + s.winLen
-	if i >= len(s.win) {
-		i -= len(s.win)
-	}
-	s.win[i] = e
-	s.winLen++
-	s.winOps += e.ops
-}
-
-// schedTimes reports when a scheduled block's pieces resolve.
-type schedTimes struct {
-	done       int64 // last operation completes
-	term       int64 // terminator (trap/branch/return) resolves
-	firstFault int64 // first fault operation resolves (0 if none)
-}
-
-// scheduleOps runs a block through the dataflow scheduler. When commit is
-// true, register-ready state and the dcache are updated; otherwise the pass
-// is a shadow (wrong-path) issue that only consumes FU slots.
-func (s *Sim) scheduleOps(b *isa.Block, memAddrs []uint32, issue int64, regReady *[isa.NumRegs]int64, commit bool) schedTimes {
+// loadOutcomes drives block b's committed memory accesses through dc in
+// operation order (every committed block executes all of its static loads
+// and stores, so memAddrs is exactly the access sequence) and appends one
+// byte per load to dst: 1 when it missed, 0 on a hit.
+func loadOutcomes(dst []uint8, dc *cache.Cache, b *isa.Block, memAddrs []uint32) []uint8 {
 	memIdx := 0
-	pairs := s.fusionPairs(b)
-	pi := 0
-	st := schedTimes{done: issue, term: issue + 1}
-	for i := 0; i < len(b.Ops); i++ {
-		op := &b.Ops[i]
-		fused := pi < len(pairs) && pairs[pi] == i
-		ready := issue
-		reads, nr := op.ReadRegs()
-		for k := 0; k < nr; k++ {
-			if r := reads[k]; r != isa.RegZero && regReady[r] > ready {
-				ready = regReady[r]
-			}
-		}
-		var op2 *isa.Op
-		if fused {
-			// The pair issues as one macro-op: the second op's sources gate
-			// readiness too, except the intra-pair dependency the fused
-			// datapath satisfies internally.
-			op2 = &b.Ops[i+1]
-			rd1, _ := op.Writes()
-			reads2, nr2 := op2.ReadRegs()
-			for k := 0; k < nr2; k++ {
-				if r := reads2[k]; r != isa.RegZero && r != rd1 && regReady[r] > ready {
-					ready = regReady[r]
-				}
-			}
-			pi++
-			i++
-		}
-		start := s.allocFU(ready)
-		lat := int64(op.Opcode.Latency())
-		memOp := op
-		if fused {
-			// The macro-op takes the slower half's latency.
-			if l2 := int64(op2.Opcode.Latency()); l2 > lat {
-				lat = l2
-			}
-			if op2.Opcode == isa.LD || op2.Opcode == isa.ST {
-				memOp = op2
-			}
-		}
-		switch memOp.Opcode {
+	for i := range b.Ops {
+		switch b.Ops[i].Opcode {
 		case isa.LD:
-			if commit {
-				if memIdx < len(memAddrs) {
-					if !s.dc.Access(memAddrs[memIdx]) {
-						lat += int64(s.cfg.L2Latency)
-					}
-					memIdx++
-				}
+			hit := true
+			if memIdx < len(memAddrs) {
+				hit = dc.Access(memAddrs[memIdx])
+				memIdx++
 			}
-			// Shadow loads assume L1 hits (wrong-path addresses are not
-			// architectural).
+			var m uint8
+			if !hit {
+				m = 1
+			}
+			dst = append(dst, m)
 		case isa.ST:
-			if commit && memIdx < len(memAddrs) {
-				s.dc.Access(memAddrs[memIdx])
+			if memIdx < len(memAddrs) {
+				dc.Access(memAddrs[memIdx])
 				memIdx++
 			}
 		}
-		done := start + lat
-		if rd, ok := op.Writes(); ok && rd != isa.RegZero {
-			regReady[rd] = done
-		}
-		last := op
-		if fused {
-			if rd, ok := op2.Writes(); ok && rd != isa.RegZero {
-				regReady[rd] = done
-			}
-			last = op2
-		}
-		if last.Opcode == isa.CALL {
-			regReady[isa.RegLR] = done
-		}
-		if last.Opcode.IsBlockEnd() {
-			st.term = done
-		}
-		if last.Opcode == isa.FAULT && st.firstFault == 0 {
-			st.firstFault = done
-		}
-		if done > st.done {
-			st.done = done
-		}
 	}
-	return st
-}
-
-// mpKind classifies a misprediction event. The classification depends only
-// on the program structure and the predicted/actual block IDs — never on
-// timing state — so the sweep engine computes it once per event and every
-// lane replays the same kind (see sweep.go).
-type mpKind uint8
-
-const (
-	mpNone mpKind = iota
-	// mpMisfetch: the frontend had no target (BTB/RAS miss); fetch waits
-	// for the transfer to execute.
-	mpMisfetch
-	// mpTrap: wrong direction or wrong indirect target; resolved when the
-	// terminator executes. The wrong-path block still went through the
-	// icache (pollution).
-	mpTrap
-	// mpFault: right direction, wrong enlarged variant; the wrongly fetched
-	// block shadow-issues until its firing fault resolves.
-	mpFault
-)
-
-// classifyMispredict determines how block b's misprediction of `predicted`
-// (actual next block `actual`, known unequal) recovers.
-func classifyMispredict(b *isa.Block, predicted, actual isa.BlockID) mpKind {
-	if predicted == isa.NoBlock {
-		return mpMisfetch
-	}
-	if t := b.Terminator(); t != nil && t.Opcode == isa.JR {
-		// A mispredicted indirect jump resolves when the jump executes: an
-		// ordinary misprediction, not a block squash (the jump-table target
-		// is not an enlarged variant of anything).
-		return mpTrap
-	}
-	idxP := b.SuccIndex(predicted)
-	idxA := b.SuccIndex(actual)
-	sameGroup := false
-	if idxP >= 0 && idxA >= 0 {
-		t := b.Terminator()
-		hasTrap := t != nil && (t.Opcode == isa.TRAP || t.Opcode == isa.BR) &&
-			b.TakenCount > 0 && b.TakenCount < len(b.Succs)
-		if hasTrap {
-			sameGroup = (idxP < b.TakenCount) == (idxA < b.TakenCount)
-		} else {
-			sameGroup = true // single variant group
-		}
-	}
-	if !sameGroup {
-		return mpTrap
-	}
-	return mpFault
-}
-
-// recover models misprediction recovery after block b predicted `predicted`
-// but the machine should fetch `actual`. It classifies the event and returns
-// the cycle at which the misprediction resolves, and whether it was a fault
-// (variant) misprediction, which carries the block-squash penalty.
-func (s *Sim) recover(b *isa.Block, predicted, actual isa.BlockID, trapResolve, issue int64) (int64, bool) {
-	switch classifyMispredict(b, predicted, actual) {
-	case mpMisfetch:
-		s.res.Misfetches++
-		return trapResolve, false
-	case mpTrap:
-		s.res.TrapMispredicts++
-		if wb := s.prog.Block(predicted); wb != nil {
-			s.ic.AccessRange(wb.Addr, wb.Size)
-		}
-		return trapResolve, false
-	}
-
-	// Fault misprediction: the wrong variant was fetched and issued; its
-	// fault fires once the fault's condition operands resolve. Shadow-issue
-	// the predicted variant (a real static block) one cycle after b's
-	// fetch, against a copy of the register-ready state, charging FU slots
-	// for the discarded work. The wrong variant's fetch goes through the
-	// icache: a miss delays its issue and therefore the fault's resolution
-	// — squashed blocks cannot even detect the misprediction until they
-	// are fetched, one of the reasons fault mispredictions cost more than
-	// ordinary branch mispredictions (paper §5).
-	s.res.FaultMispredicts++
-	pb := s.prog.Block(predicted)
-	if pb == nil {
-		return trapResolve, true
-	}
-	s.shadowRegReady = s.regReady
-	shadowIssue := issue + 1
-	if misses := s.ic.AccessRange(pb.Addr, pb.Size); misses > 0 {
-		shadowIssue += int64(s.cfg.L2Latency + (misses - 1))
-	}
-	shadow := s.scheduleOps(pb, nil, shadowIssue, &s.shadowRegReady, false)
-	faultResolve := shadow.firstFault
-	if faultResolve == 0 {
-		// Defensive: a variant without faults cannot detect the
-		// misprediction itself; fall back to its completion.
-		faultResolve = shadow.done
-	}
-	if faultResolve < trapResolve {
-		faultResolve = trapResolve
-	}
-	return faultResolve, true
+	return dst
 }
 
 // Window reports the in-flight occupancy — blocks and operations the window
@@ -750,6 +475,7 @@ func RunProgram(prog *isa.Program, cfg Config, emuCfg emu.Config) (*Result, *emu
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sim.release()
 	er, err := emu.New(prog, emuCfg).Run(sim.OnBlock)
 	if err != nil {
 		return nil, nil, err

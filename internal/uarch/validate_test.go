@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative issue width", Config{IssueWidth: -1}},
 		{"negative window blocks", Config{WindowBlocks: -4}},
 		{"negative fus", Config{NumFUs: -2}},
+		{"fus beyond the byte scoreboard", Config{NumFUs: 256}},
 		{"negative front end", Config{FrontEndDepth: -1}},
 		{"negative l2 latency", Config{L2Latency: -10}},
 		{"negative squash penalty", Config{FaultSquashPenalty: -3}},
