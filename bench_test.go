@@ -131,8 +131,9 @@ func BenchmarkAblateMinBias(b *testing.B) {
 
 // ---- component microbenchmarks ----
 
-func liSource() string {
-	p, _ := workload.ProfileByName("li", 0.05)
+// benchSource generates a benchmark's MiniC source at benchScale.
+func benchSource(name string) string {
+	p, _ := workload.ProfileByName(name, benchScale)
 	src, err := workload.Source(p)
 	if err != nil {
 		panic(err)
@@ -140,50 +141,60 @@ func liSource() string {
 	return src
 }
 
-// BenchmarkCompileConventional measures full compilation throughput for the
-// conventional backend.
-func BenchmarkCompileConventional(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(src, "li", compile.DefaultOptions(isa.Conventional)); err != nil {
-			b.Fatal(err)
-		}
+// compileBenches are the programs the compiler and enlarger benchmarks
+// build: li (822 blocks) and gcc, the largest static program, where a pass
+// whose cost grows faster than the program shows. Static code does not
+// depend on the scale.
+var compileBenches = []string{"li", "gcc"}
+
+// benchCompile measures full compilation of each compileBenches program for
+// one target.
+func benchCompile(b *testing.B, kind isa.Kind) {
+	for _, name := range compileBenches {
+		src := benchSource(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compile.Compile(src, name, compile.DefaultOptions(kind)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkCompileConventional measures full compilation throughput for the
+// conventional backend.
+func BenchmarkCompileConventional(b *testing.B) { benchCompile(b, isa.Conventional) }
+
 // BenchmarkCompileBlockStructured measures the block-structured backend.
-func BenchmarkCompileBlockStructured(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(src, "li", compile.DefaultOptions(isa.BlockStructured)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCompileBlockStructured(b *testing.B) { benchCompile(b, isa.BlockStructured) }
 
 // BenchmarkEnlarge measures the block enlargement pass itself.
 func BenchmarkEnlarge(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		prog, err := compile.Compile(src, "li", compile.DefaultOptions(isa.BlockStructured))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := core.Enlarge(prog, core.Params{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range compileBenches {
+		src := benchSource(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog, err := compile.Compile(src, name, compile.DefaultOptions(isa.BlockStructured))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := core.Enlarge(prog, core.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkEmulator measures functional emulation throughput (ops/sec via
 // b.ReportMetric).
 func BenchmarkEmulator(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +213,7 @@ func BenchmarkEmulator(b *testing.B) {
 // BenchmarkTraceRecord measures committed-block trace capture: one
 // functional emulation plus the flat-slice event encoding.
 func BenchmarkTraceRecord(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 // trace — the marginal cost of each extra configuration under
 // SimulateMany, with no re-emulation.
 func BenchmarkTraceReplay(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,7 +256,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 // sweepBenchTrace records the li trace the sweep benchmarks share.
 func sweepBenchTrace(b *testing.B) *emu.Trace {
 	b.Helper()
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,7 +318,7 @@ func BenchmarkXSweepFused(b *testing.B) {
 // control block. The bank must be allocation-free after construction
 // (TestBankStepAllocs pins this to zero; -benchmem shows it here).
 func BenchmarkPredictorBank(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.BlockStructured))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.BlockStructured))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +355,7 @@ func BenchmarkPredictorBank(b *testing.B) {
 
 // BenchmarkTimingSim measures the full emulate+time pipeline.
 func BenchmarkTimingSim(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -364,7 +375,7 @@ func BenchmarkTimingSim(b *testing.B) {
 // path a bsimd store hit takes.
 func mappedLiTrace(tb testing.TB) *emu.TraceMapping {
 	tb.Helper()
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -415,7 +426,7 @@ func TestMappedReplayZeroAlloc(t *testing.T) {
 // BenchmarkTraceLoadDecode measures the legacy store-hit path: decoding the
 // varint trace form into freshly allocated heap columns.
 func BenchmarkTraceLoadDecode(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,7 +448,7 @@ func BenchmarkTraceLoadDecode(b *testing.B) {
 // and aliasing its fixed-stride columns in place (checksum validation is the
 // only per-byte work).
 func BenchmarkTraceLoadMmap(b *testing.B) {
-	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
+	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}

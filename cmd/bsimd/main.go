@@ -132,7 +132,8 @@ func main() {
 	}
 
 	server := svc.NewServer(cfg)
-	httpSrv := &http.Server{Addr: *addr, Handler: server.Handler()}
+	httpSrv := newHTTPServer(server.Handler())
+	httpSrv.Addr = *addr
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -156,5 +157,21 @@ func main() {
 		logger.Error("serve failed", "err", err)
 		server.Close()
 		os.Exit(1)
+	}
+}
+
+// newHTTPServer wraps the service handler in an http.Server with fixed
+// connection bounds, so a slow or stalled client cannot pin a connection:
+// headers must arrive within ReadHeaderTimeout and the whole request (its
+// body capped by the service) within ReadTimeout. net/http clears the read
+// deadline once the handler has consumed the body, so the deadline never
+// cancels a long job. Idle keep-alive connections close after IdleTimeout.
+// The smoke servers use it too.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 }

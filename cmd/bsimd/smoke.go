@@ -158,7 +158,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: server.Handler()}
+	httpSrv := newHTTPServer(server.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
@@ -538,7 +538,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	warmHTTP := &http.Server{Handler: warmSrv.Handler()}
+	warmHTTP := newHTTPServer(warmSrv.Handler())
 	go func() { _ = warmHTTP.Serve(warmLn) }()
 	defer warmHTTP.Close()
 	warmBase := "http://" + warmLn.Addr().String()

@@ -24,8 +24,8 @@ func Optimize(m *ir.Module) {
 // once has TWO definitions, so the single-def sparse reasoning in constFold
 // and copyProp must not treat the assignment as its only def (uses before
 // the assignment read the incoming argument).
-func defCount(f *ir.Func) map[ir.Reg]int {
-	defs := map[ir.Reg]int{}
+func defCount(f *ir.Func) []int32 {
+	defs := make([]int32, f.NextReg)
 	for _, p := range f.Params {
 		defs[p]++
 	}
@@ -39,11 +39,25 @@ func defCount(f *ir.Func) map[ir.Reg]int {
 	return defs
 }
 
+// regConsts holds the constant value of each virtual register constFold has
+// proven constant.
+type regConsts struct {
+	val   []int64
+	known []bool
+}
+
+func (c *regConsts) get(r ir.Reg) (int64, bool) {
+	if r == ir.NoReg || !c.known[r] {
+		return 0, false
+	}
+	return c.val[r], true
+}
+
 // constFold performs sparse constant propagation over single-def registers
 // and folds constant expressions, including Br-on-constant.
 func constFold(f *ir.Func) bool {
 	defs := defCount(f)
-	consts := map[ir.Reg]int64{}
+	consts := &regConsts{val: make([]int64, f.NextReg), known: make([]bool, f.NextReg)}
 	changed := false
 	// Iterate to propagate chains (const -> add -> ...).
 	for pass := 0; pass < 4; pass++ {
@@ -52,14 +66,11 @@ func constFold(f *ir.Func) bool {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				d := in.Def()
-				if d == ir.NoReg || defs[d] != 1 {
-					continue
-				}
-				if _, known := consts[d]; known {
+				if d == ir.NoReg || defs[d] != 1 || consts.known[d] {
 					continue
 				}
 				if v, ok := evalConst(in, consts); ok {
-					consts[d] = v
+					consts.val[d], consts.known[d] = v, true
 					if in.Op != ir.Const {
 						*in = ir.Instr{Op: ir.Const, Dst: d, Imm: v, A: ir.NoReg, B: ir.NoReg}
 						changed = true
@@ -80,7 +91,7 @@ func constFold(f *ir.Func) bool {
 		}
 		switch t.Op {
 		case ir.Br:
-			v, ok := consts[t.A]
+			v, ok := consts.get(t.A)
 			if !ok {
 				continue
 			}
@@ -92,7 +103,7 @@ func constFold(f *ir.Func) bool {
 			b.Succs = []*ir.Block{keep}
 			changed = true
 		case ir.Switch:
-			v, ok := consts[t.A]
+			v, ok := consts.get(t.A)
 			if !ok {
 				continue
 			}
@@ -113,11 +124,8 @@ func constFold(f *ir.Func) bool {
 }
 
 // evalConst evaluates an instruction whose operands are known constants.
-func evalConst(in *ir.Instr, consts map[ir.Reg]int64) (int64, bool) {
-	c := func(r ir.Reg) (int64, bool) {
-		v, ok := consts[r]
-		return v, ok
-	}
+func evalConst(in *ir.Instr, consts *regConsts) (int64, bool) {
+	c := consts.get
 	switch in.Op {
 	case ir.Const:
 		return in.Imm, true
@@ -204,23 +212,29 @@ func evalBinary(op ir.Opc, a, b int64) (int64, bool) {
 // copy and the use).
 func copyProp(f *ir.Func) bool {
 	defs := defCount(f)
-	alias := map[ir.Reg]ir.Reg{}
+	// alias[r] is the source r copies, or NoReg.
+	alias := make([]ir.Reg, f.NextReg)
+	for r := range alias {
+		alias[r] = ir.NoReg
+	}
+	aliases := 0
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.Copy && defs[in.Dst] == 1 && in.A != ir.NoReg && defs[in.A] == 1 {
 				alias[in.Dst] = in.A
+				aliases++
 			}
 		}
 	}
-	if len(alias) == 0 {
+	if aliases == 0 {
 		return false
 	}
 	resolve := func(r ir.Reg) ir.Reg {
 		seen := 0
 		for {
-			a, ok := alias[r]
-			if !ok || seen > len(alias) {
+			a := alias[r]
+			if a == ir.NoReg || seen > aliases {
 				return r
 			}
 			r = a
@@ -257,10 +271,12 @@ func copyProp(f *ir.Func) bool {
 
 // deadCode removes pure instructions whose results are never used.
 func deadCode(f *ir.Func) bool {
-	used := map[ir.Reg]bool{}
+	used := make([]bool, f.NextReg)
+	var uses []ir.Reg
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			for _, u := range b.Instrs[i].Uses() {
+			uses = b.Instrs[i].Uses(uses[:0])
+			for _, u := range uses {
 				used[u] = true
 			}
 		}

@@ -1,7 +1,8 @@
 package compile
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bsisa/internal/ir"
 	"bsisa/internal/isa"
@@ -49,7 +50,8 @@ func (a *Allocation) CalleeSavedUsed() []isa.Reg {
 	return out
 }
 
-// interval is a live interval in the linearized instruction order.
+// interval is a live interval in the linearized instruction order. An
+// interval no position touched has end < 0.
 type interval struct {
 	reg        ir.Reg
 	start, end int
@@ -68,43 +70,39 @@ func Allocate(f *ir.Func) *Allocation {
 	live := f.Liveness()
 
 	// Linearize: number instructions block by block in layout order.
+	// blockStart and blockEnd are indexed by block position.
 	pos := 0
-	blockStart := map[*ir.Block]int{}
-	blockEnd := map[*ir.Block]int{}
+	blockStart := make([]int, len(f.Blocks))
+	blockEnd := make([]int, len(f.Blocks))
 	var callPos []int
-	for _, b := range f.Blocks {
-		blockStart[b] = pos
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.Call {
-				callPos = append(callPos, pos+i)
+	for i, b := range f.Blocks {
+		blockStart[i] = pos
+		for j := range b.Instrs {
+			if b.Instrs[j].Op == ir.Call {
+				callPos = append(callPos, pos+j)
 			}
 		}
 		pos += len(b.Instrs) + 1 // +1 so empty blocks still occupy space
-		blockEnd[b] = pos
+		blockEnd[i] = pos
 	}
 
-	ivals := map[ir.Reg]*interval{}
-	touch := func(r ir.Reg, at int) {
-		if r == ir.NoReg {
-			return
-		}
-		iv, ok := ivals[r]
-		if !ok {
-			ivals[r] = &interval{reg: r, start: at, end: at}
-			return
-		}
-		if at < iv.start {
-			iv.start = at
-		}
-		if at > iv.end {
-			iv.end = at
-		}
+	// ivals is indexed by virtual register.
+	ivals := make([]interval, f.NextReg)
+	for r := range ivals {
+		ivals[r] = interval{reg: ir.Reg(r), start: pos, end: -1}
 	}
-	for _, b := range f.Blocks {
-		p := blockStart[b]
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			for _, u := range in.Uses() {
+	touch := func(r ir.Reg, at int) {
+		iv := &ivals[r]
+		iv.start = min(iv.start, at)
+		iv.end = max(iv.end, at)
+	}
+	var uses []ir.Reg
+	for i, b := range f.Blocks {
+		p := blockStart[i]
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
+			uses = in.Uses(uses[:0])
+			for _, u := range uses {
 				touch(u, p)
 			}
 			if d := in.Def(); d != ir.NoReg {
@@ -112,37 +110,34 @@ func Allocate(f *ir.Func) *Allocation {
 			}
 			p++
 		}
-		for r := range live.LiveIn[b] {
-			touch(r, blockStart[b])
+		for r := range live.In(b).All() {
+			touch(r, blockStart[i])
 		}
-		for r := range live.LiveOut[b] {
-			touch(r, blockEnd[b])
+		for r := range live.Out(b).All() {
+			touch(r, blockEnd[i])
 		}
 	}
 	for _, pr := range f.Params {
 		touch(pr, 0)
 	}
-	for _, iv := range ivals {
-		for _, cp := range callPos {
-			if iv.start < cp && cp < iv.end {
-				iv.spansCall = true
-				break
-			}
-		}
-	}
 
+	// order lists the touched intervals by start (callPos is ascending, so
+	// the first call after an interval's start decides whether it spans one).
 	order := make([]*interval, 0, len(ivals))
-	for _, iv := range ivals {
+	for r := range ivals {
+		iv := &ivals[r]
+		if iv.end < 0 {
+			continue
+		}
+		k, _ := slices.BinarySearch(callPos, iv.start+1)
+		iv.spansCall = k < len(callPos) && callPos[k] < iv.end
 		order = append(order, iv)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].start != order[j].start {
-			return order[i].start < order[j].start
-		}
-		return order[i].reg < order[j].reg
+	slices.SortFunc(order, func(a, b *interval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.reg, b.reg))
 	})
 
-	alloc := &Allocation{RegOf: map[ir.Reg]isa.Reg{}, SlotOf: map[ir.Reg]int{}}
+	alloc := &Allocation{RegOf: make(map[ir.Reg]isa.Reg, len(order)), SlotOf: map[ir.Reg]int{}}
 	type active struct {
 		iv  *interval
 		reg isa.Reg
@@ -156,7 +151,7 @@ func Allocate(f *ir.Func) *Allocation {
 			freeCaller = append(freeCaller, r)
 		}
 	}
-	usedSet := map[isa.Reg]bool{}
+	var usedSet [isa.RegTmpN + 1]bool
 
 	expire := func(at int) {
 		kept := actives[:0]
@@ -180,8 +175,9 @@ func Allocate(f *ir.Func) *Allocation {
 	}
 
 	take := func(pool *[]isa.Reg, iv *interval) {
+		// Shift in place so released registers reuse the pool's array.
 		r := (*pool)[0]
-		*pool = (*pool)[1:]
+		*pool = append((*pool)[:0], (*pool)[1:]...)
 		alloc.RegOf[iv.reg] = r
 		usedSet[r] = true
 		actives = append(actives, active{iv, r})
@@ -251,9 +247,10 @@ func Allocate(f *ir.Func) *Allocation {
 		}
 	}
 
-	for r := range usedSet {
-		alloc.UsedRegs = append(alloc.UsedRegs, r)
+	for r := isa.RegTmp0; r <= isa.RegTmpN; r++ {
+		if usedSet[r] {
+			alloc.UsedRegs = append(alloc.UsedRegs, r)
+		}
 	}
-	sort.Slice(alloc.UsedRegs, func(i, j int) bool { return alloc.UsedRegs[i] < alloc.UsedRegs[j] })
 	return alloc
 }

@@ -173,7 +173,10 @@ type enlarger struct {
 	origLibrary map[isa.BlockID]bool
 	// processed guards the worklist.
 	processed map[isa.BlockID]bool
-	stats     Stats
+	// forward maps a block removed by a symmetric fork to the variant that
+	// replaces it as a fault target (see resolveFaults).
+	forward map[isa.BlockID]isa.BlockID
+	stats   Stats
 }
 
 // Enlarge applies the block enlargement optimization in place to a
@@ -197,6 +200,7 @@ func Enlarge(p *isa.Program, params Params) (*Stats, error) {
 		chain:       map[isa.BlockID][]isa.BlockID{},
 		origLibrary: map[isa.BlockID]bool{},
 		processed:   map[isa.BlockID]bool{},
+		forward:     map[isa.BlockID]isa.BlockID{},
 	}
 	p.Layout()
 	e.stats.OpsBefore = p.StaticOps()
@@ -226,6 +230,7 @@ func Enlarge(p *isa.Program, params Params) (*Stats, error) {
 		work = append(work, created...)
 	}
 
+	e.resolveFaults()
 	e.sweepUnreachable()
 	e.syncTrapTargets()
 	p.Layout()
@@ -617,8 +622,9 @@ func (e *enlarger) fork(b *isa.Block, planT, planF bool) []isa.BlockID {
 		// Faults elsewhere that redirected to b must redirect to a variant
 		// that begins with b's prefix; any variant is architecturally
 		// correct (its own fault chains onward), use the canonical first.
-		e.retargetFaults(b.ID, replacement[0])
-		// b keeps its edges until the sweep confirms it unreachable.
+		// resolveFaults applies the redirect once the pass is done. b keeps
+		// its edges until the sweep confirms it unreachable.
+		e.forward[b.ID] = replacement[0]
 	}
 
 	var created []isa.BlockID
@@ -673,15 +679,35 @@ func (e *enlarger) replaceInPreds(old isa.BlockID, repl []isa.BlockID, removeOld
 	}
 }
 
-// retargetFaults rewrites fault operations targeting old.
-func (e *enlarger) retargetFaults(old, repl isa.BlockID) {
-	for _, blk := range e.p.Blocks {
-		if blk == nil {
+// resolveFaults redirects every fault operation whose target a symmetric
+// fork removed, following forward to the surviving variant. Deferring the
+// redirect to one pass gives the same targets as rewriting every fault in
+// the program at each fork, because:
+//
+//   - block IDs are never reused, so a forwarded ID names only the removed
+//     block;
+//   - each forward entry points to a block created by that fork, whose ID is
+//     newer than the removed block's, so chains are acyclic and end at a
+//     block no symmetric fork removed;
+//   - nothing reads a fault target between a fork and this pass: variants
+//     copy fault operations verbatim, and copies resolve through the same
+//     chain as their originals.
+func (e *enlarger) resolveFaults() {
+	for _, b := range e.p.Blocks {
+		if b == nil {
 			continue
 		}
-		for i := range blk.Ops {
-			if blk.Ops[i].Opcode == isa.FAULT && blk.Ops[i].Target == old {
-				blk.Ops[i].Target = repl
+		for i := range b.Ops {
+			op := &b.Ops[i]
+			if op.Opcode != isa.FAULT {
+				continue
+			}
+			for {
+				next, ok := e.forward[op.Target]
+				if !ok {
+					break
+				}
+				op.Target = next
 			}
 		}
 	}

@@ -144,38 +144,35 @@ type Instr struct {
 	Args []Reg  // call arguments
 }
 
-// Uses returns the registers the instruction reads.
-func (in *Instr) Uses() []Reg {
-	var u []Reg
-	add := func(r Reg) {
-		if r != NoReg {
-			u = append(u, r)
-		}
-	}
+// Uses appends the registers the instruction reads to dst and returns the
+// extended slice. Scans over many instructions pass one buffer back in
+// (uses = in.Uses(uses[:0])) so they do not allocate per instruction.
+func (in *Instr) Uses(dst []Reg) []Reg {
 	switch in.Op {
 	case Const, GlobalAddr, FrameAddr, Nop, Jmp:
 	case CmovNZ:
-		add(in.Dst) // the prior value survives when the condition is zero
-		add(in.A)
-		add(in.B)
-	case Copy, Neg, Not, Load, Out:
-		add(in.A)
-	case Store:
-		add(in.A)
-		add(in.B)
+		// The prior value survives when the condition is zero.
+		dst = appendReg(dst, in.Dst)
+		dst = appendReg(dst, in.A)
+		dst = appendReg(dst, in.B)
+	case Copy, Neg, Not, Load, Out, Br, Switch, Ret:
+		dst = appendReg(dst, in.A)
 	case Call:
 		for _, a := range in.Args {
-			add(a)
+			dst = appendReg(dst, a)
 		}
-	case Br, Switch:
-		add(in.A)
-	case Ret:
-		add(in.A)
-	default: // binary ops
-		add(in.A)
-		add(in.B)
+	default: // binary ops and Store
+		dst = appendReg(dst, in.A)
+		dst = appendReg(dst, in.B)
 	}
-	return u
+	return dst
+}
+
+func appendReg(dst []Reg, r Reg) []Reg {
+	if r != NoReg {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // Def returns the register the instruction writes, or NoReg.

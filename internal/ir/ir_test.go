@@ -145,16 +145,16 @@ func TestLivenessAcrossBlocks(t *testing.T) {
 	}
 
 	ls := f.Liveness()
-	if !ls.LiveOut[b0][v0] {
+	if !ls.Out(b0).Has(v0) {
 		t.Error("v0 should be live out of b0")
 	}
-	if !ls.LiveIn[b1][v0] {
+	if !ls.In(b1).Has(v0) {
 		t.Error("v0 should be live into b1")
 	}
-	if ls.LiveIn[b0][v0] {
+	if ls.In(b0).Has(v0) {
 		t.Error("v0 should not be live into b0 (defined there)")
 	}
-	if ls.LiveOut[b1][v1] {
+	if ls.Out(b1).Has(v1) {
 		t.Error("v1 should not be live out of b1")
 	}
 }
@@ -179,11 +179,11 @@ func TestLivenessLoop(t *testing.T) {
 
 	ls := f.Liveness()
 	for _, b := range []*Block{b1, b2} {
-		if !ls.LiveIn[b][v] {
+		if !ls.In(b).Has(v) {
 			t.Errorf("v should be live into b%d", b.ID)
 		}
 	}
-	if !ls.LiveOut[b2][v] {
+	if !ls.Out(b2).Has(v) {
 		t.Error("v should be live out of the latch")
 	}
 	_ = u
@@ -204,7 +204,7 @@ func TestInstrUsesDef(t *testing.T) {
 		{Instr{Op: Const, Dst: 1, Imm: 9, A: NoReg, B: NoReg}, 0, true},
 	}
 	for _, c := range cases {
-		if got := len(c.in.Uses()); got != c.uses {
+		if got := len(c.in.Uses(nil)); got != c.uses {
 			t.Errorf("%s Uses = %d, want %d", c.in.String(), got, c.uses)
 		}
 		if got := c.in.Def() != NoReg; got != c.hasDe {

@@ -303,13 +303,14 @@ func ResultOf(icacheBytes int, r *uarch.Result) SimResult {
 // DecodeRequest reads one SimRequest from r with strict decoding: unknown
 // fields are rejected (DisallowUnknownFields), trailing garbage is rejected,
 // and the schema version must match. Failures wrap ErrBadRequest (and
-// ErrBadVersion for version mismatches).
+// ErrBadVersion for version mismatches); a failure to read r also wraps the
+// reader's error, so callers can tell an over-limit body from bad JSON.
 func DecodeRequest(r io.Reader) (*SimRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req SimRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)

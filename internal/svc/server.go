@@ -204,10 +204,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a /v1/sim request body. The largest generated
+// benchmark source (gcc) is about 212 KB, so this leaves room for any
+// hand-written program while capping what one request can make the decoder
+// and the compile pipeline hold.
+const maxRequestBytes = 4 << 20
+
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeRequest(r.Body)
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		s.reject(w, "", http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.reject(w, "", status, err)
 		return
 	}
 	plan, err := BuildConfig(req)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,6 +251,33 @@ func TestServerRejectsBadRequests(t *testing.T) {
 				t.Fatal("400 envelope carries no error text")
 			}
 		})
+	}
+}
+
+// TestServerRejectsOversizedBody posts a body one byte over the limit: the
+// server must stop reading, answer 413 with error_code bad_request, and count
+// the request as a rejection.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	s, ts := testServer(t, quietConfig())
+	body := `{"version":1,"program":{"isa":"conv","source":"`
+	body += strings.Repeat("x", maxRequestBytes+1-len(body))
+	httpResp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", httpResp.StatusCode)
+	}
+	var resp SimResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ErrorCode != "bad_request" {
+		t.Fatalf("error_code %q (%s), want bad_request", resp.ErrorCode, resp.Error)
+	}
+	if got := s.metrics.jobsRejected.Load(); got != 1 {
+		t.Fatalf("rejections = %d, want 1", got)
 	}
 }
 
