@@ -313,6 +313,50 @@ func BenchmarkXSweepFused(b *testing.B) {
 	}
 }
 
+// BenchmarkICacheSweep times the Figure 6/7 grid — a perfect icache and the
+// paper's three sizes on the paper machine — on li and gcc for conv and bsa.
+// The four lanes differ only in icache size, so they fold onto each other
+// while their timing states coincide; bsa, whose lanes coincide least often,
+// is folding's worst case. The sweep runs on one worker, so ns/op is its CPU
+// cost: a lone fold group runs on one worker however many are offered.
+func BenchmarkICacheSweep(b *testing.B) {
+	var cfgs []uarch.Config
+	for _, sz := range append([]int{0}, harness.ICacheSizes...) {
+		var cfg uarch.Config
+		cfg.ICache.SizeBytes = sz
+		cfg.ICache.Ways = 4
+		cfgs = append(cfgs, cfg)
+	}
+	for _, name := range compileBenches {
+		for _, target := range []struct {
+			name string
+			kind isa.Kind
+		}{{"conv", isa.Conventional}, {"bsa", isa.BlockStructured}} {
+			prog, err := compile.Compile(benchSource(name), name, compile.DefaultOptions(target.kind))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if target.kind == isa.BlockStructured {
+				if _, err := core.Enlarge(prog, core.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tr, err := emu.Record(prog, emu.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/"+target.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := uarch.Sweep(tr, cfgs, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkPredictorBank measures the shared-BHR predictor bank's per-event
 // cost on the hot path — eight predictor variants stepped per committed
 // control block. The bank must be allocation-free after construction

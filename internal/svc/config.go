@@ -134,6 +134,12 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 	return plan, nil
 }
 
+// maxSweepConfigs caps the configurations one sweep request may expand
+// to. Every sweep lane costs a timing walk of the whole trace, so the cap
+// bounds a request's work as the body-size cap bounds its bytes; it sits
+// far above the 16-point grids the paper's figures and the benchmarks use.
+const maxSweepConfigs = 1024
+
 // buildSweep expands a SweepSpec into the plan's configuration grid: the
 // cross product of every set axis over the shared base machine, in
 // axis-major order (history outermost, then PHT entries, then BTB sets, then
@@ -145,6 +151,20 @@ func buildSweep(plan *Plan, sw *SweepSpec) error {
 	hasPred := len(sw.HistoryBits) > 0 || len(sw.PHTEntries) > 0 || len(sw.BTBSets) > 0
 	if len(sw.ICacheSizes) == 0 && !hasPred {
 		return fmt.Errorf("%w: no icache sizes", ErrBadSweep)
+	}
+	// Size the grid before expanding it: a body far under the size cap can
+	// list axes whose product runs to millions of points. Each step checks
+	// against the cap before multiplying, so the product cannot overflow.
+	points := 1
+	for _, n := range []int{len(sw.HistoryBits), len(sw.PHTEntries), len(sw.BTBSets), len(sw.ICacheSizes)} {
+		if n == 0 {
+			continue // an unset axis contributes the base point
+		}
+		if points > maxSweepConfigs/n {
+			return fmt.Errorf("%w: grid of %d×%d×%d×%d history/pht/btb/icache points exceeds %d configurations",
+				ErrBadSweep, len(sw.HistoryBits), len(sw.PHTEntries), len(sw.BTBSets), len(sw.ICacheSizes), maxSweepConfigs)
+		}
+		points *= n
 	}
 	base := ConfigSpec{}
 	if sw.Base != nil {

@@ -14,6 +14,10 @@ import (
 // configuration.
 func FuzzDecodeRequest(f *testing.F) {
 	seed := int64(42)
+	axis := make([]int, 64)
+	for i := range axis {
+		axis[i] = 1 << (i % 16)
+	}
 	for _, req := range []*SimRequest{
 		{
 			Program: ProgramSpec{Workload: "compress", Scale: 0.05, ISA: "bsa"},
@@ -30,6 +34,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		{
 			Program: ProgramSpec{Source: "func main() { out(1); }", ISA: "fused"},
 			Config:  &ConfigSpec{},
+		},
+		{
+			// A few hundred bytes naming 64^4 grid points: bounded by
+			// maxSweepConfigs before anything expands.
+			Program: ProgramSpec{Workload: "gcc", ISA: "conv"},
+			Sweep:   &SweepSpec{HistoryBits: axis, PHTEntries: axis, BTBSets: axis, ICacheSizes: axis},
 		},
 		{
 			Program:   ProgramSpec{Seed: &seed, ISA: "block-structured", Enlarge: &EnlargeSpec{MaxOps: 8}},

@@ -101,6 +101,10 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 			r.Config = nil
 			r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}, Base: &ConfigSpec{PerfectBP: true}}
 		}, ErrBadSweep},
+		{"sweep grid over the cap", func(r *SimRequest) {
+			r.Config = nil
+			r.Sweep = &SweepSpec{HistoryBits: make([]int, 32), ICacheSizes: make([]int, 33)}
+		}, ErrBadSweep},
 		{"multi-axis sweep negative history", func(r *SimRequest) {
 			r.Config = nil
 			r.Sweep = &SweepSpec{HistoryBits: []int{-2}, ICacheSizes: []int{8192}}
@@ -330,5 +334,62 @@ func TestBuildConfigMultiAxisSweep(t *testing.T) {
 		if cfg.ICache.SizeBytes != 8192 || p3.ICacheBytes[i] != 8192 {
 			t.Errorf("point %d lost the base icache: %+v (echo %d)", i, cfg.ICache, p3.ICacheBytes[i])
 		}
+	}
+}
+
+// TestBuildConfigSweepCap pins the grid-size bound: the axis product is
+// sized before anything expands, so a tiny body naming a 64×64×64×64 grid
+// (16.7M points) is a bad_sweep that allocates almost nothing, while a grid
+// exactly at the cap still builds.
+func TestBuildConfigSweepCap(t *testing.T) {
+	axis := func(n, first int, next func(int) int) []int {
+		vals := make([]int, n)
+		for i, v := 0, first; i < n; i, v = i+1, next(v) {
+			vals[i] = v
+		}
+		return vals
+	}
+	inc := func(v int) int { return v + 1 }
+	dbl := func(v int) int { return v * 2 }
+	huge := &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Workload: "li", ISA: "conv"},
+		Sweep: &SweepSpec{
+			HistoryBits: axis(64, 1, inc),
+			PHTEntries:  axis(64, 1, inc),
+			BTBSets:     axis(64, 1, inc),
+			ICacheSizes: axis(64, 1, inc),
+		},
+	}
+	var plan *Plan
+	var err error
+	allocs := testing.AllocsPerRun(10, func() { plan, err = BuildConfig(huge) })
+	if !errors.Is(err, ErrBadSweep) || !errors.Is(err, ErrBadRequest) || plan != nil {
+		t.Fatalf("64^4 grid: plan %v, err %v; want a bad_sweep rejection", plan, err)
+	}
+	if allocs > 20 {
+		t.Fatalf("rejecting a 64^4 grid allocated %.0f objects; the grid must not expand", allocs)
+	}
+
+	atCap := &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Workload: "li", ISA: "conv"},
+		Sweep: &SweepSpec{
+			HistoryBits: axis(8, 1, inc),
+			PHTEntries:  axis(4, 512, dbl),
+			BTBSets:     axis(4, 64, dbl),
+			ICacheSizes: append([]int{0}, axis(7, 1024, dbl)...),
+		},
+	}
+	plan, err = BuildConfig(atCap)
+	if err != nil {
+		t.Fatalf("grid at the cap: %v", err)
+	}
+	if len(plan.Configs) != maxSweepConfigs {
+		t.Fatalf("grid at the cap built %d configs, want %d", len(plan.Configs), maxSweepConfigs)
+	}
+	atCap.Sweep.ICacheSizes = append(atCap.Sweep.ICacheSizes, 131072)
+	if _, err := BuildConfig(atCap); !errors.Is(err, ErrBadSweep) {
+		t.Fatalf("grid one icache size over the cap: err %v, want bad_sweep", err)
 	}
 }

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bsisa/internal/backend"
@@ -299,12 +300,14 @@ func (r *laneRing) grow(cycle int64) {
 
 // laneScratch is the mutable timing working set — FU ring, register-ready
 // tables, window ring — pooled across engine calls (keyed by window
-// geometry) so repeated daemon requests stop re-allocating it.
+// geometry) so repeated daemon requests stop re-allocating it. fr is a
+// frontier buffer a sweep's fold worker borrows for splits (sweep.go).
 type laneScratch struct {
 	ring   laneRing
 	regs   laneRegs
 	shadow laneRegs
 	win    []windowEntry
+	fr     frontier
 }
 
 // laneScratchPools maps WindowBlocks -> *sync.Pool of *laneScratch. The key
@@ -742,4 +745,210 @@ func (s *Sim) restart(mp *mispredict, term, issue int64) int64 {
 		resolve = max(resolve, fault)
 	}
 	return resolve + depth + int64(s.cfg.FaultSquashPenalty)
+}
+
+// The kernel's recurrence is shift-covariant: every time it keeps is built
+// from other times by max and by adding constants, and the rest of its
+// state (FU busy counts, window op counts) is attached to such times, so
+// two machines whose timing states differ only by a uniform cycle shift d,
+// fed the same outcomes, stay exactly d apart forever and accumulate
+// identical counter increments. The functions below are that argument's primitives:
+// frontier copies a Sim's timing state out, shifts it and installs it into
+// another Sim, and frontiersConverge decides when two Sims are a shift
+// apart in everything that can still influence a future event. Segmented
+// replay (segment.go) uses them to stitch segment boundaries; the sweep
+// (sweep.go) uses them to fold a lane onto a sibling and to split it off
+// again.
+
+// frontier is a raw copy of a Sim's timing state: everything the kernel
+// reads or writes besides the outcome source and the Result accumulators.
+// Register-ready times cover the architectural registers only: the kernel
+// never reads the sink slot, and the shadow table is rebuilt from the
+// architectural one on every fault misprediction.
+type frontier struct {
+	cycle      int64
+	nextFetch  int64
+	lastRetire int64
+	regs       [isa.NumRegs]int64
+	win        []windowEntry // in-flight blocks, oldest first
+	winOps     int
+	fuBase     int64
+	fuCounts   []uint8 // FU busy counts for cycles [fuBase, fuBase+len)
+}
+
+// captureFrontier copies s's timing state into f, reusing f's buffers; f
+// shares nothing with the Sim afterwards.
+func captureFrontier(f *frontier, s *Sim) {
+	f.cycle, f.nextFetch, f.lastRetire = s.cycle, s.nextFetch, s.lastRetire
+	f.winOps = s.winOps
+	copy(f.regs[:], s.scr.regs[:isa.NumRegs])
+	f.win = slices.Grow(f.win[:0], s.winLen)
+	for k := 0; k < s.winLen; k++ {
+		i := s.winHead + k
+		if i >= len(s.win) {
+			i -= len(s.win)
+		}
+		f.win = append(f.win, s.win[i])
+	}
+	// The whole ring, rotated to start at its base: a plain copy is cheaper
+	// than trimming the free tail.
+	r := &s.scr.ring
+	f.fuBase = r.base
+	f.fuCounts = slices.Grow(f.fuCounts[:0], len(r.counts))[:len(r.counts)]
+	i := int(r.base & r.mask)
+	k := copy(f.fuCounts, r.counts[i:])
+	copy(f.fuCounts[k:], r.counts[:i])
+}
+
+// shift translates every cycle-valued component by d.
+func (f *frontier) shift(d int64) {
+	f.cycle += d
+	f.nextFetch += d
+	f.lastRetire += d
+	f.fuBase += d
+	for i := range f.regs {
+		f.regs[i] += d
+	}
+	for i := range f.win {
+		f.win[i].retire += d
+	}
+}
+
+// restoreFrontier installs f into s, replacing whatever timing state s held.
+func restoreFrontier(s *Sim, f *frontier) {
+	s.cycle, s.nextFetch, s.lastRetire = f.cycle, f.nextFetch, f.lastRetire
+	copy(s.scr.regs[:isa.NumRegs], f.regs[:])
+	s.winHead, s.winLen, s.winOps = 0, len(f.win), f.winOps
+	copy(s.win, f.win)
+	r := &s.scr.ring
+	r.base = f.fuBase
+	if n := int64(len(f.fuCounts)); n > int64(len(r.counts)) {
+		r.grow(f.fuBase + n - 1)
+	}
+	if len(f.fuCounts) < len(r.counts) {
+		clear(r.counts)
+	}
+	i := int(f.fuBase & r.mask)
+	k := copy(r.counts[i:], f.fuCounts)
+	copy(r.counts, f.fuCounts[k:])
+}
+
+// addCounters adds to r the additive counters another run accumulated
+// between snapshots base and cur. Everything but Cycles and the cache,
+// predictor and fetch-rival statistics is additive; those are read off the
+// outcome source when the run finishes. Shift-covariance makes the splice
+// exact: a run that is a shift away from another accumulates the same
+// increments.
+func (r *Result) addCounters(cur, base *Result) {
+	r.Ops += cur.Ops - base.Ops
+	r.Blocks += cur.Blocks - base.Blocks
+	r.TrapMispredicts += cur.TrapMispredicts - base.TrapMispredicts
+	r.FaultMispredicts += cur.FaultMispredicts - base.FaultMispredicts
+	r.Misfetches += cur.Misfetches - base.Misfetches
+	r.FetchStallICache += cur.FetchStallICache - base.FetchStallICache
+	r.FetchStallWindow += cur.FetchStallWindow - base.FetchStallWindow
+	r.RecoveryStall += cur.RecoveryStall - base.RecoveryStall
+	r.FetchStallControl += cur.FetchStallControl - base.FetchStallControl
+	r.FusedPairs += cur.FusedPairs - base.FusedPairs
+}
+
+// normCycle truncates a cycle value at a base: any value at or below the
+// base is observationally equivalent to the base itself (see
+// frontiersConverge), so all such values map to zero.
+func normCycle(x, base int64) int64 {
+	if x <= base {
+		return 0
+	}
+	return x - base
+}
+
+// frontiersConverge reports whether two Sims' timing frontiers are
+// observationally identical up to the uniform cycle shift
+// a.nextFetch - b.nextFetch. Each frontier is compared in a normalized
+// projection with base = its own nextFetch; the projection is exactly the
+// state that can still influence future events:
+//
+//   - lastRetire at or below the base is dead: every future block's
+//     completion satisfies done >= issue >= nextFetch, so
+//     retire = max(done+1, lastRetire+1) cannot be decided by it.
+//   - register-ready times at or below the base are dead: a future
+//     operation's ready time is max(issue, regReady[...]) with
+//     issue >= nextFetch.
+//   - window entries whose retire is at or below the base are dead: window
+//     retire times are strictly increasing, so they form a prefix, and the
+//     fetch stall loop pops such entries without stalling whichever branch
+//     it takes (head <= fetch holds for them on every path).
+//   - FU busy counts below the base are dead: the ring's advance clears all
+//     slots below each event's fetch cycle before any claim, and claims
+//     happen at ready >= issue >= nextFetch.
+//
+// nextFetch never decreases, so dead values stay dead. Equal projections
+// therefore guarantee identical evolution (against identical outcomes)
+// shifted by the base difference, from the next event on: by then every
+// value a Result reads (lastRetire for Cycles) has been rewritten from live
+// state.
+func frontiersConverge(a, b *Sim) bool {
+	ba, bb := a.nextFetch, b.nextFetch
+	if normCycle(a.lastRetire, ba) != normCycle(b.lastRetire, bb) {
+		return false
+	}
+	// Windows: skip each side's dead prefix, then compare live entries.
+	la, lb := a.winLen, b.winLen
+	ha, hb := a.winHead, b.winHead
+	for la > 0 && a.win[ha].retire <= ba {
+		if ha++; ha == len(a.win) {
+			ha = 0
+		}
+		la--
+	}
+	for lb > 0 && b.win[hb].retire <= bb {
+		if hb++; hb == len(b.win) {
+			hb = 0
+		}
+		lb--
+	}
+	if la != lb {
+		return false
+	}
+	for k := 0; k < la; k++ {
+		ia, ib := ha+k, hb+k
+		if ia >= len(a.win) {
+			ia -= len(a.win)
+		}
+		if ib >= len(b.win) {
+			ib -= len(b.win)
+		}
+		if a.win[ia].ops != b.win[ib].ops || a.win[ia].retire-ba != b.win[ib].retire-bb {
+			return false
+		}
+	}
+	for r := 0; r < isa.NumRegs; r++ {
+		if normCycle(a.scr.regs[r], ba) != normCycle(b.scr.regs[r], bb) {
+			return false
+		}
+	}
+	// FU rings: base <= nextFetch always holds, so each ring's live span
+	// starts at its projection base; past the shorter span the longer ring
+	// must be free.
+	ca, cb := a.scr.ring.counts, b.scr.ring.counts
+	spanA := a.scr.ring.base + int64(len(ca)) - ba
+	spanB := b.scr.ring.base + int64(len(cb)) - bb
+	ma, mb := int64(len(ca)-1), int64(len(cb)-1)
+	n := min(spanA, spanB)
+	for o := int64(0); o < n; o++ {
+		if ca[(ba+o)&ma] != cb[(bb+o)&mb] {
+			return false
+		}
+	}
+	for o := n; o < spanA; o++ {
+		if ca[(ba+o)&ma] != 0 {
+			return false
+		}
+	}
+	for o := n; o < spanB; o++ {
+		if cb[(bb+o)&mb] != 0 {
+			return false
+		}
+	}
+	return true
 }

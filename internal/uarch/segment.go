@@ -33,10 +33,11 @@
 //     same events and identical architectural state: A from the true
 //     frontier, B from the canonical frontier — B deterministically
 //     replicates the lane's own prefix. After each event it compares the two
-//     frontiers' observable projections (see frontiersConverge); once they
-//     match, every subsequent event in the lane evolves identically to the
-//     true machine up to a uniform cycle shift d = A.nextFetch - B.nextFetch,
-//     so the segment's true stall counters splice as
+//     frontiers' observable projections (frontiersConverge, with the
+//     kernel's shift-covariance argument in kernel.go); once they match,
+//     every subsequent event in the lane evolves identically to the true
+//     machine up to a uniform cycle shift d = A.nextFetch - B.nextFetch, so
+//     the segment's true counters splice as
 //     A_at_match + (lane_final - B_at_match) and the true end-of-segment
 //     frontier is the lane's shifted by d. If the frontiers have not
 //     converged within segMatchLimit events, B is dropped and A simply
@@ -60,7 +61,6 @@ import (
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/emu"
-	"bsisa/internal/isa"
 )
 
 const (
@@ -250,21 +250,11 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 	res := lanes[0].res
 	front := lanes[0].front
 	for i := 1; i < segs; i++ {
-		fsw, rs, fsc, next, err := stitchSegment(ctx, t, cfg, tab, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
+		seg, next, err := stitchSegment(ctx, t, cfg, tab, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
 		if err != nil {
 			return nil, fmt.Errorf("uarch: stitch at segment %d: %w", i, err)
 		}
-		l := lanes[i]
-		res.Ops += l.res.Ops
-		res.Blocks += l.res.Blocks
-		res.FusedPairs += l.res.FusedPairs
-		res.TrapMispredicts += l.res.TrapMispredicts
-		res.FaultMispredicts += l.res.FaultMispredicts
-		res.Misfetches += l.res.Misfetches
-		res.FetchStallICache += l.res.FetchStallICache
-		res.FetchStallWindow += fsw
-		res.RecoveryStall += rs
-		res.FetchStallControl += fsc
+		res.addCounters(&seg, &Result{})
 		front = next
 	}
 	// The last lane's restored models ran to the end of the trace, so its
@@ -366,7 +356,8 @@ func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecod
 			return nil, err
 		}
 	}
-	l := &segLane{res: sim.res, front: captureFrontier(sim)}
+	l := &segLane{res: sim.res}
+	captureFrontier(&l.front, sim)
 	if last {
 		fin := *sim.Finish()
 		l.fin = &fin
@@ -376,10 +367,9 @@ func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecod
 
 // stitchSegment reconciles lane's canonical-start replay of events [lo, hi)
 // with the true machine frontier f at lo. It returns the segment's true
-// FetchStallWindow, RecoveryStall and FetchStallControl contributions — the
-// three frontier-dependent stall counters — and the true frontier at hi. See
-// the package comment for the argument.
-func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (fsw, rs, fsc int64, out frontier, err error) {
+// counter contributions and the true frontier at hi. See the package comment
+// for the argument.
+func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecoded, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (seg Result, out frontier, err error) {
 	mk := func() (*Sim, error) {
 		s, err := newSim(t.Program(), cfg, tab)
 		if err != nil {
@@ -389,13 +379,13 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecode
 	}
 	a, err := mk()
 	if err != nil {
-		return 0, 0, 0, out, err
+		return seg, out, err
 	}
 	defer a.release()
 	restoreFrontier(a, f)
 	b, err := mk()
 	if err != nil {
-		return 0, 0, 0, out, err
+		return seg, out, err
 	}
 	replica := b
 	defer replica.release()
@@ -403,12 +393,12 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecode
 	for i := lo; i < hi; i++ {
 		if (i-lo)&(segChunk-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return 0, 0, 0, out, err
+				return seg, out, err
 			}
 		}
 		ev := cur.Next()
 		if err := a.OnBlock(ev); err != nil {
-			return 0, 0, 0, out, err
+			return seg, out, err
 		}
 		if b == nil {
 			continue
@@ -416,16 +406,16 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecode
 		// b deterministically replicates the lane's own replay, so its state
 		// after this event IS the lane's state at the same point.
 		if err := b.OnBlock(ev); err != nil {
-			return 0, 0, 0, out, err
+			return seg, out, err
 		}
 		if frontiersConverge(a, b) {
-			d := a.nextFetch - b.nextFetch
-			fsw = a.res.FetchStallWindow + (lane.res.FetchStallWindow - b.res.FetchStallWindow)
-			rs = a.res.RecoveryStall + (lane.res.RecoveryStall - b.res.RecoveryStall)
-			fsc = a.res.FetchStallControl + (lane.res.FetchStallControl - b.res.FetchStallControl)
+			// From here on the lane is the true machine shifted by d: the
+			// segment's counters are a's so far plus the lane's from here.
+			seg = a.res
+			seg.addCounters(&lane.res, &b.res)
 			out = lane.front
-			out.shift(d)
-			return fsw, rs, fsc, out, nil
+			out.shift(a.nextFetch - b.nextFetch)
+			return seg, out, nil
 		}
 		if i-lo+1 >= segMatchLimit {
 			b = nil
@@ -433,186 +423,6 @@ func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, tab *Predecode
 	}
 	// No convergence within the segment: a re-timed all of it from the true
 	// frontier — the sequential fallback, exact by construction.
-	return a.res.FetchStallWindow, a.res.RecoveryStall, a.res.FetchStallControl, captureFrontier(a), nil
-}
-
-// frontier is a raw copy of a Sim's timing state: everything the kernel
-// reads or writes besides the outcome source and the Result accumulators.
-// Register-ready times cover the architectural registers only: the kernel
-// never reads the sink slot, and the shadow table is rebuilt from the
-// architectural one on every fault misprediction.
-type frontier struct {
-	cycle      int64
-	nextFetch  int64
-	lastRetire int64
-	regs       [isa.NumRegs]int64
-	win        []windowEntry // live in-flight blocks, oldest first
-	winOps     int
-	fuBase     int64
-	fuCounts   []uint8 // FU busy counts for cycles [fuBase, fuBase+len)
-}
-
-// captureFrontier copies s's timing state out. The result shares nothing
-// with the Sim.
-func captureFrontier(s *Sim) frontier {
-	f := frontier{
-		cycle:      s.cycle,
-		nextFetch:  s.nextFetch,
-		lastRetire: s.lastRetire,
-		winOps:     s.winOps,
-		fuBase:     s.scr.ring.base,
-	}
-	copy(f.regs[:], s.scr.regs[:isa.NumRegs])
-	f.win = make([]windowEntry, s.winLen)
-	for k := 0; k < s.winLen; k++ {
-		i := s.winHead + k
-		if i >= len(s.win) {
-			i -= len(s.win)
-		}
-		f.win[k] = s.win[i]
-	}
-	r := &s.scr.ring
-	last := int64(-1)
-	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
-		if r.counts[c&r.mask] != 0 {
-			last = c
-		}
-	}
-	if last >= 0 {
-		f.fuCounts = make([]uint8, last-r.base+1)
-		for c := r.base; c <= last; c++ {
-			f.fuCounts[c-r.base] = r.counts[c&r.mask]
-		}
-	}
-	return f
-}
-
-// shift translates every cycle-valued component by d (the uniform shift
-// between a lane's canonical clock and the true machine clock).
-func (f *frontier) shift(d int64) {
-	f.cycle += d
-	f.nextFetch += d
-	f.lastRetire += d
-	f.fuBase += d
-	for i := range f.regs {
-		f.regs[i] += d
-	}
-	for i := range f.win {
-		f.win[i].retire += d
-	}
-}
-
-// restoreFrontier installs f into a freshly built Sim (whose frontier is the
-// canonical zero state).
-func restoreFrontier(s *Sim, f *frontier) {
-	s.cycle, s.nextFetch, s.lastRetire = f.cycle, f.nextFetch, f.lastRetire
-	copy(s.scr.regs[:isa.NumRegs], f.regs[:])
-	s.winHead, s.winLen, s.winOps = 0, len(f.win), f.winOps
-	copy(s.win, f.win)
-	r := &s.scr.ring
-	r.base = f.fuBase
-	if n := int64(len(f.fuCounts)); n > 0 {
-		if n > int64(len(r.counts)) {
-			r.grow(f.fuBase + n - 1)
-		}
-		for i, c := range f.fuCounts {
-			r.counts[(f.fuBase+int64(i))&r.mask] = c
-		}
-	}
-}
-
-// normCycle truncates a cycle value at a base: any value at or below the
-// base is observationally equivalent to the base itself (see
-// frontiersConverge), so all such values map to zero.
-func normCycle(x, base int64) int64 {
-	if x <= base {
-		return 0
-	}
-	return x - base
-}
-
-// fuCountAt reads the FU busy count at an absolute cycle, treating cycles
-// outside the ring's live span as free.
-func fuCountAt(r *laneRing, c int64) uint8 {
-	if c < r.base || c-r.base >= int64(len(r.counts)) {
-		return 0
-	}
-	return r.counts[c&r.mask]
-}
-
-// frontiersConverge reports whether two Sims' timing frontiers are
-// observationally identical up to the uniform cycle shift
-// a.nextFetch - b.nextFetch. Each frontier is compared in a normalized
-// projection with base = its own nextFetch; the projection is exactly the
-// state that can still influence future events:
-//
-//   - lastRetire at or below the base is dead: every future block's
-//     completion satisfies done >= issue >= nextFetch, so
-//     retire = max(done+1, lastRetire+1) cannot be decided by it.
-//   - register-ready times at or below the base are dead: a future
-//     operation's ready time is max(issue, regReady[...]) with
-//     issue >= nextFetch.
-//   - window entries whose retire is at or below the base are dead: window
-//     retire times are strictly increasing, so they form a prefix, and the
-//     fetch stall loop pops such entries without stalling whichever branch
-//     it takes (head <= fetch holds for them on every path).
-//   - FU busy counts below the base are dead: the ring's advance clears all
-//     slots below each event's fetch cycle before any claim, and claims
-//     happen at ready >= issue >= nextFetch.
-//
-// Equal projections therefore guarantee identical evolution (against
-// identical architectural state and events) shifted by the base difference.
-func frontiersConverge(a, b *Sim) bool {
-	ba, bb := a.nextFetch, b.nextFetch
-	if normCycle(a.lastRetire, ba) != normCycle(b.lastRetire, bb) {
-		return false
-	}
-	// Windows: skip each side's dead prefix, then compare live entries.
-	la, lb := a.winLen, b.winLen
-	ha, hb := a.winHead, b.winHead
-	for la > 0 && a.win[ha].retire <= ba {
-		if ha++; ha == len(a.win) {
-			ha = 0
-		}
-		la--
-	}
-	for lb > 0 && b.win[hb].retire <= bb {
-		if hb++; hb == len(b.win) {
-			hb = 0
-		}
-		lb--
-	}
-	if la != lb {
-		return false
-	}
-	for k := 0; k < la; k++ {
-		ia, ib := ha+k, hb+k
-		if ia >= len(a.win) {
-			ia -= len(a.win)
-		}
-		if ib >= len(b.win) {
-			ib -= len(b.win)
-		}
-		if a.win[ia].ops != b.win[ib].ops || a.win[ia].retire-ba != b.win[ib].retire-bb {
-			return false
-		}
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if normCycle(a.scr.regs[r], ba) != normCycle(b.scr.regs[r], bb) {
-			return false
-		}
-	}
-	ra, rb := &a.scr.ring, &b.scr.ring
-	spanA := ra.base + int64(len(ra.counts)) - ba
-	spanB := rb.base + int64(len(rb.counts)) - bb
-	span := spanA
-	if spanB > span {
-		span = spanB
-	}
-	for o := int64(0); o < span; o++ {
-		if fuCountAt(ra, ba+o) != fuCountAt(rb, bb+o) {
-			return false
-		}
-	}
-	return true
+	captureFrontier(&out, a)
+	return a.res, out, nil
 }

@@ -295,7 +295,8 @@ func TestFrontiersConvergeOnLaneState(t *testing.T) {
 		t.Fatal("frontiers converge with different FU occupancy")
 	}
 	c := mk()
-	f := captureFrontier(a)
+	var f frontier
+	captureFrontier(&f, a)
 	restoreFrontier(c, &f)
 	if !frontiersConverge(a, c) || c.nextFetch != a.nextFetch {
 		t.Fatal("a restored frontier does not match its source")

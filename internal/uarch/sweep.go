@@ -1,10 +1,13 @@
 package uarch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
@@ -46,7 +49,9 @@ import (
 //     rename ready times, retire, recovery, serialization — against the
 //     precomputed outcomes of its (class, icache level) pair. Core-geometry
 //     axes need no shared state at all: they are plain per-lane knobs of the
-//     kernel.
+//     kernel. Lanes that differ only in icache size fold: while their timing
+//     states coincide up to a cycle shift, one follows another and does no
+//     kernel work (see foldWorker).
 //
 // A lane runs the same kernel as a live Sim, so lane results are identical,
 // field for field, to ReplayTrace under the same configuration; sweep_test.go
@@ -124,6 +129,19 @@ type sweepLane struct {
 	faultOff int    // cursor into cls.faultBlock / wm
 	nextMp   uint32 // cls.mpEv[mpOff], or sweepNoMp when exhausted
 	mp       mispredict
+
+	idx   int // the lane's configuration index
+	group int // the lane's fold group (see foldGroups)
+	pos   int // the lane's slot in its worker's lanes (see foldWorker)
+
+	// Folding (see foldWorker). A lane with a nil leader is live and steps
+	// the kernel. A follower does no kernel work: its timing state is its
+	// leader's shifted by shift, and its counters are own plus whatever the
+	// leader accumulated since led. Its own stream cursors are stale.
+	leader    *Sim
+	shift     int64
+	own, led  Result
+	followers int // lanes following this one
 }
 
 // enrichSweepA replays the trace once, training the whole predictor-class
@@ -269,13 +287,17 @@ func enrichSweepB(ctx context.Context, t *emu.Trace, prof *cache.StackDist, cls 
 	return nil
 }
 
-// fetchMiss is the lane's outcome for event ei's fetch probe.
-func (sw *sweepLane) fetchMiss(ei int) int {
-	if sw.fm == nil {
+// missAt reads entry i of a per-level miss table; a perfect icache has no
+// table and never misses.
+func missAt(m []uint8, i int) int {
+	if m == nil {
 		return 0
 	}
-	return int(sw.fm[ei])
+	return int(m[i])
 }
+
+// fetchMiss is the lane's outcome for event ei's fetch probe.
+func (sw *sweepLane) fetchMiss(ei int) int { return missAt(sw.fm, ei) }
 
 // mispredictAt is the lane's misprediction outcome for event ei, nil when
 // its class predicted right. Lanes ask once per event, in order; the check
@@ -300,9 +322,7 @@ func (sw *sweepLane) consume() *mispredict {
 	}
 	if sw.mp.kind == mpFault {
 		sw.mp.wrong = &sw.lp[cls.faultBlock[sw.faultOff]]
-		if sw.wm != nil {
-			sw.mp.wrongMiss = int(sw.wm[sw.faultOff])
-		}
+		sw.mp.wrongMiss = missAt(sw.wm, sw.faultOff)
 		sw.faultOff++
 	}
 	return &sw.mp
@@ -413,6 +433,12 @@ func SweepContext(ctx context.Context, t *emu.Trace, cfgs []Config, workers int)
 // trace's program (nil, or one built for a different program or issue width,
 // flattens fresh — results are identical either way).
 func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded) ([]*Result, error) {
+	return sweep(ctx, t, cfgs, workers, pre, nil)
+}
+
+// sweep is SweepPredecoded, also counting its folding into st when st is
+// non-nil.
+func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded, st *foldStats) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -519,94 +545,334 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 	ids := t.BlockIDs()
 	ne := len(ids)
 
-	sims := make([]*Sim, len(norm))
+	lanes := make([]laneSim, len(norm))
 	for i, cfg := range norm {
 		cls := classes[classOf[i]]
-		lane := &sweepLane{
+		ls := &lanes[i]
+		ls.sw = sweepLane{
 			sh:     sh,
 			cls:    cls,
 			lp:     tabs[i].lp,
 			level:  -1,
 			nextMp: sweepNoMp,
+			idx:    i,
 		}
 		if len(cls.mpEv) > 0 {
-			lane.nextMp = cls.mpEv[0]
+			ls.sw.nextMp = cls.mpEv[0]
 		}
 		if cfg.ICache.SizeBytes != 0 {
 			lvl, ok := levelOf[cfg.ICache.SizeBytes]
 			if !ok {
 				return nil, fmt.Errorf("uarch: sweep: config %d: size %dB is not a profiled level", i, cfg.ICache.SizeBytes)
 			}
-			lane.level = lvl
-			lane.fm = cls.fetchMiss[lvl*ne : (lvl+1)*ne]
-			lane.wm = cls.wrongMiss[lvl]
+			ls.sw.level = lvl
+			ls.sw.fm = cls.fetchMiss[lvl*ne : (lvl+1)*ne]
+			ls.sw.wm = cls.wrongMiss[lvl]
 		}
 		scr := getLaneScratch(cfg.WindowBlocks)
-		sims[i] = &Sim{
+		ls.sim = Sim{
 			cfg:    cfg,
 			lp:     tabs[i].lp,
 			noMiss: tabs[i].noMiss,
 			scr:    scr,
 			win:    scr.win,
 			ldMiss: sh.ldMiss,
-			sw:     lane,
+			sw:     &ls.sw,
 		}
 	}
 
 	// Lanes advance through the trace in lockstep, grouped by worker: every
-	// lane in a group consumes each predecoded block back to back while it is
-	// hot in cache, instead of streaming the whole trace once per lane. Group
-	// g holds lanes g, g+w, g+2w, …: neighbouring configurations of a grid
-	// cost alike, so dealing lanes round robin spreads its cheap and dear
-	// corners over every worker. Lanes never interact, so the grouping (and
-	// group count) cannot change results.
+	// lane of a worker consumes each predecoded block back to back while it
+	// is hot in cache, instead of streaming the whole trace once per lane.
+	// Workers are dealt whole fold groups round robin — worker g takes
+	// groups g, g+w, g+2w, … — since a group's lanes fold onto each other.
+	// Lanes never interact except through folding, which is exact, so the
+	// dealing (and worker count) cannot change results.
+	groups := foldGroups(norm, lanes)
 	w := workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(sims) {
-		w = len(sims)
-	}
+	w = min(w, len(groups))
 	results := make([]*Result, len(norm))
+	var stats []foldStats
+	if st != nil {
+		stats = make([]foldStats, w)
+	}
 	err = fanOut(ctx, w, w, func(g int) error {
-		for ei, id := range ids {
-			// The same chunked check as Trace.ReplayContext, so a canceled
-			// sweep stops mid-lane rather than after the full event stream.
-			if ei&(sweepCancelChunk-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			// Lanes are fused in pairs so each block's scheduling loop carries
-			// two independent dependency chains (see laneSchedule2); an odd
-			// trailing lane steps alone.
-			last := ei == len(ids)-1
-			i := g
-			for ; i+w < len(sims); i += 2 * w {
-				a, b := sims[i], sims[i+w]
-				lbA, lbB := &a.lp[id], &b.lp[id]
-				issueA := a.issueAt(a.drain(len(lbA.ops)) + a.icacheStall(a.sw.fetchMiss(ei)))
-				issueB := b.issueAt(b.drain(len(lbB.ops)) + b.icacheStall(b.sw.fetchMiss(ei)))
-				stA, stB := laneSchedule2(a, b, lbA, issueA, issueB)
-				a.post(lbA, issueA, stA, int64(lbA.fetchCycles), a.sw.mispredictAt(ei), last)
-				b.post(lbB, issueB, stB, int64(lbB.fetchCycles), b.sw.mispredictAt(ei), last)
-			}
-			if i < len(sims) {
-				s := sims[i]
-				lb := &s.lp[id]
-				issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss(ei)))
-				st := s.laneSchedule(lb, issue, &s.scr.regs, true)
-				s.post(lb, issue, st, int64(lb.fetchCycles), s.sw.mispredictAt(ei), last)
-			}
+		fw := newFoldWorker(groups, g, w, st != nil)
+		err := fw.walk(ctx, ids)
+		if stats != nil {
+			stats[g] = fw.stats
 		}
-		for i := g; i < len(sims); i += w {
-			results[i] = sims[i].sweepFinish()
-			sims[i].release()
+		if err != nil {
+			return err
 		}
+		fw.finish(results)
 		return nil
 	})
+	for i := range stats {
+		st.add(&stats[i])
+	}
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// foldCadence is how many events pass between fold attempts. Attempting on
+// every event folds the most lane-events, but its frontier comparisons cost
+// more than the extra folds save; at 16 a lane that could fold runs live for
+// at most 15 events too many. DESIGN.md §12 records the measurement behind
+// the value.
+const foldCadence = 16
+
+// laneSim is a sweep lane: a Sim and its outcome source, allocated
+// together.
+type laneSim struct {
+	sim Sim
+	sw  sweepLane
+}
+
+// foldGroups partitions the lanes into fold groups: lanes whose normalized
+// configurations agree apart from the icache size. Such lanes share a
+// predictor class (one class per distinct predictor configuration), the
+// predecoded table, the load-outcome stream and every kernel knob, so they
+// differ only in icache outcomes. Groups are numbered in order of first
+// appearance. Within a group lanes run larger icache first, a perfect one
+// largest of all: the order in which they are preferred as leaders, since a
+// larger icache misses less and so splits its followers off less often.
+func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
+	n := 0
+	for i := range lanes {
+		g := n
+		for j := 0; j < i; j++ {
+			a, b := norm[i], norm[j]
+			a.ICache.SizeBytes, b.ICache.SizeBytes = 0, 0
+			if a == b {
+				g = lanes[j].sw.group
+				break
+			}
+		}
+		if g == n {
+			n++
+		}
+		lanes[i].sw.group = g
+	}
+	capacity := func(s *Sim) int {
+		if sz := s.cfg.ICache.SizeBytes; sz != 0 {
+			return sz
+		}
+		return math.MaxInt
+	}
+	grouped := make([]*Sim, 0, len(lanes))
+	groups := make([][]*Sim, n)
+	for g := range groups {
+		start := len(grouped)
+		for i := range lanes {
+			if lanes[i].sw.group == g {
+				grouped = append(grouped, &lanes[i].sim)
+			}
+		}
+		groups[g] = grouped[start:len(grouped):len(grouped)]
+		slices.SortStableFunc(groups[g], func(a, b *Sim) int { return cmp.Compare(capacity(b), capacity(a)) })
+	}
+	return groups
+}
+
+// foldWorker walks one worker's fold groups through the trace in lockstep,
+// folding lanes onto siblings whose timing frontier they match.
+//
+// A group's lanes see identical mispredict and load-outcome streams and run
+// identical kernels, so they differ only in icache outcomes. When a live
+// lane's frontier converges with a live sibling's (frontiersConverge: equal
+// up to the cycle shift d between their next fetch cycles), the lane's
+// future is the sibling's shifted by d for as long as their icache outcomes
+// agree: the kernel is shift-covariant (kernel.go). The lane then follows
+// the sibling — it stores d and the two Results, and does no kernel work —
+// until split finds an event whose icache outcome differs, where it is
+// materialized from its leader's frontier and steps live again. Only a
+// live lane without followers folds, so a leader is never itself a
+// follower.
+type foldWorker struct {
+	groups [][]*Sim
+	first  int // this worker's groups are first, first+stride, …
+	stride int
+	// lanes holds the worker's lanes: the live ones in [0, nLive), the
+	// followers after them. A lane's sweepLane.pos is its slot.
+	lanes  []*Sim
+	nLive  int
+	fr     *frontier // split scratch, borrowed from the first lane's pooled scratch
+	record bool      // record fold edges in stats
+	stats  foldStats
+}
+
+func newFoldWorker(groups [][]*Sim, first, stride int, record bool) foldWorker {
+	fw := foldWorker{groups: groups, first: first, stride: stride, record: record}
+	for k := first; k < len(groups); k += stride {
+		fw.lanes = append(fw.lanes, groups[k]...)
+	}
+	for p, s := range fw.lanes {
+		s.sw.pos = p
+	}
+	fw.nLive = len(fw.lanes)
+	fw.fr = &fw.lanes[0].scr.fr
+	return fw
+}
+
+// walk steps the worker's lanes through every event: followers split off
+// before an event, live lanes step it, and lanes fold after it at the
+// cadence.
+func (fw *foldWorker) walk(ctx context.Context, ids []isa.BlockID) error {
+	for ei, id := range ids {
+		// The same chunked check as Trace.ReplayContext, so a canceled
+		// sweep stops mid-lane rather than after the full event stream.
+		if ei&(sweepCancelChunk-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		fw.split(ei)
+		last := ei == len(ids)-1
+		fw.step(ei, id, last)
+		if ei%foldCadence == foldCadence-1 && !last {
+			fw.fold()
+		}
+	}
+	return nil
+}
+
+// swap exchanges the lanes in slots p and q.
+func (fw *foldWorker) swap(p, q int) {
+	fw.lanes[p], fw.lanes[q] = fw.lanes[q], fw.lanes[p]
+	fw.lanes[p].sw.pos, fw.lanes[q].sw.pos = p, q
+}
+
+// diverges reports whether a follower's outcome at event ei differs from
+// its leader's: the fetch probe's misses, or at a fault misprediction the
+// wrongly fetched variant's. The leader's cursors stand for both lanes.
+func (sw *sweepLane) diverges(ld *sweepLane, ei int) bool {
+	if sw.fetchMiss(ei) != ld.fetchMiss(ei) {
+		return true
+	}
+	return uint32(ei) == ld.nextMp && ld.cls.mpKind[ld.mpOff] == mpFault &&
+		missAt(sw.wm, ld.faultOff) != missAt(ld.wm, ld.faultOff)
+}
+
+// split materializes, before event ei steps, every follower whose outcome
+// at ei differs from its leader's.
+func (fw *foldWorker) split(ei int) {
+	for p := fw.nLive; p < len(fw.lanes); p++ {
+		s := fw.lanes[p]
+		if s.sw.diverges(s.sw.leader.sw, ei) {
+			fw.unfold(s)
+			fw.swap(p, fw.nLive)
+			fw.nLive++
+			fw.stats.splits++
+		}
+	}
+	fw.stats.followed += int64(len(fw.lanes) - fw.nLive)
+}
+
+// unfold materializes follower s: its leader's frontier shifted by d into
+// s's own scratch, the leader's stream cursors, and s's counters as its
+// snapshot plus the leader's delta since the fold.
+func (fw *foldWorker) unfold(s *Sim) {
+	sw := s.sw
+	ld := sw.leader
+	captureFrontier(fw.fr, ld)
+	fw.fr.shift(sw.shift)
+	restoreFrontier(s, fw.fr)
+	s.ldOff = ld.ldOff
+	sw.mpOff, sw.faultOff, sw.nextMp = ld.sw.mpOff, ld.sw.faultOff, ld.sw.nextMp
+	s.res = sw.own
+	s.res.addCounters(&ld.res, &sw.led)
+	ld.sw.followers--
+	sw.leader = nil
+}
+
+// step runs event ei through the kernel on every live lane. Lanes are fused
+// in pairs so each block's scheduling loop carries two independent
+// dependency chains (see laneSchedule2); an odd trailing lane steps alone.
+func (fw *foldWorker) step(ei int, id isa.BlockID, last bool) {
+	live := fw.lanes[:fw.nLive]
+	p := 0
+	for ; p+1 < len(live); p += 2 {
+		a, b := live[p], live[p+1]
+		lbA, lbB := &a.lp[id], &b.lp[id]
+		issueA := a.issueAt(a.drain(len(lbA.ops)) + a.icacheStall(a.sw.fetchMiss(ei)))
+		issueB := b.issueAt(b.drain(len(lbB.ops)) + b.icacheStall(b.sw.fetchMiss(ei)))
+		stA, stB := laneSchedule2(a, b, lbA, issueA, issueB)
+		a.post(lbA, issueA, stA, int64(lbA.fetchCycles), a.sw.mispredictAt(ei), last)
+		b.post(lbB, issueB, stB, int64(lbB.fetchCycles), b.sw.mispredictAt(ei), last)
+	}
+	if p < len(live) {
+		s := live[p]
+		lb := &s.lp[id]
+		issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss(ei)))
+		st := s.laneSchedule(lb, issue, &s.scr.regs, true)
+		s.post(lb, issue, st, int64(lb.fetchCycles), s.sw.mispredictAt(ei), last)
+	}
+}
+
+// fold lets every live lane without followers follow the first live
+// sibling whose frontier it matches, trying the group's lanes as followers
+// in reverse preference order and as leaders in preference order. A pair of
+// lanes that were both candidates is compared once: convergence is
+// symmetric. It must not run after the trace's final event: a fold only
+// pins down the state that future events read, and Cycles reads lastRetire
+// directly.
+func (fw *foldWorker) fold() {
+	for k := fw.first; k < len(fw.groups); k += fw.stride {
+		grp := fw.groups[k]
+		for j := len(grp) - 1; j >= 0; j-- {
+			s := grp[j]
+			if s.sw.leader != nil || s.sw.followers > 0 {
+				continue
+			}
+			for i, ld := range grp {
+				if i == j || ld.sw.leader != nil || i > j && ld.sw.followers == 0 ||
+					!frontiersConverge(s, ld) {
+					continue
+				}
+				sw := s.sw
+				sw.leader, sw.shift = ld, s.nextFetch-ld.nextFetch
+				sw.own, sw.led = s.res, ld.res
+				ld.sw.followers++
+				fw.nLive--
+				fw.swap(sw.pos, fw.nLive)
+				fw.stats.folds++
+				if fw.record {
+					fw.stats.edges = append(fw.stats.edges, [2]int{sw.idx, ld.sw.idx})
+				}
+				break
+			}
+		}
+	}
+}
+
+// finish materializes every remaining follower, then finishes every lane
+// into results and returns its scratch to the pool.
+func (fw *foldWorker) finish(results []*Result) {
+	for _, s := range fw.lanes[fw.nLive:] {
+		fw.unfold(s)
+	}
+	for _, s := range fw.lanes {
+		results[s.sw.idx] = s.sweepFinish()
+		s.release()
+	}
+}
+
+// foldStats counts a sweep's folding, for tests.
+type foldStats struct {
+	folds, splits int
+	followed      int64    // lane-events spent following
+	edges         [][2]int // (follower, leader) configuration indices, one per fold
+}
+
+func (st *foldStats) add(o *foldStats) {
+	st.folds += o.folds
+	st.splits += o.splits
+	st.followed += o.followed
+	st.edges = append(st.edges, o.edges...)
 }

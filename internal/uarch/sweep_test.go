@@ -1,7 +1,10 @@
 package uarch
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bsisa/internal/backend"
@@ -371,5 +374,103 @@ func TestLaneScratchPool(t *testing.T) {
 	s3 := getLaneScratch(8)
 	if len(s3.win) != 9 {
 		t.Fatalf("geometry-keyed pool returned window length %d, want 9", len(s3.win))
+	}
+}
+
+// historyICacheGrid is the serve-warm shape: four branch-history lengths
+// crossed with four icache sizes, perfect included.
+func historyICacheGrid() []Config {
+	var cfgs []Config
+	for _, hist := range []int{2, 4, 8, 12} {
+		for _, sz := range []int{0, 1024, 2048, 4096} {
+			cfgs = append(cfgs, Config{
+				ICache:    cache.Config{SizeBytes: sz, Ways: 4},
+				Predictor: bpred.Config{HistoryBits: hist},
+			})
+		}
+	}
+	return cfgs
+}
+
+// TestSweepFolding checks lane folding on a workload long enough to fold:
+// lanes that differ only in icache size follow a sibling while their timing
+// frontiers coincide and split off when their icache outcomes differ. Every
+// grid must still match SimulateMany field for field at every worker count
+// (workers deal fold groups, not lanes), the icache grids must both fold and
+// split so the materialize path runs, and no lane may ever follow a lane
+// whose configuration differs beyond the icache size — another core
+// geometry or predictor. A sweep canceled while lanes follow returns the
+// context's error.
+func TestSweepFolding(t *testing.T) {
+	// At this scale li runs about 9,000 events: enough to fold, and more than
+	// two context-check chunks for the cancellation case.
+	const scale = 0.01
+	grids := []struct {
+		name     string
+		cfgs     []Config
+		mustFold bool
+	}{
+		{"icache", sweepGrid(false), true},
+		{"history×icache", historyICacheGrid(), true},
+		{"cross", crossGrid(), false},
+	}
+	for _, be := range backend.All() {
+		kind := be.Kind()
+		prog := workloadProgram(t, "li", scale, kind)
+		tr, err := emu.Record(prog, emu.Config{})
+		if err != nil {
+			t.Fatalf("%s: record: %v", kind, err)
+		}
+		for _, g := range grids {
+			want, err := SimulateMany(tr, g.cfgs, 0)
+			if err != nil {
+				t.Fatalf("%s %s: simulate many: %v", kind, g.name, err)
+			}
+			norm := normalizeSweepConfigs(g.cfgs)
+			for _, workers := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s %s workers %d", kind, g.name, workers)
+				var st foldStats
+				got, err := sweep(context.Background(), tr, g.cfgs, workers, nil, &st)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				equalResults(t, label, g.cfgs, got, want)
+				if g.mustFold && (st.folds == 0 || st.splits == 0) {
+					t.Errorf("%s: %d folds and %d splits, want both", label, st.folds, st.splits)
+				}
+				for _, e := range st.edges {
+					f, l := norm[e[0]], norm[e[1]]
+					f.ICache.SizeBytes, l.ICache.SizeBytes = 0, 0
+					if f != l {
+						t.Errorf("%s: config %d followed config %d, which differs beyond the icache size", label, e[0], e[1])
+					}
+				}
+				if workers == 1 {
+					t.Logf("%s: %d events × %d lanes, %d folds, %d splits, %.1f%% of lane-events followed",
+						label, tr.NumEvents(), len(g.cfgs), st.folds, st.splits,
+						100*float64(st.followed)/float64(tr.NumEvents()*len(g.cfgs)))
+				}
+			}
+		}
+
+		// Cancel at the lane walk's last context check — with one worker
+		// the checks run in a fixed order, so counting a full run's checks
+		// finds it. Lanes must already be following by then.
+		cfgs := sweepGrid(false)
+		count := newCountdownCtx(1 << 40)
+		if _, err := sweep(count, tr, cfgs, 1, nil, nil); err != nil {
+			t.Fatalf("%s: counting run: %v", kind, err)
+		}
+		checks := 1<<40 - count.budget.Load()
+		var st foldStats
+		baseline := runtime.NumGoroutine()
+		got, err := sweep(newCountdownCtx(checks-1), tr, cfgs, 1, nil, &st)
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("%s: canceled mid-fold: results %v, err %v; want context.Canceled", kind, got, err)
+		}
+		if st.followed == 0 {
+			t.Fatalf("%s: no lane followed before the cancel fired", kind)
+		}
+		checkNoGoroutineLeak(t, baseline)
 	}
 }
