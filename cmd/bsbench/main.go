@@ -8,7 +8,7 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 headtohead mispredicts
 // ablate-size ablate-faults ablate-superblock ablate-history ablate-minbias
-// segspeed xsweep predsens tracestore mmapreplay summary all (default: the paper's tables and figures).
+// xsweep predsens tracestore mmapreplay summary all (default: the paper's tables and figures).
 //
 // -json additionally writes each experiment's results to BENCH_<name>.json
 // using the same versioned svc.SimResponse envelope the bsimd service
@@ -82,7 +82,7 @@ func main() {
 	paper := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "headtohead"}
 	extra := []string{"mispredicts", "ablate-size", "ablate-faults", "ablate-superblock",
 		"ablate-history", "ablate-minbias", "ablate-tracecache", "ablate-ifconvert",
-		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "segspeed",
+		"ablate-inline", "ablate-hotlayout", "ablate-multiblock",
 		"xsweep", "predsens", "tracestore", "mmapreplay", "summary"}
 
 	var names []string
@@ -171,8 +171,6 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 		return h.AblateProfileLayout()
 	case "ablate-multiblock":
 		return h.AblateMultiBlock()
-	case "segspeed":
-		return h.SegSpeed()
 	case "xsweep":
 		return h.XSweepSpeed()
 	case "predsens":
@@ -184,7 +182,7 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 	case "summary":
 		return h.Summary()
 	default:
-		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* segspeed xsweep predsens tracestore mmapreplay summary)")
+		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* xsweep predsens tracestore mmapreplay summary)")
 	}
 }
 

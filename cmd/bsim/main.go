@@ -8,10 +8,6 @@
 //
 //	-asm             input is an assembly listing (bsdis format), not a container
 //	-timing          run the timing model and report cycles/IPC
-//	-workers N       with -timing: replay trace segments on N parallel lanes
-//	                 (0 = GOMAXPROCS when -segments is set, else sequential)
-//	-segments N      with -timing: split the trace into N checkpointed
-//	                 segments (0 = auto); results are identical either way
 //	-icache N        icache size in bytes (0 = perfect)
 //	-sweep-icache L  comma-separated icache sizes: record the committed-block
 //	                 trace once, time every size from it, print a cycles table
@@ -25,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,8 +42,6 @@ func main() {
 	sweep := flag.String("sweep-icache", "", "comma-separated icache sizes to sweep on one recorded trace")
 	sweepPred := flag.String("sweep-pred", "", "comma-separated branch-history lengths to sweep on one recorded trace")
 	perfectBP := flag.Bool("perfect-bp", false, "perfect branch prediction")
-	workers := flag.Int("workers", 0, "segment-parallel replay lanes for -timing (0 = GOMAXPROCS when -segments is set)")
-	segments := flag.Int("segments", 0, "trace segments for -timing (0 = auto; needs -workers > 1 or unset)")
 	maxOps := flag.Int64("max-ops", 0, "emulation operation budget (0 = default)")
 	quiet := flag.Bool("q", false, "suppress program output values")
 	flag.Parse()
@@ -96,33 +91,11 @@ func main() {
 		ICache:    cache.Config{SizeBytes: *icache, Ways: 4},
 		PerfectBP: *perfectBP,
 	}
-	var tres *uarch.Result
-	var eres *emu.Result
-	if *workers != 0 || *segments != 0 {
-		// Segment-parallel replay: record the committed stream once, then
-		// time checkpointed segments on parallel lanes. Field-for-field
-		// identical to the sequential path at any worker/segment count.
-		tr, err := emu.Record(prog, emuCfg)
-		if err != nil {
-			fatal(err)
-		}
-		eres = tr.EmuResult()
-		tres, err = uarch.ReplayTraceSegmented(tr, cfg,
-			uarch.SegmentOptions{Workers: *workers, Segments: *segments})
-		if err != nil {
-			fatal(err)
-		}
-		report(prog, eres, quiet)
-		fmt.Printf("trace:             %d blocks recorded (%d KB), segmented replay (workers=%d, segments=%d; 0 = auto)\n",
-			tr.NumEvents(), tr.Footprint()/1024, *workers, *segments)
-	} else {
-		var err error
-		tres, eres, err = uarch.RunProgram(prog, cfg, emuCfg)
-		if err != nil {
-			fatal(err)
-		}
-		report(prog, eres, quiet)
+	tres, eres, err := uarch.RunProgram(prog, cfg, emuCfg)
+	if err != nil {
+		fatal(err)
 	}
+	report(prog, eres, quiet)
 	fmt.Printf("cycles:            %d\n", tres.Cycles)
 	fmt.Printf("IPC:               %.3f\n", tres.IPC())
 	fmt.Printf("avg retired block: %.2f ops\n", tres.AvgBlockSize())
@@ -157,8 +130,9 @@ func parseIntList(flagName, list string) ([]int, error) {
 
 // sweepGrid is the trace-once path: one functional emulation records the
 // committed-block trace, then every point of the icache-size x history-length
-// grid is timed from it — through the unified multi-axis sweep engine when
-// the grid qualifies (uarch.CanSweep), falling back to one replay per point.
+// grid is timed from it on the engine uarch.Run routes the grid to — the
+// unified multi-axis sweep when the grid qualifies, one replay per point
+// otherwise.
 // An omitted axis is pinned at its base value (-icache, or the default
 // predictor), so single-axis sweeps are the degenerate grids.
 func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, icache int, perfectBP bool, quiet *bool) error {
@@ -198,18 +172,16 @@ func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, 
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	var results []*uarch.Result
-	if ok, _ := uarch.CanSweep(cfgs); ok && len(cfgs) > 1 {
-		fmt.Printf("trace:             %d blocks recorded (%d KB), fused multi-axis sweep over %d configs\n",
-			tr.NumEvents(), tr.Footprint()/1024, len(cfgs))
-		results, err = uarch.Sweep(tr, cfgs, 0)
-	} else {
-		fmt.Printf("trace:             %d blocks recorded (%d KB), replayed %d times\n",
-			tr.NumEvents(), tr.Footprint()/1024, len(cfgs))
-		results, err = uarch.SimulateMany(tr, cfgs, 0)
-	}
+	results, route, err := uarch.Run(context.Background(), tr, cfgs, uarch.RunOptions{})
 	if err != nil {
 		return err
+	}
+	if route.Engine == uarch.EngineSweep {
+		fmt.Printf("trace:             %d blocks recorded (%d KB), fused multi-axis sweep over %d configs\n",
+			tr.NumEvents(), tr.Footprint()/1024, len(cfgs))
+	} else {
+		fmt.Printf("trace:             %d blocks recorded (%d KB), replayed %d times (%s)\n",
+			tr.NumEvents(), tr.Footprint()/1024, len(cfgs), route.Reason)
 	}
 	fmt.Printf("%12s %12s %12s %8s %10s %12s\n", "icache", "history", "cycles", "IPC", "icmiss%", "mispredicts")
 	for i, r := range results {

@@ -18,12 +18,12 @@
 //	GET  /metrics       Prometheus text format
 //	     /debug/pprof/  runtime profiling
 //
-// Single-config requests may carry a "segments" hint; when the config
-// qualifies and -job-workers leaves lanes to spend, the job runs on the
-// segment-parallel replay engine (engine "replay-segmented") with its queue
-// depth and per-segment latency exported on /metrics. Concurrent identical
-// requests coalesce onto one simulation pass; followers are answered from
-// the leader's envelope with "coalesced": true and counted in
+// Every job runs on the engine uarch.Run routes its configurations to: a
+// sweepable grid on the unified sweep (engine "sweep"), anything else —
+// a single config included — as one replay per config (engine
+// "simulate-many"); the job log's engine_reason says why. Concurrent
+// identical requests coalesce onto one simulation pass; followers are
+// answered from the leader's envelope with "coalesced": true and counted in
 // bsimd_coalesced_requests_total.
 //
 // -store DIR layers a persistent content-addressed trace store under the
@@ -46,11 +46,11 @@
 // server on an ephemeral port (pool shape pinned: one worker, four job
 // workers) and checks, over HTTP against the direct library path: a
 // Figure-6-style icache sweep, a predictor sweep served from the cached
-// trace, a segmented single-config replay, a four-way head-to-head across
+// trace, a single-config replay, a four-way head-to-head across
 // every registered ISA backend (plus an unknown-ISA rejection carrying the
 // machine-readable error_code), and a 32-way identical load that
 // must coalesce onto one pass — then verifies cache hits, the coalesced
-// count, and segment activity on /metrics, seeds the store with a
+// count, and both engine stages on /metrics, seeds the store with a
 // legacy-format trace file to prove first touch rewrites it to v3, and
 // finally restarts against the same trace store (the -store directory, or a
 // temporary one) to prove a fresh process answers the sweep from mmapped v3

@@ -41,16 +41,14 @@ func smokeRequest(id string) *svc.SimRequest {
 	}
 }
 
-// smokeSegRequest is a single-config question with an explicit segment hint:
-// the service must route it through the segment-parallel replay engine and
-// still answer field-for-field what the sequential engine answers.
-func smokeSegRequest(id string) *svc.SimRequest {
+// smokeSingleRequest is a single-config question: the service must route it
+// to one live replay and answer field-for-field what ReplayTrace answers.
+func smokeSingleRequest(id string) *svc.SimRequest {
 	return &svc.SimRequest{
-		Version:  svc.SchemaVersion,
-		ID:       id,
-		Program:  svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
-		Config:   &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
-		Segments: 4,
+		Version: svc.SchemaVersion,
+		ID:      id,
+		Program: svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
+		Config:  &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
 	}
 }
 
@@ -108,13 +106,14 @@ func smokeUpgradeRequest(id string) *svc.SimRequest {
 }
 
 // smokePredRequest asks the predictor-sensitivity question over the same
-// program, so the daemon serves the grid from the already-cached trace.
+// program — a sweep with a history axis and no icache axis — so the daemon
+// serves the grid from the already-cached trace.
 func smokePredRequest(id string) *svc.SimRequest {
 	return &svc.SimRequest{
 		Version: svc.SchemaVersion,
 		ID:      id,
 		Program: svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
-		PredSweep: &svc.PredSweepSpec{
+		Sweep: &svc.SweepSpec{
 			HistoryBits: []int{2, 8, 16},
 			Base:        &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
 		},
@@ -123,16 +122,16 @@ func smokePredRequest(id string) *svc.SimRequest {
 
 // runSmoke is the CI service-smoke stage: equivalence against the direct
 // library path for the unified sweep engine (icache, predictor, and
-// multi-axis grids) and the segment-parallel engine,
+// multi-axis grids) and the single-config replay,
 // then a 32-way concurrent identical load that must coalesce onto one pass,
-// with the cache hits, coalesced count, and segment metrics checked on
+// with the cache hits, coalesced count, and stage metrics checked on
 // /metrics — and finally a restart against the same trace store, which must
 // serve the sweep without recording anything.
 //
 // The pool shape is pinned rather than taken from the daemon flags: one
 // worker makes the coalescing step deterministic (the load queues behind a
 // slower occupier job, so exactly one of the identical requests leads), and
-// several job workers give the segmented engine lanes to spend. The store is
+// several job workers give the engines lanes to spend. The store is
 // taken from -store when given (so CI can run the smoke twice on one
 // directory and get a cross-process warm start) and is a throwaway temp
 // directory otherwise.
@@ -200,7 +199,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 
 	// 2. A predictor sweep over the same program: the fused predictor
 	// engine must serve it from the already-cached trace.
-	predGot, err := postSim(base, smokePredRequest("smoke-predsweep"))
+	predGot, err := postSim(base, smokePredRequest("smoke-predictor-sweep"))
 	if err != nil {
 		return err
 	}
@@ -263,24 +262,24 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	}
 	logger.Info("smoke: multi-axis cross product matches direct path field-for-field", "configs", len(xWant))
 
-	// 3. A single-config request with a segment hint: the segment-parallel
-	// engine must serve it and answer exactly what sequential replay answers.
-	segGot, err := postSim(base, smokeSegRequest("smoke-segmented"))
+	// 3. A single-config request: the service must route it to one live
+	// replay and answer exactly what ReplayTrace answers.
+	singleGot, err := postSim(base, smokeSingleRequest("smoke-single"))
 	if err != nil {
 		return err
 	}
-	if segGot.Engine != "replay-segmented" {
-		return fmt.Errorf("service routed the single-config job through %q, want the segmented engine", segGot.Engine)
+	if singleGot.Engine != "simulate-many" {
+		return fmt.Errorf("service routed the single-config job through %q, want simulate-many", singleGot.Engine)
 	}
-	segWant, err := directReplay(smokeSegRequest(""))
+	singleWant, err := directReplay(smokeSingleRequest(""))
 	if err != nil {
 		return fmt.Errorf("direct replay path: %w", err)
 	}
-	if len(segGot.Results) != 1 || segGot.Results[0] != *segWant {
-		return fmt.Errorf("segmented replay diverges from the sequential path\nservice: %+v\ndirect:  %+v",
-			segGot.Results, *segWant)
+	if len(singleGot.Results) != 1 || singleGot.Results[0] != *singleWant {
+		return fmt.Errorf("single-config answer diverges from the direct replay\nservice: %+v\ndirect:  %+v",
+			singleGot.Results, *singleWant)
 	}
-	logger.Info("smoke: segmented replay matches sequential replay field-for-field")
+	logger.Info("smoke: single-config replay matches the direct replay field-for-field")
 
 	// 3b. Four-way head-to-head over HTTP: every registered ISA backend must
 	// answer the same single-config question, matching the direct library
@@ -391,7 +390,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	logger.Info("smoke: concurrent identical load coalesced onto one pass",
 		"requests", load, "coalesced", coalesced, "wall", time.Since(start).Round(time.Millisecond))
 
-	// 5. Cache hits, coalescing, and segment activity must be visible on
+	// 5. Cache hits, coalescing, and engine stages must be visible on
 	// /metrics.
 	metrics, err := fetch(base + "/metrics")
 	if err != nil {
@@ -407,8 +406,8 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		// icache sweep, the predictor sweep, the multi-axis cross product,
 		// the occupier, and the coalesce leader.
 		{`bsimd_stage_seconds_count{stage="sweep"}`, 5},
-		{`bsimd_stage_seconds_count{stage="segreplay"}`, 1},
-		{`bsimd_segments_completed_total`, 1},
+		// The single-config phase and the four backend requests replay.
+		{`bsimd_stage_seconds_count{stage="replay"}`, 5},
 	} {
 		v, ok := metricValue(metrics, check.series)
 		if !ok {
@@ -442,7 +441,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 			return fmt.Errorf("warm store run fully decoded %g traces, want 0", v)
 		}
 	}
-	logger.Info("smoke: cache, coalescing, segment, and store metrics visible on /metrics")
+	logger.Info("smoke: cache, coalescing, stage, and store metrics visible on /metrics")
 
 	// 5b. Legacy upgrade: seed the store with a v1-format file for the li
 	// program (which nothing above touched), and prove the first request to
@@ -697,7 +696,8 @@ func directBackendRun(req *svc.SimRequest) (*svc.SimResult, error) {
 }
 
 // directReplay computes the sequential-engine answer for a single-config
-// request: the reference the segmented service path must reproduce exactly.
+// request: the reference the service's single-config replay must reproduce
+// exactly.
 func directReplay(req *svc.SimRequest) (*svc.SimResult, error) {
 	plan, err := svc.BuildConfig(req)
 	if err != nil {

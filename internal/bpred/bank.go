@@ -1,10 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-
-	"bsisa/internal/isa"
-)
+import "bsisa/internal/isa"
 
 // Bank steps a whole grid of predictor variants of one kind in lockstep over
 // a single committed block stream. It is the predictor half of the unified
@@ -106,54 +102,4 @@ func (bk *Bank) LaneStats(i int) Stats {
 		return bk.bsa[i].Stats()
 	}
 	return bk.conv[i].Stats()
-}
-
-// bankState is a complete Bank checkpoint: the shared history register plus
-// one per-lane predictor snapshot.
-type bankState struct {
-	bhr   uint32
-	lanes []State
-	bsa   bool
-}
-
-func (*bankState) stateKind() string { return "bank" }
-
-// Snapshot captures the bank's complete state (shared BHR and every lane).
-// Like Predictor.Snapshot, the result shares nothing with the live bank.
-func (bk *Bank) Snapshot() State {
-	s := &bankState{bhr: bk.bhr, bsa: bk.bsa != nil, lanes: make([]State, bk.Len())}
-	for i := range s.lanes {
-		if bk.bsa != nil {
-			s.lanes[i] = bk.bsa[i].Snapshot()
-		} else {
-			s.lanes[i] = bk.conv[i].Snapshot()
-		}
-	}
-	return s
-}
-
-// Restore rewinds the bank to a previously captured snapshot. The snapshot
-// must come from a bank of the same kind, lane count and per-lane geometry.
-func (bk *Bank) Restore(st State) error {
-	s, ok := st.(*bankState)
-	if !ok {
-		return fmt.Errorf("bpred: restore: %s snapshot into a bank", st.stateKind())
-	}
-	if s.bsa != (bk.bsa != nil) || len(s.lanes) != bk.Len() {
-		return fmt.Errorf("bpred: restore: bank shape (bsa=%v, %d lanes) does not match (bsa=%v, %d lanes)",
-			s.bsa, len(s.lanes), bk.bsa != nil, bk.Len())
-	}
-	for i, ls := range s.lanes {
-		var err error
-		if bk.bsa != nil {
-			err = bk.bsa[i].Restore(ls)
-		} else {
-			err = bk.conv[i].Restore(ls)
-		}
-		if err != nil {
-			return fmt.Errorf("bpred: restore: bank lane %d: %w", i, err)
-		}
-	}
-	bk.bhr = s.bhr
-	return nil
 }

@@ -34,49 +34,6 @@ type Predictor interface {
 	Update(b *isa.Block, actual isa.BlockID, taken bool, succIdx int)
 	// Stats reports prediction traffic.
 	Stats() Stats
-	// Snapshot captures the predictor's complete state — history register,
-	// pattern tables, BTB contents and LRU clock, return address stack, and
-	// traffic counters. The returned value shares nothing with the live
-	// predictor, so one snapshot can seed any number of Restores.
-	Snapshot() State
-	// Restore rewinds the predictor to a previously captured snapshot. The
-	// snapshot must come from a predictor of the same kind and geometry.
-	Restore(State) error
-}
-
-// State is an opaque predictor checkpoint produced by Predictor.Snapshot.
-// Restoring it into a same-kind, same-geometry predictor reproduces the
-// exact prediction and training behavior the source would have shown from
-// the capture point on — the checkpoint primitive behind the
-// segment-parallel replay engine (uarch.ReplayTraceSegmented).
-type State interface {
-	// stateKind names the concrete predictor the snapshot came from; it keys
-	// the type check in Restore and keeps the interface closed to this
-	// package (checkpoints are not an extension point).
-	stateKind() string
-}
-
-// rasState is a deep copy of a return address stack.
-type rasState struct {
-	stack []isa.BlockID
-	top   int
-	n     int
-}
-
-func (r *ras) snapshot() rasState {
-	s := rasState{stack: make([]isa.BlockID, len(r.stack)), top: r.top, n: r.n}
-	copy(s.stack, r.stack)
-	return s
-}
-
-func (r *ras) restore(s rasState) error {
-	if len(s.stack) != len(r.stack) {
-		return fmt.Errorf("bpred: restore: RAS depth %d does not match %d", len(s.stack), len(r.stack))
-	}
-	copy(r.stack, s.stack)
-	r.top = s.top
-	r.n = s.n
-	return nil
 }
 
 // Stats counts predictor traffic. Misprediction *consequences* are measured

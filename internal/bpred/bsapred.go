@@ -1,10 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-
-	"bsisa/internal/isa"
-)
+import "bsisa/internal/isa"
 
 // BSA is the paper's modified Two-Level Adaptive predictor for
 // block-structured ISAs (§4.3). Three modifications over TwoLevel:
@@ -374,43 +370,3 @@ func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, 
 
 // Stats implements Predictor.
 func (p *BSA) Stats() Stats { return p.stats }
-
-// bsaState is a complete BSA checkpoint.
-type bsaState struct {
-	bhr   uint32
-	pht   []bsaCounters
-	btb   btbState
-	ras   rasState
-	stats Stats
-}
-
-func (*bsaState) stateKind() string { return "bsa" }
-
-// Snapshot implements Predictor.
-func (p *BSA) Snapshot() State {
-	s := &bsaState{bhr: p.bhr, pht: make([]bsaCounters, len(p.pht)),
-		btb: p.btb.snapshot(), ras: p.ras.snapshot(), stats: p.stats}
-	copy(s.pht, p.pht)
-	return s
-}
-
-// Restore implements Predictor.
-func (p *BSA) Restore(st State) error {
-	s, ok := st.(*bsaState)
-	if !ok {
-		return fmt.Errorf("bpred: restore: %s snapshot into a BSA predictor", st.stateKind())
-	}
-	if len(s.pht) != len(p.pht) {
-		return fmt.Errorf("bpred: restore: PHT of %d entries does not match %d", len(s.pht), len(p.pht))
-	}
-	if err := p.btb.restore(s.btb); err != nil {
-		return err
-	}
-	if err := p.ras.restore(s.ras); err != nil {
-		return err
-	}
-	p.bhr = s.bhr
-	copy(p.pht, s.pht)
-	p.stats = s.stats
-	return nil
-}

@@ -1,10 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-
-	"bsisa/internal/isa"
-)
+import "bsisa/internal/isa"
 
 // btb is a tagged, set-associative branch target buffer. Conventional
 // entries hold one target; BSA entries hold up to eight successor slots.
@@ -92,44 +88,6 @@ func (e *btbEntry) add(id isa.BlockID, max int) {
 	// replace the oldest slot.
 	copy(e.targets, e.targets[1:])
 	e.targets[len(e.targets)-1] = id
-}
-
-// btbState is a deep copy of a BTB: every entry's tag, LRU timestamp and
-// target slots, plus the replacement clock that orders them.
-type btbState struct {
-	sets, ways, slots int
-	clock             uint64
-	entries           []btbEntry // targets slices deep-copied
-}
-
-func (t *btb) snapshot() btbState {
-	s := btbState{sets: t.sets, ways: t.ways, slots: t.slots, clock: t.clock,
-		entries: make([]btbEntry, len(t.entries))}
-	copy(s.entries, t.entries)
-	for i := range s.entries {
-		if tg := s.entries[i].targets; tg != nil {
-			s.entries[i].targets = append([]isa.BlockID(nil), tg...)
-		}
-	}
-	return s
-}
-
-func (t *btb) restore(s btbState) error {
-	if s.sets != t.sets || s.ways != t.ways || s.slots != t.slots {
-		return fmt.Errorf("bpred: restore: BTB geometry %d sets/%d ways/%d slots does not match %d/%d/%d",
-			s.sets, s.ways, s.slots, t.sets, t.ways, t.slots)
-	}
-	t.clock = s.clock
-	copy(t.entries, s.entries)
-	// Re-copy the target slices: the live entries must not alias the
-	// snapshot (add mutates targets in place), and the snapshot must stay
-	// reusable for further restores.
-	for i := range t.entries {
-		if tg := s.entries[i].targets; tg != nil {
-			t.entries[i].targets = append(t.entries[i].targets[:0:0], tg...)
-		}
-	}
-	return nil
 }
 
 // TwoLevel is the conventional two-level adaptive predictor (gshare
@@ -334,43 +292,3 @@ func (p *TwoLevel) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken b
 
 // Stats implements Predictor.
 func (p *TwoLevel) Stats() Stats { return p.stats }
-
-// twoLevelState is a complete TwoLevel checkpoint.
-type twoLevelState struct {
-	bhr   uint32
-	pht   []uint8
-	btb   btbState
-	ras   rasState
-	stats Stats
-}
-
-func (*twoLevelState) stateKind() string { return "twolevel" }
-
-// Snapshot implements Predictor.
-func (p *TwoLevel) Snapshot() State {
-	s := &twoLevelState{bhr: p.bhr, pht: make([]uint8, len(p.pht)),
-		btb: p.btb.snapshot(), ras: p.ras.snapshot(), stats: p.stats}
-	copy(s.pht, p.pht)
-	return s
-}
-
-// Restore implements Predictor.
-func (p *TwoLevel) Restore(st State) error {
-	s, ok := st.(*twoLevelState)
-	if !ok {
-		return fmt.Errorf("bpred: restore: %s snapshot into a twolevel predictor", st.stateKind())
-	}
-	if len(s.pht) != len(p.pht) {
-		return fmt.Errorf("bpred: restore: PHT of %d entries does not match %d", len(s.pht), len(p.pht))
-	}
-	if err := p.btb.restore(s.btb); err != nil {
-		return err
-	}
-	if err := p.ras.restore(s.ras); err != nil {
-		return err
-	}
-	p.bhr = s.bhr
-	copy(p.pht, s.pht)
-	p.stats = s.stats
-	return nil
-}

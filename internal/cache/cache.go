@@ -219,51 +219,6 @@ func (c *Cache) accessLines(first, last uint32) int {
 	return misses
 }
 
-// Snapshot is a point-in-time checkpoint of a Cache: contents (tags and LRU
-// ordering), the replacement clock, the traffic counters, and the same-line
-// memo. Restoring it into a cache of identical geometry reproduces the exact
-// hit/miss/replacement behavior the source cache would have shown from that
-// point on — the checkpoint primitive behind the segment-parallel replay
-// engine (uarch.ReplayTraceSegmented).
-type Snapshot struct {
-	cfg      Config
-	lines    []line
-	clock    uint64
-	stats    Stats
-	lastLine uint32
-}
-
-// Snapshot captures the cache's complete state. The returned value is
-// immutable by contract: it shares nothing with the live cache, so one
-// snapshot can seed any number of Restores.
-func (c *Cache) Snapshot() *Snapshot {
-	s := &Snapshot{cfg: c.cfg, clock: c.clock, stats: c.stats, lastLine: c.lastLine}
-	if len(c.lines) > 0 {
-		s.lines = make([]line, len(c.lines))
-		copy(s.lines, c.lines)
-	}
-	return s
-}
-
-// Restore rewinds the cache to a previously captured snapshot. The snapshot
-// must come from a cache of identical geometry (same normalized Config);
-// anything else would silently reinterpret tags and sets, so it is rejected.
-// The snapshot is copied in, never aliased, and stays valid for further
-// Restores.
-func (c *Cache) Restore(s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("cache: restore: nil snapshot")
-	}
-	if s.cfg != c.cfg {
-		return fmt.Errorf("cache: restore: snapshot geometry %+v does not match cache %+v", s.cfg, c.cfg)
-	}
-	copy(c.lines, s.lines)
-	c.clock = s.clock
-	c.stats = s.stats
-	c.lastLine = s.lastLine
-	return nil
-}
-
 // Stats returns traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -150,60 +150,6 @@ func (t *Trace) ReplayContext(ctx context.Context, handler Handler) error {
 	return nil
 }
 
-// Cursor iterates a trace's committed events one at a time from an arbitrary
-// starting index — the access path of the segment-parallel replay engine
-// (uarch.ReplayTraceSegmented), whose per-segment lanes each consume a
-// contiguous slice of the stream. Like Replay, the delivered event struct is
-// reused between calls and must not be retained, and MemAddrs alias the
-// trace.
-type Cursor struct {
-	t      *Trace
-	i      int
-	memPos int
-	ev     BlockEvent
-}
-
-// CursorAt returns a cursor positioned at event index start, 0 <= start <=
-// NumEvents (positioning costs one scan of the preceding events' static
-// memory-operation counts).
-func (t *Trace) CursorAt(start int) *Cursor {
-	if start < 0 || start > len(t.blocks) {
-		panic(fmt.Sprintf("emu: cursor start %d outside trace of %d events", start, len(t.blocks)))
-	}
-	memPos := 0
-	for _, id := range t.blocks[:start] {
-		memPos += int(t.memCnt[id])
-	}
-	return &Cursor{t: t, i: start, memPos: memPos}
-}
-
-// Next returns the next event, or nil when the trace is exhausted. The
-// returned event is exactly what ReplayContext would have delivered at the
-// same index.
-func (c *Cursor) Next() *BlockEvent {
-	t := c.t
-	if c.i >= len(t.blocks) {
-		return nil
-	}
-	id := t.blocks[c.i]
-	c.ev.Block = t.prog.Blocks[id]
-	n := int(t.memCnt[id])
-	c.ev.MemAddrs = t.mem[c.memPos : c.memPos+n : c.memPos+n]
-	c.memPos += n
-	c.ev.SuccIdx = int(t.succIdx[c.i])
-	c.ev.Taken = t.taken[c.i]
-	if c.i+1 < len(t.blocks) {
-		c.ev.Next = t.blocks[c.i+1]
-	} else {
-		c.ev.Next = isa.NoBlock
-	}
-	c.i++
-	return &c.ev
-}
-
-// Index returns the index of the event the next Next call will deliver.
-func (c *Cursor) Index() int { return c.i }
-
 // Program returns the program the trace was recorded from. Replaying assumes
 // the program (including its block layout) has not been modified since.
 func (t *Trace) Program() *isa.Program { return t.prog }

@@ -63,12 +63,8 @@ type Options struct {
 	// Workers is the single concurrency knob: 0 means GOMAXPROCS, 1 forces
 	// serial execution. Precedence is outermost-first — the same budget
 	// bounds benchmark preparation, then per-benchmark config fan-out (the
-	// fused sweep engines' lane pools), and when a batch degenerates to a
-	// single configuration the whole budget is devoted to trace segments
-	// instead (uarch.ReplayTraceSegmented splits the replay across Workers
-	// lanes). Results are identical at every worker count: the fan-out
-	// determinism test in replay_test.go and the segmented equivalence tests
-	// in segment_test.go pin this.
+	// engines' lane and replay pools). Results are identical at every
+	// worker count.
 	Workers int
 	// Context, when non-nil, cancels in-flight experiment fan-outs
 	// cooperatively: preparation and simulation workers stop between work
@@ -297,14 +293,10 @@ func (h *Harness) Run(key string, prog *isa.Program, cfg uarch.Config) (*uarch.R
 
 // runMany simulates one program under several configs at once, memoizing
 // each by its key. Missing configurations share a single committed-block
-// trace (recorded on first need): any batch the unified multi-axis engine
-// accepts (uarch.CanSweep — icache sizes, predictor tables and core geometry
-// varying together) goes through one fused enrichment replay (uarch.Sweep),
-// single eligible configurations through the segment-parallel replay
-// (uarch.ReplayTraceSegmented), and everything else fans out over
-// uarch.SimulateMany's worker pool — every routed engine returns results
-// identical to the fallback, so routing never changes a table. Programs
-// without a trace slot are emulated directly, once per missing config.
+// trace (recorded on first need) and run on whichever engine uarch.Run
+// routes them to; every engine returns the same results, so routing never
+// changes a table. Programs without a trace slot are emulated directly,
+// once per missing config.
 func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config) ([]*uarch.Result, error) {
 	if len(keys) != len(cfgs) {
 		return nil, fmt.Errorf("harness: runMany: %d keys, %d configs", len(keys), len(cfgs))
@@ -332,24 +324,7 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 		for j, i := range missing {
 			need[j] = cfgs[i]
 		}
-		var rs []*uarch.Result
-		sweepable, _ := uarch.CanSweep(need)
-		switch {
-		case len(need) > 1 && sweepable:
-			rs, err = uarch.SweepContext(h.Opts.ctx(), tr, need, h.Opts.workers())
-		case len(need) == 1 && uarch.CanSegment(need[0]) && h.Opts.workers() > 1:
-			// A single missing configuration has no config fan-out to feed, so
-			// the worker budget goes to trace segments instead (the Options
-			// precedence rule). The segmented engine is field-for-field
-			// identical to the sequential replay, and falls back to it itself
-			// on degenerate splits.
-			var r *uarch.Result
-			r, err = uarch.ReplayTraceSegmentedContext(h.Opts.ctx(), tr, need[0],
-				uarch.SegmentOptions{Workers: h.Opts.workers()})
-			rs = []*uarch.Result{r}
-		default:
-			rs, err = uarch.SimulateManyContext(h.Opts.ctx(), tr, need, h.Opts.workers())
-		}
+		rs, _, err := uarch.Run(h.Opts.ctx(), tr, need, uarch.RunOptions{Workers: h.Opts.workers()})
 		if err != nil {
 			return nil, fmt.Errorf("harness: run %s: %w", keys[missing[0]], err)
 		}

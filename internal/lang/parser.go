@@ -1,10 +1,20 @@
 package lang
 
+// MaxNesting bounds the height of the tree Parse returns, counting every
+// statement, block, else-if arm, parenthesis, unary operator and operator
+// application as a level — so a left-deep chain such as 1+1+…+1 counts one
+// level per operator. The checker and the compiler walk the tree
+// recursively, so without a bound one hostile source could exhaust the
+// goroutine stack. Real programs nest far less: no Table-2 benchmark source
+// goes past 11 levels.
+const MaxNesting = 1000
+
 // Parser is a recursive-descent parser for MiniC.
 type Parser struct {
-	lex *Lexer
-	tok Token
-	err error
+	lex   *Lexer
+	tok   Token
+	err   error
+	depth int // ancestors of the node being parsed
 }
 
 // Parse parses a MiniC translation unit.
@@ -52,6 +62,16 @@ func (p *Parser) fail(format string, args ...any) {
 		p.err = errf(p.tok.Pos, format, args...)
 	}
 	p.tok = Token{Kind: TokEOF}
+}
+
+// descend moves the parse one level down the tree, to a node's children,
+// failing once they would sit deeper than MaxNesting. The caller steps back
+// up with p.depth--.
+func (p *Parser) descend() {
+	p.depth++
+	if p.depth >= MaxNesting {
+		p.fail("nesting deeper than %d levels", MaxNesting)
+	}
 }
 
 func (p *Parser) expect(k TokKind) Token {
@@ -122,22 +142,27 @@ func (p *Parser) parseBlock() *BlockStmt {
 	pos := p.tok.Pos
 	p.expect(TokLBrace)
 	b := &BlockStmt{Pos: pos}
+	p.descend()
 	for p.err == nil && p.tok.Kind != TokRBrace && p.tok.Kind != TokEOF {
 		s := p.parseStmt()
 		if s != nil {
 			b.Stmts = append(b.Stmts, s)
 		}
 	}
+	p.depth--
 	p.expect(TokRBrace)
 	return b
 }
 
 func (p *Parser) parseStmt() Stmt {
+	if p.tok.Kind == TokLBrace {
+		return p.parseBlock() // the block is the statement
+	}
+	p.descend()
+	defer func() { p.depth-- }()
 	switch p.tok.Kind {
 	case TokVar:
 		return p.parseDeclStmt()
-	case TokLBrace:
-		return p.parseBlock()
 	case TokIf:
 		return p.parseIf()
 	case TokWhile:
@@ -217,17 +242,7 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		p.fail("array element expression used as statement")
 		return nil
 	case TokLParen:
-		p.next()
-		call := &CallExpr{Pos: pos, Name: name}
-		if p.tok.Kind != TokRParen {
-			for {
-				call.Args = append(call.Args, p.parseExpr())
-				if !p.accept(TokComma) {
-					break
-				}
-			}
-		}
-		p.expect(TokRParen)
+		call, _ := p.parseCall(pos, name)
 		return &ExprStmt{Pos: pos, X: call}
 	default:
 		p.fail("expected =, [ or ( after identifier %s", name)
@@ -245,7 +260,9 @@ func (p *Parser) parseIf() Stmt {
 	st := &IfStmt{Pos: pos, Cond: cond, Then: then}
 	if p.accept(TokElse) {
 		if p.tok.Kind == TokIf {
+			p.descend()
 			st.Else = p.parseIf()
+			p.depth--
 		} else {
 			st.Else = p.parseBlock()
 		}
@@ -352,72 +369,104 @@ var binPrec = map[TokKind]int{
 	TokStar: 10, TokSlash: 10, TokPct: 10,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseBinary(1) }
+func (p *Parser) parseExpr() Expr {
+	e, _ := p.parseBinary(1)
+	return e
+}
 
-func (p *Parser) parseBinary(minPrec int) Expr {
-	left := p.parseUnary()
+// The expression parsers below return each expression with its height, so
+// that parseBinary can bound the left-deep chains it builds in a loop.
+
+func (p *Parser) parseBinary(minPrec int) (Expr, int) {
+	left, h := p.parseUnary()
 	for {
 		prec, ok := binPrec[p.tok.Kind]
 		if !ok || prec < minPrec {
-			return left
+			return left, h
 		}
 		op := p.tok.Kind
 		pos := p.tok.Pos
 		p.next()
-		right := p.parseBinary(prec + 1)
+		p.depth++
+		right, hr := p.parseBinary(prec + 1)
+		p.depth--
+		// The new node pushes left one level down without any recursion
+		// here, so the chain's height is checked per operator.
+		h = 1 + max(h, hr)
+		if p.depth+h > MaxNesting {
+			p.fail("nesting deeper than %d levels", MaxNesting)
+		}
 		left = &BinaryExpr{Pos: pos, Op: op, L: left, R: right}
 	}
 }
 
-func (p *Parser) parseUnary() Expr {
+func (p *Parser) parseUnary() (Expr, int) {
 	switch p.tok.Kind {
 	case TokMinus, TokNot, TokTilde:
 		pos := p.tok.Pos
 		op := p.tok.Kind
 		p.next()
-		return &UnaryExpr{Pos: pos, Op: op, X: p.parseUnary()}
+		p.descend()
+		x, h := p.parseUnary()
+		p.depth--
+		return &UnaryExpr{Pos: pos, Op: op, X: x}, h + 1
 	}
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() Expr {
+func (p *Parser) parsePrimary() (Expr, int) {
 	switch p.tok.Kind {
 	case TokNumber:
 		e := &NumLit{Pos: p.tok.Pos, Val: p.tok.Num}
 		p.next()
-		return e
+		return e, 1
 	case TokLParen:
 		p.next()
-		e := p.parseExpr()
+		p.descend()
+		e, h := p.parseBinary(1)
+		p.depth--
 		p.expect(TokRParen)
-		return e
+		return e, h + 1
 	case TokIdent:
 		pos := p.tok.Pos
 		name := p.tok.Text
 		p.next()
 		switch p.tok.Kind {
 		case TokLParen:
-			p.next()
-			call := &CallExpr{Pos: pos, Name: name}
-			if p.tok.Kind != TokRParen {
-				for {
-					call.Args = append(call.Args, p.parseExpr())
-					if !p.accept(TokComma) {
-						break
-					}
-				}
-			}
-			p.expect(TokRParen)
-			return call
+			return p.parseCall(pos, name)
 		case TokLBracket:
 			p.next()
-			idx := p.parseExpr()
+			p.descend()
+			idx, h := p.parseBinary(1)
+			p.depth--
 			p.expect(TokRBracket)
-			return &IndexExpr{Pos: pos, Name: name, Index: idx}
+			return &IndexExpr{Pos: pos, Name: name, Index: idx}, h + 1
 		default:
-			return &Ident{Pos: pos, Name: name}
+			return &Ident{Pos: pos, Name: name}, 1
 		}
 	}
 	p.fail("expected expression, found %s", p.tok)
-	return &NumLit{Pos: p.tok.Pos}
+	return &NumLit{Pos: p.tok.Pos}, 1
+}
+
+// parseCall parses a call's parenthesized arguments; the callee name has
+// been consumed and the current token is the opening parenthesis.
+func (p *Parser) parseCall(pos Pos, name string) (*CallExpr, int) {
+	p.next()
+	call := &CallExpr{Pos: pos, Name: name}
+	h := 0
+	p.descend()
+	if p.tok.Kind != TokRParen {
+		for {
+			a, ha := p.parseBinary(1)
+			call.Args = append(call.Args, a)
+			h = max(h, ha)
+			if !p.accept(TokComma) {
+				break
+			}
+		}
+	}
+	p.depth--
+	p.expect(TokRParen)
+	return call, h + 1
 }

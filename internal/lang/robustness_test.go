@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -105,5 +106,49 @@ func TestParenNesting(t *testing.T) {
 	src := "func main() { out(" + expr + "); }"
 	if _, err := Parse(src); err != nil {
 		t.Fatalf("deep parens: %v", err)
+	}
+}
+
+// TestParseNestingBound builds each shape that deepens the tree — nested
+// parentheses, a unary chain, a left-deep operator chain, nested blocks and
+// an else-if chain — once MaxNesting+1 levels deep, which Parse must refuse
+// with a positioned error, and once comfortably under the bound, which must
+// parse and check.
+func TestParseNestingBound(t *testing.T) {
+	shapes := []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"parentheses", func(n int) string {
+			return "func main() { out(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "); }"
+		}},
+		{"unary chain", func(n int) string {
+			return "func main() { out(" + strings.Repeat("- ", n) + "1); }"
+		}},
+		{"operator chain", func(n int) string {
+			return "func main() { out(1" + strings.Repeat("+1", n) + "); }"
+		}},
+		{"nested blocks", func(n int) string {
+			return "func main() { " + strings.Repeat("{ ", n) + "out(1);" + strings.Repeat(" }", n) + " }"
+		}},
+		{"else-if chain", func(n int) string {
+			return "func main() { if (0) { out(0); }" + strings.Repeat(" else if (0) { out(0); }", n) + " else { out(1); } }"
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			_, err := Parse(sh.src(MaxNesting + 1))
+			var lerr *Error
+			if !errors.As(err, &lerr) || !strings.Contains(lerr.Msg, "nesting") || lerr.Pos.Line != 1 || lerr.Pos.Col <= 1 {
+				t.Fatalf("%d levels: err = %v, want a positioned nesting error", MaxNesting+1, err)
+			}
+			f, err := Parse(sh.src(MaxNesting - 20))
+			if err != nil {
+				t.Fatalf("%d levels: %v", MaxNesting-20, err)
+			}
+			if _, err := Check(f); err != nil {
+				t.Fatalf("%d levels: check: %v", MaxNesting-20, err)
+			}
+		})
 	}
 }

@@ -66,79 +66,6 @@ func TestServerFourBackends(t *testing.T) {
 	}
 }
 
-// TestPredSweepSpecCompat pins the deprecation contract: a PredSweepSpec
-// request and the equivalent unified SweepSpec request must produce
-// field-for-field identical result lists — the old spec is accepted and
-// folded onto the one sweep-building path, changing nothing on the wire but
-// the experiment label.
-func TestPredSweepSpecCompat(t *testing.T) {
-	_, ts := testServer(t, quietConfig())
-	seed := int64(42)
-	base := &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}}
-
-	oldReq := &SimRequest{
-		Version: SchemaVersion,
-		Program: ProgramSpec{Seed: &seed, ISA: "bsa"},
-		PredSweep: &PredSweepSpec{
-			HistoryBits: []int{2, 8, 16},
-			PHTEntries:  []int{1024, 8192},
-			BTBSets:     []int{256},
-			Base:        base,
-		},
-	}
-	newReq := &SimRequest{
-		Version: SchemaVersion,
-		Program: ProgramSpec{Seed: &seed, ISA: "bsa"},
-		Sweep: &SweepSpec{
-			HistoryBits: []int{2, 8, 16},
-			PHTEntries:  []int{1024, 8192},
-			BTBSets:     []int{256},
-			Base:        base,
-		},
-	}
-	oldStatus, oldResp := post(t, ts, oldReq)
-	newStatus, newResp := post(t, ts, newReq)
-	if oldStatus != http.StatusOK || newStatus != http.StatusOK {
-		t.Fatalf("status %d / %d: %s / %s", oldStatus, newStatus, oldResp.Error, newResp.Error)
-	}
-	if oldResp.Experiment != "predsweep" || newResp.Experiment != "sweep" {
-		t.Fatalf("experiments %q / %q, want predsweep / sweep", oldResp.Experiment, newResp.Experiment)
-	}
-	if len(oldResp.Results) != len(newResp.Results) || len(oldResp.Results) == 0 {
-		t.Fatalf("result counts %d / %d", len(oldResp.Results), len(newResp.Results))
-	}
-	for i := range oldResp.Results {
-		o, n := oldResp.Results[i], newResp.Results[i]
-		if o.Predictor == nil || n.Predictor == nil || *o.Predictor != *n.Predictor {
-			t.Fatalf("result %d predictor echo diverges: %+v vs %+v", i, o.Predictor, n.Predictor)
-		}
-		o.Predictor, n.Predictor = nil, nil
-		if o != n {
-			t.Fatalf("result %d diverges between the deprecated and unified specs:\nold: %+v\nnew: %+v", i, o, n)
-		}
-	}
-	// Both plans also agree structurally — the fold reuses buildSweep.
-	oldPlan, err := BuildConfig(oldReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPlan, err := BuildConfig(newReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldPlan.Configs) != len(newPlan.Configs) {
-		t.Fatalf("plan sizes %d / %d", len(oldPlan.Configs), len(newPlan.Configs))
-	}
-	for i := range oldPlan.Configs {
-		if oldPlan.Configs[i] != newPlan.Configs[i] {
-			t.Fatalf("plan config %d diverges:\nold: %+v\nnew: %+v", i, oldPlan.Configs[i], newPlan.Configs[i])
-		}
-	}
-	if !oldPlan.PredSweep || oldPlan.Sweep {
-		t.Fatalf("deprecated spec lost its experiment label: %+v", oldPlan)
-	}
-}
-
 // TestErrorCodeMapping pins the errors.Is → wire-code taxonomy.
 func TestErrorCodeMapping(t *testing.T) {
 	for _, tc := range []struct {

@@ -17,7 +17,7 @@ import (
 // typically hits the artifact caches instead).
 //
 // Coalescing is keyed on the validated Plan — program, emulation budget,
-// configurations, segment hint — never on the request ID or timeout, so two
+// configurations — never on the request ID or timeout, so two
 // clients asking the same question at the same moment cost one pass. A
 // follower never inherits an outcome that only reflects the leader's own
 // lifetime (its client disconnecting, or the client's own request deadline):
@@ -73,13 +73,11 @@ func (c *coalescer) finish(key string, f *flight, out jobOutcome) {
 // answer and nothing that is per-request (ID, timeout).
 func coalesceKey(plan *Plan) string {
 	blob, err := json.Marshal(struct {
-		Program   ProgramSpec
-		MaxOps    int64
-		Configs   any
-		Segments  int
-		Sweep     bool
-		PredSweep bool
-	}{plan.Program, plan.EmuCfg.MaxOps, plan.Configs, plan.Segments, plan.Sweep, plan.PredSweep})
+		Program ProgramSpec
+		MaxOps  int64
+		Configs any
+		Sweep   bool
+	}{plan.Program, plan.EmuCfg.MaxOps, plan.Configs, plan.Sweep})
 	if err != nil {
 		// Plans contain only marshalable fields; this cannot happen.
 		panic(fmt.Sprintf("svc: coalesceKey: %v", err))

@@ -80,8 +80,7 @@ func TestCoalescerFinishRetiresFlight(t *testing.T) {
 }
 
 // TestCoalesceKeyCoverage checks the key covers what determines the answer
-// (program, budget, configs, segments) and ignores what does not (ID,
-// timeout).
+// (program, budget, configs) and ignores what does not (ID, timeout).
 func TestCoalesceKeyCoverage(t *testing.T) {
 	seed := int64(7)
 	mk := func(mut func(*SimRequest)) string {
@@ -108,79 +107,20 @@ func TestCoalesceKeyCoverage(t *testing.T) {
 	if mk(func(r *SimRequest) { r.Config.ICache.SizeBytes = 4096 }) == base {
 		t.Fatal("key must cover the configuration")
 	}
-	if mk(func(r *SimRequest) { r.Segments = 4 }) == base {
-		t.Fatal("key must cover the segment hint")
-	}
 	if mk(func(r *SimRequest) { r.EmuMaxOps = 500 }) == base {
 		t.Fatal("key must cover the emulation budget")
 	}
 }
 
-// TestBuildConfigSegments covers the segments field's validation: negative
-// counts and non-single-config requests are bad requests; a single-config
-// request carries the hint into the plan.
-func TestBuildConfigSegments(t *testing.T) {
-	seed := int64(7)
-	prog := ProgramSpec{Seed: &seed, ISA: "conv"}
-	cases := []struct {
-		name string
-		req  *SimRequest
-		ok   bool
-	}{
-		{"negative", &SimRequest{Version: SchemaVersion, Program: prog,
-			Config: &ConfigSpec{}, Segments: -1}, false},
-		{"with sweep", &SimRequest{Version: SchemaVersion, Program: prog,
-			Sweep: &SweepSpec{ICacheSizes: []int{0, 2048}}, Segments: 4}, false},
-		{"with predsweep", &SimRequest{Version: SchemaVersion, Program: prog,
-			PredSweep: &PredSweepSpec{HistoryBits: []int{2, 8}}, Segments: 4}, false},
-		{"single config", &SimRequest{Version: SchemaVersion, Program: prog,
-			Config: &ConfigSpec{}, Segments: 4}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan, err := BuildConfig(tc.req)
-			if tc.ok {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				if plan.Segments != tc.req.Segments {
-					t.Fatalf("plan.Segments = %d, want %d", plan.Segments, tc.req.Segments)
-				}
-				return
-			}
-			if !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("error %v, want ErrBadRequest", err)
-			}
-		})
-	}
-}
-
-// TestServerSegmentedEngine gives the server engine workers to spend and
-// requires a single-config job to route through the segment-parallel engine
-// with the answer field-for-field identical to sequential replay.
-func TestServerSegmentedEngine(t *testing.T) {
+// TestServerSingleConfigEngine gives the server engine workers to spend and
+// requires a single-config job to take one live replay, with the answer
+// field-for-field identical to ReplayTrace, and every job's engine to be the
+// one uarch.RouteFor picks for its plan.
+func TestServerSingleConfigEngine(t *testing.T) {
 	cfg := quietConfig()
 	cfg.JobWorkers = 4
-	s, ts := testServer(t, cfg)
+	_, ts := testServer(t, cfg)
 	seed := int64(42)
-	req := &SimRequest{
-		Version:  SchemaVersion,
-		Program:  ProgramSpec{Seed: &seed, ISA: "conv"},
-		Config:   &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
-		Segments: 4,
-	}
-	status, resp := post(t, ts, req)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, resp.Error)
-	}
-	if resp.Engine != engineSegmented {
-		t.Fatalf("engine %q, want %q", resp.Engine, engineSegmented)
-	}
-
-	plan, err := BuildConfig(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog, err := compile.Compile(testgen.Program(seed), "t", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		t.Fatal(err)
@@ -189,34 +129,58 @@ func TestServerSegmentedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := uarch.ReplayTrace(tr, plan.Configs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
-		t.Fatalf("segmented answer diverges from sequential replay:\nservice: %+v\ndirect:  %+v",
-			resp.Results, ResultOf(plan.ICacheBytes[0], want))
-	}
-	if n := s.metrics.segDone.Load(); n < 1 {
-		t.Fatalf("segments_completed = %d, want >= 1", n)
-	}
-	if got := s.metrics.segQueued.Load(); got != 0 {
-		t.Fatalf("segment queue depth %d after the job drained, want 0", got)
+	run := func(label string, req *SimRequest) (*Plan, *SimResponse) {
+		t.Helper()
+		status, resp := post(t, ts, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", label, status, resp.Error)
+		}
+		plan, err := BuildConfig(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := string(uarch.RouteFor(plan.Configs).Engine); resp.Engine != want {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, want)
+		}
+		return plan, resp
 	}
 
-	// Configs the segment engine cannot serve fall back to per-config replay
-	// even with workers to spend.
-	tcReq := &SimRequest{
-		Version: SchemaVersion,
-		Program: ProgramSpec{Seed: &seed, ISA: "conv"},
-		Config:  &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
+	// The request schema has no trace-cache knob, so the second single
+	// config varies what it can: perfect icache and perfect prediction.
+	for label, spec := range map[string]*ConfigSpec{
+		"plain":   {ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
+		"perfect": {PerfectBP: true},
+	} {
+		plan, resp := run(label, &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Config:  spec,
+		})
+		if resp.Engine != string(uarch.EngineMany) {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, uarch.EngineMany)
+		}
+		want, err := uarch.ReplayTrace(tr, plan.Configs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
+			t.Fatalf("%s: answer diverges from ReplayTrace:\nservice: %+v\ndirect:  %+v",
+				label, resp.Results, ResultOf(plan.ICacheBytes[0], want))
+		}
 	}
-	tcPlan, err := BuildConfig(tcReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !uarch.CanSegment(tcPlan.Configs[0]) {
-		t.Fatal("plain config should be segmentable")
+
+	for label, sw := range map[string]*SweepSpec{
+		"icache":         {ICacheSizes: []int{0, 2048, 8192}},
+		"history×icache": {ICacheSizes: []int{2048, 8192}, HistoryBits: []int{4, 12}},
+	} {
+		_, resp := run(label, &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Sweep:   sw,
+		})
+		if resp.Engine != string(uarch.EngineSweep) {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, uarch.EngineSweep)
+		}
 	}
 }
 

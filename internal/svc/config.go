@@ -30,16 +30,14 @@ type Plan struct {
 	// ICacheBytes echoes each config's icache size for the response.
 	ICacheBytes []int
 	// Predictors echoes each config's predictor point for the response on
-	// predictor sweeps and on multi-axis sweeps that set a predictor axis
-	// (nil otherwise).
+	// sweeps that set a predictor axis (nil otherwise).
 	Predictors []*PredictorSpec
 	// Sweep records whether the request was a SweepSpec (the response
 	// renders a sweep table).
 	Sweep bool
-	// PredSweep records whether the request was a PredSweepSpec.
-	PredSweep bool
-	// Segments is the requested segment count for the segment-parallel
-	// replay engine (single-Config plans only; 0 = auto).
+	// Segments is always zero: schema v2 dropped the segments field.
+	//
+	// Deprecated: only svcbench's replica still reads it.
 	Segments int
 	// Timeout is the requested per-job deadline (0 = server default).
 	Timeout time.Duration
@@ -96,23 +94,9 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 		EmuCfg:  emu.Config{MaxOps: req.EmuMaxOps},
 		Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
 	}
-	modes := 0
-	for _, set := range []bool{req.Config != nil, req.Sweep != nil, req.PredSweep != nil} {
-		if set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return nil, fmt.Errorf("%w: request sets %d of config, sweep, pred_sweep (want one)", ErrBadRequest, modes)
-	}
-	if req.Segments < 0 {
-		return nil, fmt.Errorf("%w: negative segment count %d", ErrBadRequest, req.Segments)
-	}
-	if req.Segments > 0 && req.Config == nil {
-		return nil, fmt.Errorf("%w: segments only applies to single-config runs", ErrBadRequest)
-	}
-	plan.Segments = req.Segments
 	switch {
+	case req.Config != nil && req.Sweep != nil:
+		return nil, fmt.Errorf("%w: request sets both config and sweep (want one)", ErrBadRequest)
 	case req.Config != nil:
 		cfg := req.Config.toUarch()
 		if err := cfg.Validate(); err != nil {
@@ -124,12 +108,8 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 		if err := buildSweep(plan, req.Sweep); err != nil {
 			return nil, err
 		}
-	case req.PredSweep != nil:
-		if err := buildPredSweep(plan, req.PredSweep); err != nil {
-			return nil, err
-		}
 	default:
-		return nil, fmt.Errorf("%w: request sets none of config, sweep, pred_sweep", ErrBadRequest)
+		return nil, fmt.Errorf("%w: request sets neither config nor sweep", ErrBadRequest)
 	}
 	return plan, nil
 }
@@ -243,31 +223,6 @@ func buildSweep(plan *Plan, sw *SweepSpec) error {
 		}
 	}
 	plan.Sweep = true
-	return nil
-}
-
-// buildPredSweep accepts the deprecated PredSweepSpec by normalizing it onto
-// the unified sweep path: a predictor sweep is exactly a SweepSpec with no
-// icache axis, so the spec is re-expressed as one and handed to buildSweep.
-// Only the response flavor differs — the plan is flagged PredSweep, not
-// Sweep, so the rendered table keeps its historical predictor-sweep shape.
-// Responses are field-for-field identical to the pre-fold dedicated
-// expansion (the compat test in config_test.go pins this).
-func buildPredSweep(plan *Plan, ps *PredSweepSpec) error {
-	if len(ps.HistoryBits) == 0 && len(ps.PHTEntries) == 0 && len(ps.BTBSets) == 0 {
-		return fmt.Errorf("%w: predictor sweep sets no axis", ErrBadSweep)
-	}
-	sw := &SweepSpec{
-		HistoryBits: ps.HistoryBits,
-		PHTEntries:  ps.PHTEntries,
-		BTBSets:     ps.BTBSets,
-		Base:        ps.Base,
-	}
-	if err := buildSweep(plan, sw); err != nil {
-		return err
-	}
-	plan.Sweep = false
-	plan.PredSweep = true
 	return nil
 }
 

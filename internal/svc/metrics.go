@@ -10,18 +10,16 @@ import (
 
 // Pipeline stages instrumented with latency histograms. "replay" is the
 // per-config SimulateMany path, "sweep" the unified multi-axis single-pass
-// engine (icache, predictor, and cross-product grids alike), "segreplay" the
-// segment-parallel single-config engine; a job exercises exactly one of the
-// three.
+// engine (icache, predictor, and cross-product grids alike); a job exercises
+// exactly one of the two.
 const (
-	stageCompile   = "compile"
-	stageTrace     = "trace"
-	stageReplay    = "replay"
-	stageSweep     = "sweep"
-	stageSegReplay = "segreplay"
+	stageCompile = "compile"
+	stageTrace   = "trace"
+	stageReplay  = "replay"
+	stageSweep   = "sweep"
 )
 
-var stageNames = []string{stageCompile, stageTrace, stageReplay, stageSweep, stageSegReplay}
+var stageNames = []string{stageCompile, stageTrace, stageReplay, stageSweep}
 
 // histBounds are the histogram bucket upper bounds in seconds (+Inf is
 // implicit): tuned to straddle the pipeline's dynamic range, from cached
@@ -57,10 +55,6 @@ type metrics struct {
 	queued       atomic.Int64 // jobs waiting for a pool slot
 	coalesced    atomic.Int64 // requests answered from another request's pass
 
-	segQueued   atomic.Int64 // segment lanes waiting for a lane worker
-	segDone     atomic.Int64 // segment lanes completed
-	segDuration histogram    // per-segment lane replay latency
-
 	traceRecords atomic.Int64 // traces actually recorded (cache+store misses)
 
 	stages map[string]*histogram
@@ -81,16 +75,6 @@ func (m *metrics) observeStage(stage string, d time.Duration) {
 	}
 }
 
-// segObserver adapts the metrics to uarch.SegmentObserver: the segment-queue
-// depth gauge tracks lanes waiting for a worker, and every finished lane
-// lands in the per-segment latency histogram. One observer serves every
-// concurrent segmented job (the gauge is the server-wide backlog).
-type segObserver struct{ m *metrics }
-
-func (o segObserver) SegmentsQueued(n int)        { o.m.segQueued.Add(int64(n)) }
-func (o segObserver) SegmentStart()               { o.m.segQueued.Add(-1) }
-func (o segObserver) SegmentDone(d time.Duration) { o.m.segDone.Add(1); o.m.segDuration.observe(d) }
-
 // writeProm renders the Prometheus text exposition format.
 // programs/traces/predecodes carry the artifact cache counters snapshotted by
 // the caller; store carries the persistent-store counters, or nil when the
@@ -109,9 +93,6 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 	gauge("bsimd_jobs_queued", "Jobs waiting for a pool slot.", m.queued.Load())
 	counter("bsimd_coalesced_requests_total",
 		"Requests answered from a concurrent identical request's simulation pass.", m.coalesced.Load())
-	gauge("bsimd_segment_queue_depth",
-		"Segment lanes waiting for a replay worker across all in-flight segmented jobs.", m.segQueued.Load())
-	counter("bsimd_segments_completed_total", "Segment lanes completed.", m.segDone.Load())
 	counter("bsimd_trace_records_total",
 		"Traces recorded from scratch (every cache and store tier missed).", m.traceRecords.Load())
 
@@ -155,19 +136,6 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"program\"} %d\n", programs.Entries)
 	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"trace\"} %d\n", traces.Entries)
 	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"predecode\"} %d\n", predecodes.Entries)
-
-	fmt.Fprintf(w, "# HELP bsimd_segment_seconds Per-segment lane replay latency.\n")
-	fmt.Fprintf(w, "# TYPE bsimd_segment_seconds histogram\n")
-	sh := &m.segDuration
-	segCum := int64(0)
-	for i, bound := range histBounds {
-		segCum += sh.buckets[i].Load()
-		fmt.Fprintf(w, "bsimd_segment_seconds_bucket{le=\"%g\"} %d\n", bound, segCum)
-	}
-	segCum += sh.buckets[len(histBounds)].Load()
-	fmt.Fprintf(w, "bsimd_segment_seconds_bucket{le=\"+Inf\"} %d\n", segCum)
-	fmt.Fprintf(w, "bsimd_segment_seconds_sum %g\n", time.Duration(sh.sumNs.Load()).Seconds())
-	fmt.Fprintf(w, "bsimd_segment_seconds_count %d\n", sh.count.Load())
 
 	fmt.Fprintf(w, "# HELP bsimd_stage_seconds Pipeline stage latency by stage.\n")
 	fmt.Fprintf(w, "# TYPE bsimd_stage_seconds histogram\n")

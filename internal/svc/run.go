@@ -15,13 +15,6 @@ import (
 	"bsisa/internal/workload"
 )
 
-// Engine names reported in responses and logs.
-const (
-	engineSweep     = "sweep"
-	engineSegmented = "replay-segmented"
-	engineMany      = "simulate-many"
-)
-
 // builtProgram is the program artifact cached across requests.
 type builtProgram struct {
 	prog    *isa.Program
@@ -57,10 +50,8 @@ func (ct *cachedTrace) unref() {
 func (ct *cachedTrace) zeroCopy() bool { return ct.mapped != nil && ct.mapped.ZeroCopy() }
 
 // execute runs one job end to end: program (cached) → trace (cached) →
-// timing engine, with the same routing rule as the CLI tools — the unified
-// multi-axis sweep engine whenever the config batch qualifies, per-config
-// replay otherwise — so service answers are field-for-field identical to
-// CLI answers. The returned error (also recorded in the envelope's Error
+// timing engine, on the route uarch.Run takes for the CLI tools too, so
+// service answers are field-for-field identical to CLI answers. The returned error (also recorded in the envelope's Error
 // field) classifies the failure for the HTTP layer.
 func (s *Server) execute(j *job) (*SimResponse, error) {
 	start := time.Now()
@@ -68,9 +59,6 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	resp := &SimResponse{Version: SchemaVersion, ID: j.req.ID, Experiment: "sim"}
 	if plan.Sweep {
 		resp.Experiment = "sweep"
-	}
-	if plan.PredSweep {
-		resp.Experiment = "predsweep"
 	}
 	if plan.Program.Workload != "" {
 		resp.Scale = plan.Program.Scale
@@ -141,29 +129,19 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	defer ct.unref()
 	tr := ct.tr
 
-	// Timing: same routing as harness.runMany / bsim -sweep-icache, plus the
-	// segment-parallel engine for single-config plans that qualify when the
-	// job has workers to spend (no sweep to fan out over).
-	engine, stage := engineMany, stageReplay
-	sweepable, _ := uarch.CanSweep(plan.Configs)
-	switch {
-	case len(plan.Configs) > 1 && sweepable:
-		engine, stage = engineSweep, stageSweep
-	case len(plan.Configs) == 1 && uarch.CanSegment(plan.Configs[0]) && s.jobWorkers() > 1:
-		engine, stage = engineSegmented, stageSegReplay
-	}
-	resp.Engine = engine
-
 	// Predecode artifact: the sweep engine flattens the program into
 	// per-lane op tables before walking the trace; share that flattening
 	// across requests (it depends only on program + issue width). With a
 	// store, the trace file carries one aux section per issue width across
 	// restarts: decode the matching section when present, and attach a
 	// freshly flattened table for this width otherwise (sections for other
-	// widths are preserved).
+	// widths are preserved). Only the sweep route asks for it.
+	route := uarch.RouteFor(plan.Configs)
+	stage := stageReplay
 	var pre *uarch.Predecoded
 	preHit := false
-	if engine == engineSweep {
+	if route.Engine == uarch.EngineSweep {
+		stage = stageSweep
 		iw := plan.Configs[0].EffectiveIssueWidth()
 		prv, hit, perr := s.predecodes.do(predecodeKey(progKey, iw), func() (any, error) {
 			for _, sec := range ct.aux {
@@ -188,29 +166,14 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 			pre, preHit = prv.(*uarch.Predecoded), hit
 		}
 	}
+	resp.Engine = string(route.Engine)
 	resp.ArtifactCache = &ArtifactHits{
 		Program: progHit, Trace: traceHit, Predecode: preHit,
 		Store: ct.fromStore, Mmap: ct.zeroCopy(),
 	}
 
 	t0 := time.Now()
-	var results []*uarch.Result
-	switch engine {
-	case engineSweep:
-		results, err = uarch.SweepPredecoded(j.ctx, tr, plan.Configs, s.cfg.JobWorkers, pre)
-	case engineSegmented:
-		var r *uarch.Result
-		r, err = uarch.ReplayTraceSegmentedContext(j.ctx, tr, plan.Configs[0], uarch.SegmentOptions{
-			Workers:  s.cfg.JobWorkers,
-			Segments: plan.Segments,
-			Observer: segObserver{s.metrics},
-		})
-		if err == nil {
-			results = []*uarch.Result{r}
-		}
-	default:
-		results, err = uarch.SimulateManyContext(j.ctx, tr, plan.Configs, s.cfg.JobWorkers)
-	}
+	results, _, err := uarch.Run(j.ctx, tr, plan.Configs, uarch.RunOptions{Workers: s.cfg.JobWorkers, Predecoded: pre})
 	engineWall := time.Since(t0)
 	s.metrics.observeStage(stage, engineWall)
 	if err != nil {
@@ -227,7 +190,8 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	resp.Table = renderTable(plan, resp.Results)
 	resp.WallMs = time.Since(start).Milliseconds()
 	s.cfg.Logger.Info("job done",
-		"job", j.id, "id", j.req.ID, "experiment", resp.Experiment, "engine", engine,
+		"job", j.id, "id", j.req.ID, "experiment", resp.Experiment,
+		"engine", resp.Engine, "engine_reason", route.Reason,
 		"configs", len(plan.Configs), "events", tr.NumEvents(),
 		"program_cache_hit", progHit, "trace_cache_hit", traceHit,
 		"engine_ms", engineWall.Milliseconds(), "wall_ms", resp.WallMs)
@@ -279,17 +243,6 @@ func buildProgram(plan *Plan) (*builtProgram, error) {
 // renderTable renders the human-oriented table for a service response,
 // mirroring bsim's sweep output columns.
 func renderTable(plan *Plan, results []SimResult) *Table {
-	if plan.PredSweep {
-		t := &stats.Table{
-			Title:   fmt.Sprintf("Predictor sweep (%s)", plan.Program.ISA),
-			Columns: []string{"Predictor", "Cycles", "IPC", "Mispredicts"},
-		}
-		for _, r := range results {
-			t.AddRow(predictorLabel(r.Predictor), r.Cycles, r.IPC,
-				r.TrapMispredicts+r.FaultMispredicts+r.Misfetches)
-		}
-		return TableOf(t)
-	}
 	multiAxis := plan.Sweep && plan.Predictors != nil
 	t := &stats.Table{
 		Columns: []string{"ICache", "Cycles", "IPC", "ICMiss%", "Mispredicts"},

@@ -21,12 +21,11 @@ import (
 // SchemaVersion is the request/response schema this package speaks. Requests
 // must carry it in their "version" field; responses echo it. Bump it only
 // with a migration note in DESIGN.md §8.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // SimRequest is one simulation job. Exactly one program source (source,
-// seed, or workload) and exactly one of Config (single timing run), Sweep
-// (icache sensitivity sweep), or PredSweep (branch-predictor sensitivity
-// sweep) must be set.
+// seed, or workload) and exactly one of Config (single timing run) or Sweep
+// (multi-axis sensitivity sweep) must be set.
 type SimRequest struct {
 	// Version must equal SchemaVersion.
 	Version int `json:"version"`
@@ -40,18 +39,9 @@ type SimRequest struct {
 	EmuMaxOps int64 `json:"emu_max_ops,omitempty"`
 	// Config runs a single timing simulation.
 	Config *ConfigSpec `json:"config,omitempty"`
-	// Sweep runs an icache sensitivity sweep (Figure 6/7 style).
+	// Sweep runs a sensitivity sweep over icache sizes and predictor tables
+	// (Figure 6/7 style).
 	Sweep *SweepSpec `json:"sweep,omitempty"`
-	// PredSweep runs a branch-predictor sensitivity sweep over the cross
-	// product of its axes (schema-additive; older clients never see it).
-	PredSweep *PredSweepSpec `json:"pred_sweep,omitempty"`
-	// Segments, on a single-Config run, asks the segment-parallel replay
-	// engine to split the trace into this many checkpointed segments (0 =
-	// auto-sized from the server's per-job worker budget). Results are
-	// field-for-field identical at every segment count; the knob only trades
-	// latency. Schema-additive: only valid with Config, rejected with Sweep
-	// or PredSweep.
-	Segments int `json:"segments,omitempty"`
 	// TimeoutMs, when positive, caps the job's wall time; the job's context
 	// is canceled at the deadline (subject to the server's own ceiling).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
@@ -147,31 +137,6 @@ type SweepSpec struct {
 	Base *ConfigSpec `json:"base,omitempty"`
 }
 
-// PredSweepSpec requests one timing result per branch-predictor point over a
-// shared base machine: the cross product of its axes, in axis-major order
-// (history outermost, then PHT entries, then BTB sets). An empty axis keeps
-// the base configuration's value for that knob, so a single-axis sweep is
-// just {"history_bits": [2, 4, 8]}. A zero in an axis selects the paper's
-// default for that knob.
-//
-// Deprecated: pred_sweep is a proper subset of Sweep (a SweepSpec with no
-// icache_sizes). It is still accepted and answers identically — requests are
-// normalized onto the unified sweep path internally — but new clients should
-// send "sweep" with predictor axes instead.
-type PredSweepSpec struct {
-	// HistoryBits sweeps the branch-history register length consumed by the
-	// PHT index (0..32).
-	HistoryBits []int `json:"history_bits,omitempty"`
-	// PHTEntries sweeps the pattern-history-table size (powers of two).
-	PHTEntries []int `json:"pht_entries,omitempty"`
-	// BTBSets sweeps the branch-target-buffer set count (powers of two).
-	BTBSets []int `json:"btb_sets,omitempty"`
-	// Base carries every non-swept knob, including the icache geometry and
-	// fixed predictor fields such as BTB ways or RAS depth (nil = the
-	// paper's machine).
-	Base *ConfigSpec `json:"base,omitempty"`
-}
-
 // SimResponse is the service's response envelope, also emitted by
 // `bsbench -json` for BENCH_<experiment>.json artifacts so both surfaces
 // share one schema.
@@ -194,9 +159,9 @@ type SimResponse struct {
 	// "unavailable", "timeout", "canceled", or "internal". Empty on success
 	// (schema-additive; classify with it instead of parsing Error text).
 	ErrorCode string `json:"error_code,omitempty"`
-	// Engine reports which timing path ran: "sweep" (the unified multi-axis
-	// single-pass engine), "replay-segmented" (the segment-parallel
-	// single-config engine), or "simulate-many" (one replay per config).
+	// Engine reports which timing path uarch.Run took: "sweep" (the unified
+	// multi-axis single-pass engine) or "simulate-many" (one replay per
+	// config).
 	Engine string `json:"engine,omitempty"`
 	// ArtifactCache reports whether this job reused a cached compiled
 	// program / recorded trace.
@@ -251,9 +216,8 @@ type CacheStatsJSON struct {
 // field-for-field against bsim/bsbench output.
 type SimResult struct {
 	ICacheBytes int `json:"icache_bytes"` // 0 = perfect
-	// Predictor echoes the configuration's predictor point on predictor
-	// sweeps and on multi-axis sweeps that set a predictor axis (nil
-	// elsewhere; schema-additive).
+	// Predictor echoes the configuration's predictor point on sweeps that
+	// set a predictor axis (nil elsewhere).
 	Predictor *PredictorSpec `json:"predictor,omitempty"`
 
 	Cycles int64   `json:"cycles"`

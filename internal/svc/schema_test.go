@@ -2,6 +2,7 @@ package svc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,18 +10,24 @@ import (
 )
 
 func TestDecodeRequestStrict(t *testing.T) {
+	v := fmt.Sprintf(`{"version":%d`, SchemaVersion)
 	cases := []struct {
 		name string
 		body string
 		want error // nil means the decode must succeed
 	}{
-		{"minimal sim", `{"version":1,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
-		{"minimal sweep", `{"version":1,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
-		{"unknown top-level field", `{"version":1,"prorgam":{}}`, ErrBadRequest},
-		{"unknown nested field", `{"version":1,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
-		{"trailing data", `{"version":1,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
+		{"minimal sim", v + `,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
+		{"minimal sweep", v + `,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
+		{"unknown top-level field", v + `,"prorgam":{}}`, ErrBadRequest},
+		{"unknown nested field", v + `,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
+		{"trailing data", v + `,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
 		{"missing version", `{"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
 		{"future version", `{"version":99,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+		// Schema v2 dropped pred_sweep and segments: a v1 body is refused by
+		// version, and a v2 body carrying either field by strict decoding.
+		{"v1 body", `{"version":1,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+		{"segments field", v + `,"program":{"seed":7,"isa":"conv"},"config":{},"segments":4}`, ErrBadRequest},
+		{"pred_sweep field", v + `,"program":{"seed":7,"isa":"conv"},"pred_sweep":{"history_bits":[2,8]}}`, ErrBadRequest},
 		{"not json", `hello`, ErrBadRequest},
 	}
 	for _, tc := range cases {
@@ -63,7 +70,7 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 		want   error
 	}{
 		{"ok", nil, nil},
-		{"wrong version", func(r *SimRequest) { r.Version = 2 }, ErrBadVersion},
+		{"wrong version", func(r *SimRequest) { r.Version = SchemaVersion + 1 }, ErrBadVersion},
 		{"no program source", func(r *SimRequest) { r.Program.Seed = nil }, ErrBadProgram},
 		{"two program sources", func(r *SimRequest) { r.Program.Workload = "compress" }, ErrBadProgram},
 		{"unknown workload", func(r *SimRequest) {
@@ -110,30 +117,19 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 			r.Sweep = &SweepSpec{HistoryBits: []int{-2}, ICacheSizes: []int{8192}}
 		}, ErrBadSweep},
 		{"both config and pred sweep", func(r *SimRequest) {
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{2, 4}}
+			r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}}
 		}, ErrBadRequest},
-		{"pred sweep with no axis", func(r *SimRequest) {
-			r.Config = nil
-			r.PredSweep = &PredSweepSpec{}
-		}, ErrBadSweep},
 		{"negative pred sweep axis", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{-2}}
+			r.Sweep = &SweepSpec{HistoryBits: []int{-2}}
 		}, ErrBadSweep},
 		{"pred sweep history beyond BHR", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{40}}
+			r.Sweep = &SweepSpec{HistoryBits: []int{40}}
 		}, ErrBadSweep},
 		{"pred sweep non-power-of-two PHT", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{PHTEntries: []int{3000}}
-		}, ErrBadSweep},
-		{"pred sweep over perfect prediction", func(r *SimRequest) {
-			r.Config = nil
-			r.PredSweep = &PredSweepSpec{
-				HistoryBits: []int{2, 4},
-				Base:        &ConfigSpec{PerfectBP: true},
-			}
+			r.Sweep = &SweepSpec{PHTEntries: []int{3000}}
 		}, ErrBadSweep},
 	}
 	for _, tc := range cases {
@@ -201,61 +197,6 @@ func TestBuildConfigNormalization(t *testing.T) {
 	}
 }
 
-func TestBuildConfigPredSweep(t *testing.T) {
-	// The grid is the cross product of the axes in axis-major order, over
-	// the shared base machine; unset axes keep the base's value.
-	p, err := BuildConfig(&SimRequest{
-		Version: SchemaVersion,
-		Program: ProgramSpec{Workload: "compress", ISA: "bsa"},
-		PredSweep: &PredSweepSpec{
-			HistoryBits: []int{4, 8},
-			PHTEntries:  []int{1024, 4096},
-			Base: &ConfigSpec{
-				ICache:    &CacheSpec{SizeBytes: 8192, Ways: 4},
-				Predictor: &PredictorSpec{BTBWays: 2},
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.PredSweep || p.Sweep {
-		t.Fatalf("plan flags wrong: %+v", p)
-	}
-	if len(p.Configs) != 4 || len(p.Predictors) != 4 {
-		t.Fatalf("cross product has %d configs, %d echoes; want 4 each", len(p.Configs), len(p.Predictors))
-	}
-	wantPoints := []PredictorSpec{
-		{HistoryBits: 4, PHTEntries: 1024, BTBWays: 2},
-		{HistoryBits: 4, PHTEntries: 4096, BTBWays: 2},
-		{HistoryBits: 8, PHTEntries: 1024, BTBWays: 2},
-		{HistoryBits: 8, PHTEntries: 4096, BTBWays: 2},
-	}
-	for i, want := range wantPoints {
-		if *p.Predictors[i] != want {
-			t.Errorf("point %d: %+v, want %+v", i, *p.Predictors[i], want)
-		}
-		cfg := p.Configs[i]
-		if cfg.Predictor.HistoryBits != want.HistoryBits ||
-			cfg.Predictor.PHTEntries != want.PHTEntries ||
-			cfg.Predictor.BTBWays != want.BTBWays {
-			t.Errorf("config %d predictor: %+v", i, cfg.Predictor)
-		}
-		if cfg.ICache.SizeBytes != 8192 {
-			t.Errorf("config %d lost the base icache: %+v", i, cfg.ICache)
-		}
-		if p.ICacheBytes[i] != 8192 {
-			t.Errorf("icache echo %d: %d", i, p.ICacheBytes[i])
-		}
-	}
-
-	// Every pred-sweep grid over a plain base must satisfy the unified
-	// engine's gate, so the service routes it to Sweep.
-	if ok, reason := uarch.CanSweep(p.Configs); len(p.Configs) >= 2 && !ok {
-		t.Fatalf("pred-sweep plan is not sweepable by the unified engine: %s", reason)
-	}
-}
-
 func TestBuildConfigMultiAxisSweep(t *testing.T) {
 	// A SweepSpec with predictor axes builds the full cross product in
 	// axis-major order — history outermost, icache size innermost — and
@@ -272,7 +213,7 @@ func TestBuildConfigMultiAxisSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Sweep || p.PredSweep {
+	if !p.Sweep {
 		t.Fatalf("plan flags wrong: %+v", p)
 	}
 	if len(p.Configs) != 4 || len(p.Predictors) != 4 || len(p.ICacheBytes) != 4 {

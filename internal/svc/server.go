@@ -126,15 +126,6 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// jobWorkers resolves the configured per-job engine concurrency
-// (<= 0 means GOMAXPROCS, mirroring the engines' own defaulting).
-func (s *Server) jobWorkers() int {
-	if s.cfg.JobWorkers > 0 {
-		return s.cfg.JobWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.jobs {

@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -25,9 +26,8 @@ import (
 func quietConfig() ServerConfig {
 	return ServerConfig{
 		Workers: 4,
-		// One engine worker per job pins single-config routing to the
-		// sequential engine regardless of the host's core count; the
-		// segmented engine's routing is exercised separately.
+		// One engine worker per job keeps the tests' CPU use flat on any
+		// host; TestServerSingleConfigEngine runs with more.
 		JobWorkers: 1,
 		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
@@ -145,10 +145,10 @@ func TestServerMatchesLibraryPath(t *testing.T) {
 	}
 }
 
-// TestServerPredictorSweep answers a predictor-sensitivity sweep over HTTP
-// and requires (a) the fused predictor-sweep engine served it, and (b) every
-// result is field-for-field identical to the direct library path, for both
-// ISAs.
+// TestServerPredictorSweep answers a predictor-sensitivity sweep (predictor
+// axes, no icache axis) over HTTP and requires (a) the unified sweep engine
+// served it, and (b) every result is field-for-field identical to the direct
+// library path, for both ISAs.
 func TestServerPredictorSweep(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
 	seed := int64(42)
@@ -157,7 +157,7 @@ func TestServerPredictorSweep(t *testing.T) {
 		req := &SimRequest{
 			Version: SchemaVersion,
 			Program: ProgramSpec{Seed: &seed, ISA: isaName},
-			PredSweep: &PredSweepSpec{
+			Sweep: &SweepSpec{
 				HistoryBits: []int{2, 8, 16},
 				PHTEntries:  []int{1024, 8192},
 				Base:        &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
@@ -167,7 +167,7 @@ func TestServerPredictorSweep(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", isaName, status, resp.Error)
 		}
-		if resp.Experiment != "predsweep" {
+		if resp.Experiment != "sweep" {
 			t.Fatalf("%s: experiment %q", isaName, resp.Experiment)
 		}
 		if resp.Engine != "sweep" {
@@ -224,14 +224,15 @@ func TestServerPredictorSweep(t *testing.T) {
 
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
+	v := fmt.Sprintf(`{"version":%d`, SchemaVersion)
 	cases := []struct {
 		name string
 		body string
 	}{
-		{"unknown field", `{"version":1,"bogus":1}`},
+		{"unknown field", v + `,"bogus":1}`},
 		{"wrong version", `{"version":9,"program":{"seed":1,"isa":"conv"},"config":{}}`},
-		{"bad geometry", `{"version":1,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
-		{"no engine selected", `{"version":1,"program":{"seed":1,"isa":"conv"}}`},
+		{"bad geometry", v + `,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
+		{"no engine selected", v + `,"program":{"seed":1,"isa":"conv"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,7 +260,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 // the request as a rejection.
 func TestServerRejectsOversizedBody(t *testing.T) {
 	s, ts := testServer(t, quietConfig())
-	body := `{"version":1,"program":{"isa":"conv","source":"`
+	body := fmt.Sprintf(`{"version":%d,"program":{"isa":"conv","source":"`, SchemaVersion)
 	body += strings.Repeat("x", maxRequestBytes+1-len(body))
 	httpResp, err := http.Post(ts.URL+"/v1/sim", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -278,6 +279,46 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 	if got := s.metrics.jobsRejected.Load(); got != 1 {
 		t.Fatalf("rejections = %d, want 1", got)
+	}
+}
+
+// TestServerRejectsDeepNesting posts two sources that fit under the body cap
+// but nest two million levels deep — parentheses, and a left-deep chain of
+// additions. Walking either tree recursively would overflow the stack and
+// kill the process; the parser's nesting bound must turn both into a
+// bad_program envelope, and the server must go on to serve a normal request.
+func TestServerRejectsDeepNesting(t *testing.T) {
+	_, ts := testServer(t, quietConfig())
+	const n = 2_000_000
+	for name, src := range map[string]string{
+		"parentheses":    "func main() { out(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "); }",
+		"operator chain": "func main() { out(1" + strings.Repeat("+1", n-1) + "); }",
+	} {
+		req := &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Source: src, ISA: "conv"},
+			Config:  &ConfigSpec{},
+		}
+		blob, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) > maxRequestBytes {
+			t.Fatalf("%s: body of %d bytes exceeds the %d-byte cap", name, len(blob), maxRequestBytes)
+		}
+		status, resp := post(t, ts, req)
+		if status != http.StatusBadRequest || resp.ErrorCode != "bad_program" {
+			t.Fatalf("%s: status %d, error_code %q (%s), want 400 bad_program", name, status, resp.ErrorCode, resp.Error)
+		}
+	}
+	seed := int64(1)
+	status, resp := post(t, ts, &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+		Config:  &ConfigSpec{},
+	})
+	if status != http.StatusOK || len(resp.Results) != 1 {
+		t.Fatalf("normal request after the attack: status %d: %s", status, resp.Error)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestSweepContextCanceled(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			baseline := runtime.NumGoroutine()
-			results, err := SweepContext(newCountdownCtx(3), tr, cfgs, workers)
+			results, err := SweepPredecoded(newCountdownCtx(3), tr, cfgs, workers, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s workers=%d: got %v, want context.Canceled", label, workers, err)
 			}
@@ -157,7 +157,7 @@ func TestSweepContextCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SweepContext(context.Background(), tr, cfgs, 0)
+	got, err := SweepPredecoded(context.Background(), tr, cfgs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -755,8 +755,7 @@ func (s *Sim) restart(mp *mispredict, term, issue int64) int64 {
 // identical counter increments. The functions below are that argument's primitives:
 // frontier copies a Sim's timing state out, shifts it and installs it into
 // another Sim, and frontiersConverge decides when two Sims are a shift
-// apart in everything that can still influence a future event. Segmented
-// replay (segment.go) uses them to stitch segment boundaries; the sweep
+// apart in everything that can still influence a future event. The sweep
 // (sweep.go) uses them to fold a lane onto a sibling and to split it off
 // again.
 

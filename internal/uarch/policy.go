@@ -74,10 +74,3 @@ func readsReg(o *isa.Op, r isa.Reg) bool {
 	}
 	return false
 }
-
-// CanSweepKind reports whether the sweep engine serves programs of kind k.
-// It does for every kind: the sweep lanes and a live Sim run one timing
-// kernel, which applies each backend's fetch policy itself.
-//
-// Deprecated: every kind sweeps; route on CanSweep alone.
-func CanSweepKind(isa.Kind) bool { return true }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bsisa/internal/backend"
-	"bsisa/internal/cache"
 	"bsisa/internal/compile"
 	"bsisa/internal/core"
 	"bsisa/internal/emu"
@@ -217,47 +216,5 @@ func TestFusionIsArchitecturallyInvisible(t *testing.T) {
 	}
 	if res.FusedPairs*2 > res.Ops {
 		t.Errorf("%d fused pairs exceed half of %d retired ops", res.FusedPairs, res.Ops)
-	}
-}
-
-// TestSegmentedMatchesReplayPolicyBackends extends the segmented-equivalence
-// property to the two policy-bearing backends: the serialization-stall splice
-// and the architectural fused-pair sum must make ReplayTraceSegmented bitwise
-// identical to the sequential replay for basicblocker and fused programs.
-func TestSegmentedMatchesReplayPolicyBackends(t *testing.T) {
-	seeds := 4
-	if testing.Short() {
-		seeds = 2
-	}
-	for seed := int64(7500); seed < 7500+int64(seeds); seed++ {
-		for _, kind := range []isa.Kind{isa.BasicBlocker, isa.MacroFused} {
-			prog := policyProgram(t, seed, kind)
-			tr, err := emu.Record(prog, emu.Config{MaxOps: 80_000_000})
-			if err != nil {
-				t.Fatalf("seed %d %s: record: %v", seed, kind, err)
-			}
-			for _, cfg := range []Config{
-				{ICache: cache.Config{SizeBytes: 2048, Ways: 4}},
-				{},
-			} {
-				want, err := ReplayTrace(tr, cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s: replay: %v", seed, kind, err)
-				}
-				for _, opt := range []SegmentOptions{
-					{Workers: 2},
-					{Workers: 4, Segments: 7},
-				} {
-					got, err := ReplayTraceSegmented(tr, cfg, opt)
-					if err != nil {
-						t.Fatalf("seed %d %s opt %+v: segmented: %v", seed, kind, opt, err)
-					}
-					if *got != *want {
-						t.Errorf("seed %d %s opt %+v: segmented differs\nsegmented:  %+v\nsequential: %+v",
-							seed, kind, opt, *got, *want)
-					}
-				}
-			}
-		}
 	}
 }

@@ -122,7 +122,13 @@ func SimulateMany(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
 // are dropped once ctx is done, and the call returns an error satisfying
 // errors.Is(err, ctx.Err()) with the worker pool fully drained.
 func SimulateManyContext(ctx context.Context, t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
-	tabs := tablesFor(t.Program(), cfgs, nil)
+	return simulateMany(ctx, t, cfgs, workers, nil)
+}
+
+// simulateMany is SimulateManyContext on a shared predecode (nil flattens
+// the tables this batch needs).
+func simulateMany(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded) ([]*Result, error) {
+	tabs := tablesFor(t.Program(), cfgs, pre)
 	results := make([]*Result, len(cfgs))
 	err := fanOut(ctx, len(cfgs), workers, func(i int) error {
 		r, err := replayTrace(ctx, t, cfgs[i], tabs[i])

@@ -418,20 +418,16 @@ func CanSweep(cfgs []Config) (bool, string) {
 // configuration order and are identical, field for field, to SimulateMany
 // on the same inputs. workers bounds lane concurrency as in SimulateMany.
 func Sweep(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
-	return SweepContext(context.Background(), t, cfgs, workers)
+	return SweepPredecoded(context.Background(), t, cfgs, workers, nil)
 }
 
-// SweepContext is Sweep with cooperative cancellation: the shared enrichment
-// replay and every lockstep timing lane check ctx between trace chunks, and
-// the call returns an error satisfying errors.Is(err, ctx.Err()) with all
-// lane workers drained once the context is done.
-func SweepContext(ctx context.Context, t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
-	return SweepPredecoded(ctx, t, cfgs, workers, nil)
-}
-
-// SweepPredecoded is SweepContext reusing a prebuilt Predecode of the
-// trace's program (nil, or one built for a different program or issue width,
-// flattens fresh — results are identical either way).
+// SweepPredecoded is Sweep with cooperative cancellation, reusing a prebuilt
+// Predecode of the trace's program (nil, or one built for a different
+// program or issue width, flattens fresh — results are identical either
+// way). The shared enrichment replay and every lockstep timing lane check
+// ctx between trace chunks, and the call returns an error satisfying
+// errors.Is(err, ctx.Err()) with all lane workers drained once the context
+// is done.
 func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded) ([]*Result, error) {
 	return sweep(ctx, t, cfgs, workers, pre, nil)
 }
