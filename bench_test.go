@@ -467,28 +467,7 @@ func TestMappedReplayZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// BenchmarkTraceLoadDecode measures the legacy store-hit path: decoding the
-// varint trace form into freshly allocated heap columns.
-func BenchmarkTraceLoadDecode(b *testing.B) {
-	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := emu.Record(prog, emu.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := tr.EncodeBytesLegacy(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := emu.DecodeTrace(blob, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceLoadMmap measures the v3 store-hit path: mapping the file
+// BenchmarkTraceLoadMmap measures the store-hit path: mapping the file
 // and aliasing its fixed-stride columns in place (checksum validation is the
 // only per-byte work).
 func BenchmarkTraceLoadMmap(b *testing.B) {

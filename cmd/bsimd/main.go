@@ -31,15 +31,16 @@
 // written through to DIR, and a restarted daemon pointed at the same DIR
 // serves them back without re-recording — hit/miss/corruption counts and
 // byte traffic appear on /metrics as bsimd_store_events_total and
-// bsimd_store_bytes_total. Store hits on fixed-stride v3 trace files are
-// mmapped read-only and replayed straight out of the page cache (zero
-// decode, zero steady-state allocation); legacy v1/v2 files are rewritten
-// to v3 on first touch. Mapping traffic and resident bytes appear as
+// bsimd_store_bytes_total. Store hits are mmapped read-only and replayed
+// straight out of the page cache (zero decode, zero steady-state
+// allocation); mapping traffic and resident bytes appear as
 // bsimd_store_mmap_events_total and bsimd_store_mmap_resident_bytes.
-// Corrupt or truncated files are detected by checksum, quarantined aside
-// as *.corrupt, and rebuilt. -store-max-bytes caps the directory's total
-// *.bstr size: after each write the least-recently-used files (by atime)
-// are evicted until the cap holds, never touching a file an in-flight
+// Corrupt or truncated files, and files in a format version other than the
+// fixed-stride v3 this release writes, are detected on load, quarantined
+// aside as *.corrupt, and rebuilt. -store-max-bytes caps the directory's
+// total size of *.bstr files and their quarantined copies: after each write
+// the quarantined copies are evicted first, then the least-recently-used
+// files (by atime), until the cap holds, never touching a file an in-flight
 // replay still has mapped (evictions count on bsimd_store_events_total).
 //
 // -smoke runs the self-check the CI service-smoke stage uses: it starts a
@@ -50,11 +51,10 @@
 // every registered ISA backend (plus an unknown-ISA rejection carrying the
 // machine-readable error_code), and a 32-way identical load that
 // must coalesce onto one pass — then verifies cache hits, the coalesced
-// count, and both engine stages on /metrics, seeds the store with a
-// legacy-format trace file to prove first touch rewrites it to v3, and
-// finally restarts against the same trace store (the -store directory, or a
-// temporary one) to prove a fresh process answers the sweep from mmapped v3
-// files with zero trace recordings and zero full decodes.
+// count, and both engine stages on /metrics, and finally restarts against
+// the same trace store (the -store directory, or a temporary one) to prove
+// a fresh process answers the sweep from mmapped store files with zero
+// trace recordings.
 package main
 
 import (

@@ -32,8 +32,6 @@ func FuzzDecodeTrace(f *testing.F) {
 	}
 	f.Add(tr.EncodeBytes(nil))
 	f.Add(tr.EncodeBytes(aux))
-	f.Add(tr.EncodeBytesLegacy(nil))
-	f.Add(tr.EncodeBytesLegacy(aux))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := alignedCopy(data)
 		got, _, err := DecodeTrace(buf, prog)

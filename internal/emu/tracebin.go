@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
 
 	"bsisa/internal/isa"
 )
@@ -16,9 +14,7 @@ import (
 // recording across every future replay — the same economics the paper claims
 // for block enlargement, applied to the simulator's own artifacts.
 //
-// Two layouts are understood:
-//
-// Version 3 (canonical write format) — fixed-stride columns, built for mmap:
+// The one layout is version 3 — fixed-stride columns, built for mmap:
 //
 //	header   64 bytes: magic "BSTR" · version u8 · flags u8 · reserved ×2 ·
 //	         emulation budget i64 · event count u64 · block count u64 ·
@@ -32,24 +28,15 @@ import (
 //	         per column (5 × u32) · CRC-32C of the tail itself
 //
 //	The columns are bit-for-bit the flat slices Record builds and Replay
-//	walks, so decoding a v3 file is pointer-and-stride bookkeeping: on a
+//	walks, so decoding is pointer-and-stride bookkeeping: on a
 //	little-endian host the returned Trace aliases the input buffer directly
 //	(Borrowed reports this), and a memory-mapped file replays with zero
 //	decode and zero steady-state allocation. Every byte of the file is
 //	covered by a checksum or an explicit must-be-zero padding rule.
 //
-// Version 2 (legacy, still decoded; see EncodeBytesLegacy) — varint streams:
-//
-//	header   magic "BSTR" (4B) · version u8 · flags u8 · reserved u16
-//	body     emulation budget (varint); block count, event count (uvarint);
-//	         memCnt uvarints; blocks delta-zigzag varints; succIdx zigzag
-//	         varints; taken LSB-first bitset; mem delta-zigzag varints;
-//	         result; optional aux sections (flagAux)
-//	trailer  CRC-32C (Castagnoli) of everything above, little-endian
-//
-// Version 1 is version 2 without the aux capability: a v1 file with zero
-// flags decodes on the v2 path, and the store transparently rewrites it as
-// v3 on first touch. A v1 file claiming aux sections is rejected.
+// Any other version byte — including the varint layouts (1 and 2) older
+// releases wrote — is a bad trace: a store quarantines such a file and
+// re-records it like any corrupt one.
 //
 // Aux sections are opaque tagged payloads with strictly increasing tags; the
 // store puts one predecoded-op-table blob (uarch) here per issue width,
@@ -65,21 +52,12 @@ var ErrBadTrace = errors.New("emu: bad trace encoding")
 
 const (
 	traceMagic    = "BSTR"
-	traceVersion1 = 1
-	traceVersion2 = 2
 	traceVersion3 = 3
-
-	// TraceFormatVersion is the version EncodeBytes writes; files carrying an
-	// older version still decode but miss the zero-copy fast path, which is
-	// how a store decides to rewrite them.
-	TraceFormatVersion = traceVersion3
 
 	// flagAux marks the presence of the optional aux sections.
 	flagAux = 1 << 0
 
-	// traceHeaderLen and traceTrailerLen bound the fixed-size framing shared
-	// by every version (v3's header extends the common 8-byte prefix).
-	traceHeaderLen  = 8
+	// traceTrailerLen is the trailing CRC-32C over the tail.
 	traceTrailerLen = 4
 )
 
@@ -95,76 +73,8 @@ type AuxSection struct {
 	Data []byte
 }
 
-// EncodeBytes serializes the trace (and any aux sections) into a fresh
-// checksummed buffer in the canonical v3 fixed-stride layout. Section tags
-// must be strictly increasing — the canonical form DecodeTrace enforces;
-// Store.AttachAux maintains it.
-func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
-	return t.encodeBytesV3(aux)
-}
-
-// EncodeBytesLegacy serializes the trace in the superseded v2 varint layout.
-// It exists for the decode-vs-mmap benchmarks and for tests that exercise
-// the store's transparent legacy-file upgrade; new files should always be
-// written with EncodeBytes.
-func (t *Trace) EncodeBytesLegacy(aux []AuxSection) []byte {
-	auxLen := 0
-	for _, s := range aux {
-		auxLen += len(s.Data) + 2*binary.MaxVarintLen64
-	}
-	// Size hint: varints average well under the flat in-memory footprint.
-	buf := make([]byte, 0, traceHeaderLen+int(t.Footprint()/2)+auxLen+traceTrailerLen)
-	var flags byte
-	if len(aux) > 0 {
-		flags |= flagAux
-	}
-	buf = append(buf, traceMagic...)
-	buf = append(buf, traceVersion2, flags, 0, 0)
-
-	buf = binary.AppendVarint(buf, t.cfg.MaxOps)
-	buf = binary.AppendUvarint(buf, uint64(len(t.memCnt)))
-	buf = binary.AppendUvarint(buf, uint64(len(t.blocks)))
-	for _, n := range t.memCnt {
-		buf = binary.AppendUvarint(buf, uint64(n))
-	}
-	prev := int64(0)
-	for _, id := range t.blocks {
-		buf = binary.AppendVarint(buf, int64(id)-prev)
-		prev = int64(id)
-	}
-	for _, s := range t.succIdx {
-		buf = binary.AppendVarint(buf, int64(s))
-	}
-	bits := make([]byte, (len(t.taken)+7)/8)
-	for i, tk := range t.taken {
-		if tk {
-			bits[i>>3] |= 1 << (i & 7)
-		}
-	}
-	buf = append(buf, bits...)
-	prevAddr := int64(0)
-	for _, a := range t.mem {
-		buf = binary.AppendVarint(buf, int64(a)-prevAddr)
-		prevAddr = int64(a)
-	}
-
-	buf = appendTraceResult(buf, t.result)
-	if len(aux) > 0 {
-		buf = appendTraceAux(buf, aux)
-	}
-
-	sum := crc32.Checksum(buf, crcTable)
-	return binary.LittleEndian.AppendUint32(buf, sum)
-}
-
-// Encode writes EncodeBytes to w.
-func (t *Trace) Encode(w io.Writer, aux []AuxSection) error {
-	_, err := w.Write(t.EncodeBytes(aux))
-	return err
-}
-
-// appendTraceResult appends the result encoding shared by every version:
-// a presence uvarint, then stats, output, and return value as varints.
+// appendTraceResult appends the tail's result encoding: a presence uvarint,
+// then stats, output, and return value as varints.
 func appendTraceResult(buf []byte, res *Result) []byte {
 	if res == nil {
 		return binary.AppendUvarint(buf, 0)
@@ -181,8 +91,8 @@ func appendTraceResult(buf []byte, res *Result) []byte {
 	return binary.AppendVarint(buf, res.ReturnValue)
 }
 
-// appendTraceAux appends the aux-section encoding shared by every version:
-// a section count, then per section tag · length · bytes.
+// appendTraceAux appends the tail's aux-section encoding: a section count,
+// then per section tag · length · bytes.
 func appendTraceAux(buf []byte, aux []AuxSection) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(aux)))
 	for _, s := range aux {
@@ -193,7 +103,7 @@ func appendTraceAux(buf []byte, aux []AuxSection) []byte {
 	return buf
 }
 
-// traceReader walks an encoded body with bounds-checked varint reads.
+// traceReader walks an encoded tail with bounds-checked varint reads.
 type traceReader struct {
 	data []byte
 	pos  int
@@ -226,9 +136,9 @@ func (r *traceReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// readResult parses the shared result encoding. Aux data is always copied
-// out of the input buffer, never aliased, so results and aux sections stay
-// valid after a mapped buffer is unmapped.
+// readResult parses the result encoding. Aux data is always copied out of
+// the input buffer, never aliased, so results and aux sections stay valid
+// after a mapped buffer is unmapped.
 func (r *traceReader) readResult() (*Result, error) {
 	present, err := r.uvarint()
 	if err != nil {
@@ -268,7 +178,7 @@ func (r *traceReader) readResult() (*Result, error) {
 	return res, nil
 }
 
-// readAux parses the shared aux-section encoding (canonical form: a nonzero
+// readAux parses the aux-section encoding (canonical form: a nonzero
 // count, strictly increasing tags). Section data is copied, never aliased.
 func (r *traceReader) readAux() ([]AuxSection, error) {
 	cnt, err := r.uvarint()
@@ -312,152 +222,24 @@ func (r *traceReader) readAux() ([]AuxSection, error) {
 // indices, and static memory-operation counts must all match — so a file
 // keyed to the wrong program decodes to an error, never to a wrong answer.
 //
-// A v3 buffer on a little-endian host decodes by aliasing: the returned
-// trace's event columns point into data (Borrowed reports true), so data
-// must stay immutable and mapped for the trace's lifetime. Older versions,
-// misaligned buffers, and big-endian hosts decode into fresh heap slices.
+// On a little-endian host with an 8-byte-aligned buffer the trace decodes by
+// aliasing: its event columns point into data (Borrowed reports true), so
+// data must stay immutable and mapped for the trace's lifetime. Misaligned
+// buffers and big-endian hosts decode into fresh heap slices.
 func DecodeTrace(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	if prog == nil {
 		return nil, nil, fmt.Errorf("%w: nil program", ErrBadTrace)
 	}
-	if len(data) < traceHeaderLen+traceTrailerLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the fixed framing", ErrBadTrace, len(data))
+	if len(data) < v3HeaderLen {
+		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrBadTrace, len(data))
 	}
 	if string(data[:4]) != traceMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, data[:4])
 	}
-	switch data[4] {
-	case traceVersion1:
-		if data[5] != 0 {
-			return nil, nil, fmt.Errorf("%w: v1 flags %#02x (v1 has no aux capability)", ErrBadTrace, data[5])
-		}
-		return decodeTraceV2(data, prog)
-	case traceVersion2:
-		return decodeTraceV2(data, prog)
-	case traceVersion3:
-		return decodeTraceV3(data, prog)
-	default:
-		return nil, nil, fmt.Errorf("%w: format version %d, want ≤ %d", ErrBadTrace, data[4], traceVersion3)
+	if data[4] != traceVersion3 {
+		return nil, nil, fmt.Errorf("%w: format version %d, want %d", ErrBadTrace, data[4], traceVersion3)
 	}
-}
-
-// decodeTraceV2 decodes the legacy varint layout (versions 1 and 2).
-func decodeTraceV2(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
-	flags := data[5]
-	if flags&^byte(flagAux) != 0 {
-		return nil, nil, fmt.Errorf("%w: unknown flags %#02x", ErrBadTrace, flags)
-	}
-	body, trailer := data[:len(data)-traceTrailerLen], data[len(data)-traceTrailerLen:]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, nil, fmt.Errorf("%w: checksum %08x, trailer says %08x", ErrBadTrace, got, want)
-	}
-
-	r := &traceReader{data: body, pos: traceHeaderLen}
-	maxOps, err := r.varint()
-	if err != nil {
-		return nil, nil, err
-	}
-	numBlocks, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if numBlocks != uint64(len(prog.Blocks)) {
-		return nil, nil, fmt.Errorf("%w: trace is over %d blocks, program has %d", ErrBadTrace, numBlocks, len(prog.Blocks))
-	}
-	numEvents, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Every event costs at least one blocks-stream byte, so this bound keeps
-	// a malformed-but-checksummed count from driving a giant allocation.
-	if numEvents > uint64(len(body)) {
-		return nil, nil, fmt.Errorf("%w: event count %d exceeds the encoding's capacity", ErrBadTrace, numEvents)
-	}
-
-	t := &Trace{prog: prog, cfg: Config{MaxOps: maxOps}}
-	t.memCnt = make([]int32, len(prog.Blocks))
-	memTotal := uint64(0)
-	for id := range t.memCnt {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		want := staticMemCount(prog.Blocks[id])
-		if n != uint64(want) {
-			return nil, nil, fmt.Errorf("%w: B%d records %d memory operations, program has %d (trace/program mismatch)",
-				ErrBadTrace, id, n, want)
-		}
-		t.memCnt[id] = want
-	}
-
-	t.blocks = make([]isa.BlockID, numEvents)
-	prev := int64(0)
-	for i := range t.blocks {
-		d, err := r.varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		prev += d
-		if prev < 0 || prev >= int64(len(prog.Blocks)) || prog.Blocks[prev] == nil {
-			return nil, nil, fmt.Errorf("%w: event %d commits nonexistent block %d", ErrBadTrace, i, prev)
-		}
-		t.blocks[i] = isa.BlockID(prev)
-		memTotal += uint64(t.memCnt[prev])
-	}
-
-	t.succIdx = make([]int16, numEvents)
-	for i := range t.succIdx {
-		s, err := r.varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if s < -1 || s > math.MaxInt16 || int(s) >= len(prog.Blocks[t.blocks[i]].Succs) {
-			return nil, nil, fmt.Errorf("%w: event %d successor index %d out of range for B%d",
-				ErrBadTrace, i, s, t.blocks[i])
-		}
-		t.succIdx[i] = int16(s)
-	}
-
-	bits, err := r.bytes(int((numEvents + 7) / 8))
-	if err != nil {
-		return nil, nil, err
-	}
-	t.taken = make([]bool, numEvents)
-	for i := range t.taken {
-		t.taken[i] = bits[i>>3]&(1<<(i&7)) != 0
-	}
-
-	if memTotal > uint64(len(body)) {
-		return nil, nil, fmt.Errorf("%w: memory-address count %d exceeds the encoding's capacity", ErrBadTrace, memTotal)
-	}
-	t.mem = make([]uint32, memTotal)
-	prevAddr := int64(0)
-	for i := range t.mem {
-		d, err := r.varint()
-		if err != nil {
-			return nil, nil, err
-		}
-		prevAddr += d
-		if prevAddr < 0 || prevAddr > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("%w: memory address %d overflows 32 bits", ErrBadTrace, prevAddr)
-		}
-		t.mem[i] = uint32(prevAddr)
-	}
-
-	if t.result, err = r.readResult(); err != nil {
-		return nil, nil, err
-	}
-
-	var aux []AuxSection
-	if flags&flagAux != 0 {
-		if aux, err = r.readAux(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if r.pos != len(body) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last section", ErrBadTrace, len(body)-r.pos)
-	}
-	return t, aux, nil
+	return decodeTraceV3(data, prog)
 }
 
 // staticMemCount is the program-constant number of LD/ST operations in b

@@ -3,7 +3,9 @@ package emu_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bsisa/internal/compile"
@@ -132,10 +134,11 @@ func TestTraceCodecDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestTraceCodecRejectsVersionAndProgramMismatch covers the header checks: an
-// unknown format version fails even with a valid checksum, and a trace
-// decoded against a different program (here: the block-structured compile of
-// the same source) is rejected rather than replayed wrong.
+// TestTraceCodecRejectsVersionAndProgramMismatch covers the header checks:
+// every version byte but 3 — the varint layouts older releases wrote (1, 2)
+// as well as unknown ones — fails, and a trace decoded against a different
+// program (here: the block-structured compile of the same source) is
+// rejected rather than replayed wrong.
 func TestTraceCodecRejectsVersionAndProgramMismatch(t *testing.T) {
 	conv := codecProgram(t, 9022, isa.Conventional)
 	bsa := codecProgram(t, 9022, isa.BlockStructured)
@@ -145,10 +148,16 @@ func TestTraceCodecRejectsVersionAndProgramMismatch(t *testing.T) {
 	}
 	blob := tr.EncodeBytes(nil)
 
-	futur := append([]byte(nil), blob...)
-	futur[4] = 99 // version byte
-	if _, _, err := emu.DecodeTrace(futur, conv); !errors.Is(err, emu.ErrBadTrace) {
-		t.Fatalf("future version: err = %v, want ErrBadTrace", err)
+	for _, v := range []byte{0, 1, 2, 4, 99} {
+		mutant := append([]byte(nil), blob...)
+		mutant[4] = v // version byte
+		_, _, err := emu.DecodeTrace(mutant, conv)
+		if !errors.Is(err, emu.ErrBadTrace) {
+			t.Fatalf("version %d: err = %v, want ErrBadTrace", v, err)
+		}
+		if want := fmt.Sprintf("format version %d,", v); !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: err = %v, want it to name the version", v, err)
+		}
 	}
 	if _, _, err := emu.DecodeTrace(blob, bsa); !errors.Is(err, emu.ErrBadTrace) {
 		t.Fatalf("wrong program: err = %v, want ErrBadTrace", err)

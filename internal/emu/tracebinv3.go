@@ -93,8 +93,11 @@ func (l v3Layout) columns(data []byte) [v3NumCols][]byte {
 	}
 }
 
-// encodeBytesV3 serializes the trace in the fixed-stride layout.
-func (t *Trace) encodeBytesV3(aux []AuxSection) []byte {
+// EncodeBytes serializes the trace (and any aux sections) into a fresh
+// checksummed buffer in the fixed-stride layout. Section tags must be
+// strictly increasing — the canonical form DecodeTrace enforces;
+// Store.AttachAux maintains it.
+func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
 	l, err := v3LayoutFor(uint64(len(t.blocks)), uint64(len(t.memCnt)), uint64(len(t.mem)), 1<<62)
 	if err != nil {
 		// Unreachable for any trace that fits in memory.
@@ -148,15 +151,13 @@ func (t *Trace) encodeBytesV3(aux []AuxSection) []byte {
 	return le.AppendUint32(buf, crc32.Checksum(buf[l.tailOff:], crcTable))
 }
 
-// decodeTraceV3 validates a fixed-stride buffer and builds a Trace over it.
-// On a little-endian host with an 8-byte-aligned buffer the trace's columns
-// alias data directly (the zero-copy path every mmap hits — mappings are
-// page-aligned); otherwise the columns are copied out, same as v2.
+// decodeTraceV3 validates a fixed-stride buffer whose magic and version
+// DecodeTrace has checked, and builds a Trace over it. On a little-endian
+// host with an 8-byte-aligned buffer the trace's columns alias data directly
+// (the zero-copy path every mmap hits — mappings are page-aligned);
+// otherwise the columns are copied out.
 func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	le := binary.LittleEndian
-	if len(data) < v3HeaderLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the v3 header", ErrBadTrace, len(data))
-	}
 	if got, want := crc32.Checksum(data[:60], crcTable), le.Uint32(data[60:]); got != want {
 		return nil, nil, fmt.Errorf("%w: header checksum %08x, header says %08x", ErrBadTrace, got, want)
 	}
@@ -264,10 +265,10 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 		}
 	}
 
-	// Structural validation against the program, exactly v2's rules: static
-	// memory counts must match, every committed block must exist, successor
-	// indices must be in range, and the memory column must be exactly the
-	// sum of the committed blocks' static counts.
+	// Structural validation against the program: static memory counts must
+	// match, every committed block must exist, successor indices must be in
+	// range, and the memory column must be exactly the sum of the committed
+	// blocks' static counts.
 	for id, n := range t.memCnt {
 		if want := staticMemCount(prog.Blocks[id]); n != want {
 			return nil, nil, fmt.Errorf("%w: B%d records %d memory operations, program has %d (trace/program mismatch)",

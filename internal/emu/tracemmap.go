@@ -34,15 +34,13 @@ type TraceMapping struct {
 }
 
 // OpenTraceFile maps the trace file at path read-only and validates it
-// against prog. Decode failures (including a program mismatch) release the
-// mapping and wrap ErrBadTrace, so callers quarantine exactly as they would
-// for a byte-slice decode; a missing file surfaces as the *PathError from
-// os.Open.
+// against prog. Decode failures (including a program mismatch or a version
+// other than 3) release the mapping and wrap ErrBadTrace, so callers
+// quarantine exactly as they would for a byte-slice decode; a missing file
+// surfaces as the *PathError from os.Open.
 //
-// Files in the legacy v1/v2 layouts — and v3 opens on platforms without
-// mmap, or on big-endian hosts — still open successfully, but decode into
-// heap copies; ZeroCopy reports which path was taken so stores can decide
-// to rewrite the file.
+// On platforms without mmap, and on big-endian hosts, the file still opens
+// but decodes into heap copies; ZeroCopy reports which path was taken.
 func OpenTraceFile(path string, prog *isa.Program) (*TraceMapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -68,34 +66,14 @@ func OpenTraceFile(path string, prog *isa.Program) (*TraceMapping, error) {
 	}
 	m := &TraceMapping{tr: tr, aux: aux, data: data, mapped: mapped, size: size}
 	if !tr.borrowed && mapped {
-		// The decode fell back to heap copies (legacy version or alignment/
-		// endianness fallback): the mapping backs nothing, so drop it now and
-		// serve the heap trace with no unmap hazard at all.
+		// The decode fell back to heap copies (alignment or endianness): the
+		// mapping backs nothing, so drop it now and serve the heap trace with
+		// no unmap hazard at all.
 		unmapFile(data, mapped)
 		m.data, m.mapped = nil, false
 	}
 	m.refs.Store(1)
 	return m, nil
-}
-
-// ReadTraceFileVersion reports the BSTR format version of the file at path
-// from its fixed header alone — the cheap probe a store uses to route a v3
-// file to the mmap tier and an older file to the rewrite path. A file too
-// short to carry the header, or with the wrong magic, wraps ErrBadTrace.
-func ReadTraceFileVersion(path string) (byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [traceHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: truncated header: %v", ErrBadTrace, err)
-	}
-	if string(hdr[:4]) != traceMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, hdr[:4])
-	}
-	return hdr[4], nil
 }
 
 // Trace returns the mapped trace. It aliases the mapping when ZeroCopy is
@@ -107,8 +85,8 @@ func (m *TraceMapping) Trace() *Trace { return m.tr }
 func (m *TraceMapping) Aux() []AuxSection { return m.aux }
 
 // ZeroCopy reports whether the trace aliases mapped pages (true) or was
-// decoded into the heap (false: legacy format, no-mmap platform, or an
-// alignment/endianness fallback).
+// decoded into the heap (false: a no-mmap platform, or an alignment or
+// endianness fallback).
 func (m *TraceMapping) ZeroCopy() bool { return m.mapped }
 
 // SizeBytes is the on-disk (and, when ZeroCopy, resident-mapped) size.

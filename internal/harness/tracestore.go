@@ -11,8 +11,8 @@ import (
 )
 
 // TraceStoreSpeed times the two ways a process can obtain a committed-block
-// trace — a fresh functional recording (emu.Record) versus decoding the
-// compact binary form a persistent store holds on disk (emu.DecodeTrace) —
+// trace — a fresh functional recording (emu.Record) versus decoding the v3
+// fixed-stride form a persistent store holds on disk (emu.DecodeTrace) —
 // over every benchmark and both ISAs. It verifies along the way that the
 // decoded trace is byte-for-byte interchangeable with a recording: the
 // decoded trace and an independent fresh recording must re-encode to

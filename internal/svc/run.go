@@ -27,15 +27,14 @@ type builtProgram struct {
 // attached, tagged by width). Immutable after construction — the predecode
 // write-through updates the file, not this struct, so readers never race.
 //
-// A store-mapped trace (mapped != nil) aliases read-only mmapped pages; the
+// A store-served trace (mapped != nil) aliases read-only mmapped pages; the
 // refcounted hooks forward to the mapping so the artifact cache and every
 // in-flight job each hold a reference, and the file is unmapped only after
 // the last of them releases.
 type cachedTrace struct {
-	tr        *emu.Trace
-	aux       []emu.AuxSection
-	fromStore bool
-	mapped    *MappedTrace // non-nil when served from the store's mmap tier
+	tr     *emu.Trace
+	aux    []emu.AuxSection
+	mapped *emu.TraceMapping // non-nil when served from the store
 }
 
 func (ct *cachedTrace) tryRef() bool { return ct.mapped == nil || ct.mapped.Acquire() }
@@ -102,7 +101,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
 		if st := s.cfg.Store; st != nil {
 			if mt, ok := st.LoadTraceMapped(tKey, bp.prog, plan.EmuCfg); ok {
-				return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), fromStore: true, mapped: mt}, nil
+				return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt}, nil
 			}
 		}
 		t0 := time.Now()
@@ -169,7 +168,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	resp.Engine = string(route.Engine)
 	resp.ArtifactCache = &ArtifactHits{
 		Program: progHit, Trace: traceHit, Predecode: preHit,
-		Store: ct.fromStore, Mmap: ct.zeroCopy(),
+		Store: ct.mapped != nil, Mmap: ct.zeroCopy(),
 	}
 
 	t0 := time.Now()

@@ -1,8 +1,6 @@
 package svc
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,18 +12,7 @@ import (
 	"bsisa/internal/emu"
 )
 
-// legacyBlob renders tr in the v1 on-disk form: the v2 varint layout with
-// the version byte rolled back and the whole-body checksum re-sealed.
-func legacyBlob(t *testing.T, tr *emu.Trace) []byte {
-	t.Helper()
-	b := append([]byte(nil), tr.EncodeBytesLegacy(nil)...)
-	b[4] = 1
-	binary.LittleEndian.PutUint32(b[len(b)-4:],
-		crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
-	return b
-}
-
-// TestStoreMappedHitAndRelease covers the v3 fast path: a stored trace is
+// TestStoreMappedHitAndRelease covers the read path: a stored trace is
 // served as a zero-copy mapping, resident bytes track the mapping's
 // lifetime, and the release ordering (unmap only after the last reference)
 // holds.
@@ -44,14 +31,14 @@ func TestStoreMappedHitAndRelease(t *testing.T) {
 	}
 	mt, ok := st.LoadTraceMapped(key, prog, emu.Config{})
 	if !ok {
-		t.Fatal("stored v3 trace not served")
+		t.Fatal("stored trace not served")
 	}
 	if !mt.ZeroCopy() {
 		t.Skip("platform mapped the file into the heap; mmap-tier accounting does not apply")
 	}
 	cc := st.counters()
-	if cc.MmapMaps != 1 || cc.ResidentBytes <= 0 || cc.Rewrites != 0 || cc.FullDecodes != 0 {
-		t.Fatalf("counters after v3 hit = %+v", cc)
+	if cc.MmapMaps != 1 || cc.ResidentBytes <= 0 {
+		t.Fatalf("counters after a mapped hit = %+v", cc)
 	}
 	if !reflect.DeepEqual(mt.Trace().BlockIDs(), tr.BlockIDs()) {
 		t.Fatal("mapped trace's event stream diverges")
@@ -120,71 +107,6 @@ func TestServerCloseUnmapsTraces(t *testing.T) {
 	if got := st.counters(); got.MmapUnmaps != got.MmapMaps || got.ResidentBytes != 0 {
 		t.Fatalf("after Close: %d maps, %d unmaps, %d resident bytes",
 			got.MmapMaps, got.MmapUnmaps, got.ResidentBytes)
-	}
-}
-
-// TestStoreRewritesLegacyToV3 is the upgrade contract: a v1 file is served
-// on first touch via one full decode, rewritten in place as v3, and the
-// second load maps the rewritten file with no further decode.
-func TestStoreRewritesLegacyToV3(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, tr := storeTrace(t, 5151)
-	key := traceKey("prog-l", 0)
-	if err := st.PutRaw(key, legacyBlob(t, tr)); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := emu.ReadTraceFileVersion(st.FilePath(key)); err != nil || ver != 1 {
-		t.Fatalf("seeded file version = %d, %v, want 1", ver, err)
-	}
-
-	mt, ok := st.LoadTraceMapped(key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("legacy file not served")
-	}
-	if !reflect.DeepEqual(mt.Trace().BlockIDs(), tr.BlockIDs()) {
-		t.Fatal("upgraded trace's event stream diverges")
-	}
-	cc := st.counters()
-	if cc.FullDecodes != 1 || cc.Rewrites != 1 || cc.Hits != 1 {
-		t.Fatalf("counters after upgrade = %+v, want 1 fulldecode / 1 rewrite / 1 hit", cc)
-	}
-	if ver, err := emu.ReadTraceFileVersion(st.FilePath(key)); err != nil || ver != emu.TraceFormatVersion {
-		t.Fatalf("file version after first touch = %d, %v, want %d", ver, err, emu.TraceFormatVersion)
-	}
-	mt.Release()
-
-	mt2, ok := st.LoadTraceMapped(key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("rewritten file not served")
-	}
-	defer mt2.Release()
-	if cc := st.counters(); cc.FullDecodes != 1 {
-		t.Fatalf("second load decoded again: %+v", cc)
-	}
-	if mt2.ZeroCopy() {
-		if cc := st.counters(); cc.MmapMaps < 2 {
-			t.Fatalf("second load did not map: %+v", cc)
-		}
-	}
-
-	// A corrupt legacy file quarantines like any other corruption.
-	bad := legacyBlob(t, tr)
-	bad[len(bad)/2] ^= 0x10
-	key2 := traceKey("prog-l2", 0)
-	if err := st.PutRaw(key2, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.LoadTraceMapped(key2, prog, emu.Config{}); ok {
-		t.Fatal("corrupt legacy file served")
-	}
-	if cc := st.counters(); cc.Corruptions != 1 {
-		t.Fatalf("corrupt legacy file not quarantined: %+v", cc)
-	}
-	if _, err := os.Stat(st.FilePath(key2) + ".corrupt"); err != nil {
-		t.Fatalf("no quarantine file: %v", err)
 	}
 }
 
@@ -260,6 +182,73 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 	}
 	if _, err := os.Stat(st.FilePath(keys[1])); !os.IsNotExist(err) {
 		t.Fatalf("drained file survived the next sweep: %v", err)
+	}
+}
+
+// TestStoreGCEvictsQuarantinedFirst: quarantined files count toward the size
+// cap and are evicted before any servable file, however cold that file is,
+// because nothing ever serves them. Here three files an older release wrote
+// (version byte 2) are quarantined and re-recorded, which doubles the
+// directory; the sweep must bring it back under the cap by removing exactly
+// the three quarantined copies.
+func TestStoreGCEvictsQuarantinedFirst(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, tr := storeTrace(t, 5154)
+	old := tr.EncodeBytes(nil)
+	old[4] = 2
+	blobSize := int64(len(old))
+
+	keys := []string{traceKey("q-a", 0), traceKey("q-b", 0), traceKey("q-c", 0)}
+	base := time.Now().Add(-time.Hour)
+	for _, k := range keys {
+		if err := os.WriteFile(st.FilePath(k), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.LoadTraceMapped(k, prog, emu.Config{}); ok {
+			t.Fatal("old-format file served")
+		}
+		if err := st.SaveTrace(k, tr, nil); err != nil {
+			t.Fatal(err)
+		}
+		// The re-recorded files look colder than their quarantined copies.
+		if err := os.Chtimes(st.FilePath(k), base, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cc := st.counters(); cc.Corruptions != 3 {
+		t.Fatalf("corruptions = %d, want 3", cc.Corruptions)
+	}
+
+	limit := 3*blobSize + blobSize/2
+	st.SetMaxBytes(limit)
+	ents, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, de := range ents {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	if total > limit {
+		t.Fatalf("store holds %d bytes under a %d-byte cap", total, limit)
+	}
+	for _, k := range keys {
+		if _, err := os.Stat(st.FilePath(k) + ".corrupt"); !os.IsNotExist(err) {
+			t.Fatalf("quarantined copy of %s survived the sweep: %v", k, err)
+		}
+		if _, err := os.Stat(st.FilePath(k)); err != nil {
+			t.Fatalf("servable file %s evicted before a quarantined one: %v", k, err)
+		}
+	}
+	if cc := st.counters(); cc.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", cc.Evictions)
 	}
 }
 

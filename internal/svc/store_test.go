@@ -29,6 +29,18 @@ func storeTrace(t *testing.T, seed int64) (*isa.Program, *emu.Trace) {
 	return prog, tr
 }
 
+// loadTrace serves key through LoadTraceMapped for tests that only read the
+// trace; the mapping is released when the test ends.
+func loadTrace(t *testing.T, st *Store, key string, prog *isa.Program, cfg emu.Config) (*emu.Trace, []emu.AuxSection, bool) {
+	t.Helper()
+	m, ok := st.LoadTraceMapped(key, prog, cfg)
+	if !ok {
+		return nil, nil, false
+	}
+	t.Cleanup(m.Release)
+	return m.Trace(), m.Aux(), true
+}
+
 // requireSame asserts the loaded trace is the recorded one, field for field:
 // same event stream, same emulator result, and a byte-identical re-encode.
 func requireSame(t *testing.T, want, got *emu.Trace, wantAux, gotAux []emu.AuxSection) {
@@ -58,14 +70,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	prog, tr := storeTrace(t, 4242)
 	key := traceKey("prog-a", 0)
 
-	if _, _, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
+	if _, _, ok := loadTrace(t, st, key, prog, emu.Config{}); ok {
 		t.Fatal("cold store claims a hit")
 	}
 	aux := []emu.AuxSection{{Tag: 16, Data: []byte("predecode-blob")}}
 	if err := st.SaveTrace(key, tr, aux); err != nil {
 		t.Fatal(err)
 	}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadTrace(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("stored trace not served back")
 	}
@@ -85,7 +97,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, gotAux2, ok := st2.LoadTrace(key, prog, emu.Config{})
+	got2, gotAux2, ok := loadTrace(t, st2, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("reopened store misses a persisted trace")
 	}
@@ -93,12 +105,19 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreQuarantinesCorruption damages the stored file every way the
-// acceptance criteria name — truncation, a flipped byte, a wrong format
-// version — and requires each to be detected, quarantined, and rebuilt
-// rather than served or fatal.
+// acceptance criteria name — truncation, a flipped byte, a wrong or legacy
+// format version — and requires each to be detected, quarantined, and
+// rebuilt rather than served or fatal.
 func TestStoreQuarantinesCorruption(t *testing.T) {
 	prog, tr := storeTrace(t, 4243)
 	good := tr.EncodeBytes(nil)
+	version := func(v byte) func([]byte) []byte {
+		return func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[4] = v
+			return c
+		}
+	}
 	corruptions := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -109,11 +128,11 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			c[len(c)/3] ^= 0x40
 			return c
 		}},
-		{"wrong-version", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[4] = 99
-			return c
-		}},
+		{"wrong-version", version(99)},
+		// Files older releases wrote in the varint layouts carry version 1
+		// or 2; the store treats them as corrupt and re-records.
+		{"legacy-v1", version(1)},
+		{"legacy-v2", version(2)},
 		{"empty", func(b []byte) []byte { return nil }},
 	}
 	for _, tc := range corruptions {
@@ -127,7 +146,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if err := os.WriteFile(p, tc.mut(good), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
+			if _, _, ok := loadTrace(t, st, key, prog, emu.Config{}); ok {
 				t.Fatal("corrupt file served as a hit")
 			}
 			cc := st.counters()
@@ -144,7 +163,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if err := st.SaveTrace(key, tr, nil); err != nil {
 				t.Fatal(err)
 			}
-			got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+			got, gotAux, ok := loadTrace(t, st, key, prog, emu.Config{})
 			if !ok {
 				t.Fatal("rebuilt trace not served")
 			}
@@ -182,7 +201,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatalf("AttachAux moved the hit/map counters: before %+v, after %+v", before, after)
 	}
 	want := []emu.AuxSection{{Tag: 8, Data: []byte("narrow")}, {Tag: 16, Data: []byte("wide")}}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadTrace(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("trace with attached aux not served")
 	}
@@ -193,7 +212,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want[1].Data = []byte("wider")
-	got, gotAux, ok = st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok = loadTrace(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("trace not served after re-attach")
 	}
@@ -204,7 +223,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 	if err := st.AttachAux(key2, tr, emu.AuxSection{Tag: 8, Data: []byte("solo")}); err != nil {
 		t.Fatal(err)
 	}
-	got, gotAux, ok = st.LoadTrace(key2, prog, emu.Config{})
+	got, gotAux, ok = loadTrace(t, st, key2, prog, emu.Config{})
 	if !ok {
 		t.Fatal("attach-to-missing-file trace not served")
 	}
@@ -226,7 +245,7 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 	if err := st.SaveTrace(key, tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.LoadTrace(key, other, emu.Config{}); ok {
+	if _, _, ok := loadTrace(t, st, key, other, emu.Config{}); ok {
 		t.Fatal("trace served against the wrong program")
 	}
 	if cc := st.counters(); cc.Corruptions != 1 {
@@ -236,7 +255,7 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 	if err := st.SaveTrace(key, tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.LoadTrace(key, prog, emu.Config{MaxOps: 12345}); ok {
+	if _, _, ok := loadTrace(t, st, key, prog, emu.Config{MaxOps: 12345}); ok {
 		t.Fatal("trace served under the wrong emulation budget")
 	}
 	if cc := st.counters(); cc.Corruptions != 2 {
@@ -334,7 +353,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 					t.Errorf("save: %v", err)
 					return
 				}
-				if got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
+				if got, gotAux, ok := loadTrace(t, st, key, prog, emu.Config{}); ok {
 					requireSame(t, tr, got, nil, gotAux)
 				}
 			}
@@ -347,7 +366,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	if cc := st.counters(); cc.Corruptions != 0 {
 		t.Fatalf("counters = %+v, want no corruptions from racing writers", cc)
 	}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadTrace(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("surviving file not served")
 	}

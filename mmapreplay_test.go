@@ -1,8 +1,8 @@
 // Root-level property tests for the zero-decode mmap replay path: a v3
-// trace mapped from disk must be observationally identical to the same
-// trace decoded from the legacy varint form — event-for-event on the replay
-// stream and field-for-field on timing results — across every registered
-// ISA backend and randomly drawn workloads, configurations, and scales.
+// trace mapped from disk must be observationally identical to the in-memory
+// recording it was encoded from — event-for-event on the replay stream and
+// field-for-field on timing results — across every registered ISA backend
+// and randomly drawn workloads, configurations, and scales.
 package main
 
 import (
@@ -50,13 +50,12 @@ func collectEvents(t *testing.T, tr *emu.Trace) []traceEvent {
 	return out
 }
 
-// TestMappedV3MatchesDecodedAcrossBackends is the randomized equivalence
+// TestMappedV3MatchesRecordedAcrossBackends is the randomized equivalence
 // property: for random (backend, workload, scale) draws, record a trace,
-// round it through both on-disk forms — legacy varint decoded into the heap,
-// v3 mapped from a file — and require the two traces to replay identical
-// event streams and produce identical timing results under a random
+// write it to a file and map it back, and require the mapped trace to replay
+// the recording's event stream and produce its timing result under a random
 // configuration. The seed is fixed so a failure reproduces.
-func TestMappedV3MatchesDecodedAcrossBackends(t *testing.T) {
+func TestMappedV3MatchesRecordedAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	benchNames := []string{"compress", "gcc", "go", "ijpeg", "li", "m88ksim", "perl", "vortex"}
 	dir := t.TempDir()
@@ -88,10 +87,6 @@ func TestMappedV3MatchesDecodedAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dec, _, err := emu.DecodeTrace(tr.EncodeBytesLegacy(nil), prog)
-			if err != nil {
-				t.Fatalf("%s/%s: legacy decode: %v", beName, name, err)
-			}
 			path := filepath.Join(dir, beName+"-"+name+".bstr")
 			if err := os.WriteFile(path, tr.EncodeBytes(nil), 0o644); err != nil {
 				t.Fatal(err)
@@ -101,16 +96,16 @@ func TestMappedV3MatchesDecodedAcrossBackends(t *testing.T) {
 				t.Fatalf("%s/%s: open v3: %v", beName, name, err)
 			}
 
-			want := collectEvents(t, dec)
+			want := collectEvents(t, tr)
 			got := collectEvents(t, m.Trace())
 			if len(got) != len(want) {
-				t.Fatalf("%s/%s: mapped trace has %d events, decoded %d", beName, name, len(got), len(want))
+				t.Fatalf("%s/%s: mapped trace has %d events, recorded %d", beName, name, len(got), len(want))
 			}
 			for i := range want {
 				w, g := want[i], got[i]
 				if w.block != g.block || w.next != g.next || w.succ != g.succ || w.taken != g.taken ||
 					len(w.mem) != len(g.mem) {
-					t.Fatalf("%s/%s: event %d diverges: mapped %+v, decoded %+v", beName, name, i, g, w)
+					t.Fatalf("%s/%s: event %d diverges: mapped %+v, recorded %+v", beName, name, i, g, w)
 				}
 				for k := range w.mem {
 					if w.mem[k] != g.mem[k] {
@@ -122,7 +117,7 @@ func TestMappedV3MatchesDecodedAcrossBackends(t *testing.T) {
 			var cfg uarch.Config
 			cfg.ICache.SizeBytes = 4096 << rng.Intn(4)
 			cfg.ICache.Ways = 1 << rng.Intn(3)
-			rd, err := uarch.ReplayTrace(dec, cfg)
+			rr, err := uarch.ReplayTrace(tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,12 +125,12 @@ func TestMappedV3MatchesDecodedAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *rd != *rm {
-				t.Fatalf("%s/%s: mapped replay result diverges under %+v\nmapped:  %+v\ndecoded: %+v",
-					beName, name, cfg, *rm, *rd)
+			if *rr != *rm {
+				t.Fatalf("%s/%s: mapped replay result diverges under %+v\nmapped:   %+v\nrecorded: %+v",
+					beName, name, cfg, *rm, *rr)
 			}
-			if res := m.Trace().EmuResult(); res == nil || dec.EmuResult() == nil ||
-				res.Stats != dec.EmuResult().Stats {
+			if res := m.Trace().EmuResult(); res == nil || tr.EmuResult() == nil ||
+				res.Stats != tr.EmuResult().Stats {
 				t.Fatalf("%s/%s: mapped trace's functional stats diverge", beName, name)
 			}
 			m.Release()
