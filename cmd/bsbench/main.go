@@ -14,9 +14,12 @@
 // using the same versioned svc.SimResponse envelope the bsimd service
 // answers with — machine-readable columns/rows plus the wall time — so the
 // perf trajectory is tracked across changes and one schema covers both
-// offline and service output. -cpuprofile and -memprofile write pprof data
-// covering the whole run (compilation, trace recording, and simulation), so
-// performance work on the pipeline can be grounded in measured hot paths.
+// offline and service output. Beside the envelope's fields each file carries
+// a host object (CPU count, GOMAXPROCS, Go version, commit, scale), so a
+// recorded wall time names the machine and tree it was measured on.
+// -cpuprofile and -memprofile write pprof data covering the whole run
+// (compilation, trace recording, and simulation), so performance work on
+// the pipeline can be grounded in measured hot paths.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -113,16 +117,69 @@ func main() {
 	fmt.Fprintf(os.Stderr, "bsbench: done in %v (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)
 }
 
+// benchHost is the machine and tree a BENCH_<name>.json file was measured
+// on.
+type benchHost struct {
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	GoVersion  string  `json:"go_version"`
+	Commit     string  `json:"commit"`
+	Scale      float64 `json:"scale"`
+}
+
+// benchArtifact is a BENCH_<name>.json file: the service envelope, and the
+// host beside its fields.
+type benchArtifact struct {
+	svc.SimResponse
+	Host benchHost `json:"host"`
+}
+
+// buildCommit is the VCS revision stamped into the binary (12 hex digits,
+// with "-dirty" when the tree had uncommitted changes), or "unknown" when
+// the build carries none, as under go run.
+func buildCommit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return "unknown"
+	}
+	rev = rev[:min(len(rev), 12)]
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
+}
+
 // writeJSON records one experiment's table and wall time as
 // BENCH_<name>.json in the current directory, in the same versioned
-// envelope the bsimd service answers with.
+// envelope the bsimd service answers with, plus the host it ran on.
 func writeJSON(name string, scale float64, wall time.Duration, tbl *stats.Table) error {
-	out := svc.SimResponse{
-		Version:    svc.SchemaVersion,
-		Experiment: name,
-		Scale:      scale,
-		WallMs:     wall.Milliseconds(),
-		Table:      svc.TableOf(tbl),
+	out := benchArtifact{
+		SimResponse: svc.SimResponse{
+			Version:    svc.SchemaVersion,
+			Experiment: name,
+			Scale:      scale,
+			WallMs:     wall.Milliseconds(),
+			Table:      svc.TableOf(tbl),
+		},
+		Host: benchHost{
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Commit:     buildCommit(),
+			Scale:      scale,
+		},
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

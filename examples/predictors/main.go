@@ -84,11 +84,10 @@ func main() {
 		correct, total := 0, 0
 		for i := 0; i < 20000; i++ {
 			actual, taken := s.next(r, i)
-			if p.Predict(b) == actual {
+			if p.Step(b, actual, taken, b.SuccIndex(actual)) == actual {
 				correct++
 			}
 			total++
-			p.Update(b, actual, taken, b.SuccIndex(actual))
 		}
 		fmt.Printf("%-34s %9.1f%%\n", s.name, 100*float64(correct)/float64(total))
 	}

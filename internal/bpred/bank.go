@@ -9,13 +9,13 @@ import "bsisa/internal/isa"
 // every variant and emit each lane's prediction for every control event.
 //
 // The bank shares the branch history register across lanes: the BHR's
-// evolution is fixed by the committed outcomes (shiftConv/shiftBSA), and a
-// lane's HistoryBits only masks the register at PHT-indexing time, so one
-// shift per event serves every history length. Per-lane state (PHT, BTB,
-// RAS, stats) lives in ordinary TwoLevel/BSA predictors driven through
-// their external-BHR predictWith/updateWith entry points, which keeps the
-// bank's per-event work allocation-free once the BTBs warm up
-// (TestBankStepAllocs pins this).
+// evolution is fixed by the committed outcomes (shiftConvTerm/shiftBSATerm),
+// and a lane's HistoryBits only masks the register at PHT-indexing time, so
+// one shift per event serves every history length. Per-lane state (PHT,
+// BTB, RAS, stats) lives in ordinary TwoLevel/BSA predictors driven through
+// stepTerm, the same code their own Step runs against their private
+// register, which keeps the bank's per-event work allocation-free once the
+// BTBs warm up (TestBankStepAllocs pins this).
 type Bank struct {
 	bhr  uint32
 	conv []*TwoLevel // exactly one of conv/bsa is populated
@@ -53,18 +53,18 @@ func (bk *Bank) Len() int {
 // Step consumes one control event: every lane predicts the successor of b
 // (out[i] receives lane i's prediction; out must hold Len() entries), every
 // lane trains on the architectural outcome, and the shared history register
-// advances once. Call it exactly where a live simulation would call
-// Predict+Update — for each committed block with a real successor.
+// advances once. Call it exactly where a live simulation calls
+// Predictor.Step — for each committed block with a real successor.
 //
-// Each lane runs its fused stepTerm (predict immediately followed by update
-// against the same shared register). That per-lane fusion is exact: lanes
-// never touch each other's tables, and the shared register is read-only
-// until the single shift below, so lane i's update cannot influence lane
-// j's prediction in either ordering. Events that no lane's tables react to
-// — a fallthrough or unconditional jump for the conventional predictor, the
-// same with a single successor for the BSA one — short-circuit to the known
-// successor without entering the lanes at all (no stats change, and the
-// history shift is a no-op for those terminators).
+// Each lane runs stepTerm against the shared register. Lanes never touch
+// each other's tables, and the shared register is read-only until the
+// single shift below, so lane i's training cannot influence lane j's
+// prediction, and every lane sees what its standalone Step would. Events
+// that no lane's tables react to — a fallthrough or unconditional jump for
+// the conventional predictor, the same with a single successor for the BSA
+// one — short-circuit to the known successor without entering the lanes at
+// all (no stats change, and the history shift is a no-op for those
+// terminators).
 func (bk *Bank) Step(b *isa.Block, actual isa.BlockID, taken bool, succIdx int, out []isa.BlockID) {
 	// The terminator is resolved once here and passed down: every lane's
 	// predict and update needs it, and it is a pure function of the block.

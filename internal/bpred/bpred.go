@@ -11,9 +11,13 @@
 //     register is shifted by the variable number of history bits the trap
 //     operation specifies (the block's HistBits).
 //
-// Both predictors expose the same interface to the timing model: given a
-// fetched block, predict the next block; after the actual successor is
-// known, train.
+// Both predictors expose one operation to the timing model, Step: given a
+// committed block and its architectural outcome, predict the block's
+// successor from the current state, then train on the outcome and advance
+// the history register. Prediction state depends only on the committed
+// stream, never on timing, so nothing is lost by taking both halves in one
+// call; the sweep's Bank runs the same per-lane step over a shared history
+// register.
 package bpred
 
 import (
@@ -25,13 +29,14 @@ import (
 
 // Predictor is the frontend-prediction interface the timing model consumes.
 type Predictor interface {
-	// Predict returns the predicted block to fetch after b, or isa.NoBlock
-	// when the frontend has no usable target (treated as a misfetch).
-	Predict(b *isa.Block) isa.BlockID
-	// Update trains the predictor with the architectural outcome: the
-	// committed successor, the trap/branch direction, and the successor's
-	// index in b.Succs (-1 for return/indirect transfers).
-	Update(b *isa.Block, actual isa.BlockID, taken bool, succIdx int)
+	// Step consumes one committed block with a real successor. It returns
+	// the block the frontend would have fetched after b, or isa.NoBlock
+	// when it had no usable target (treated as a misfetch), then trains on
+	// the architectural outcome: the committed successor, the trap/branch
+	// direction, and the successor's index in b.Succs (-1 for
+	// return/indirect transfers). The prediction never depends on the
+	// outcome it is trained with.
+	Step(b *isa.Block, actual isa.BlockID, taken bool, succIdx int) isa.BlockID
 	// Stats reports prediction traffic.
 	Stats() Stats
 }

@@ -37,11 +37,9 @@ func TestTwoLevelLearnsAlwaysTaken(t *testing.T) {
 	b := condBlock(0x1000)
 	correct := 0
 	for i := 0; i < 100; i++ {
-		pred := p.Predict(b)
-		if pred == 1 {
+		if p.Step(b, 1, true, 0) == 1 {
 			correct++
 		}
-		p.Update(b, 1, true, 0)
 	}
 	// After warmup (history register fill + counter + BTB fill) it must
 	// predict taken; each new history pattern trains its own counter.
@@ -61,10 +59,9 @@ func TestTwoLevelLearnsAlternation(t *testing.T) {
 		if taken {
 			actual = 1
 		}
-		if p.Predict(b) == actual {
+		if p.Step(b, actual, taken, b.SuccIndex(actual)) == actual {
 			correct++
 		}
-		p.Update(b, actual, taken, b.SuccIndex(actual))
 	}
 	if correct < 300 {
 		t.Errorf("alternating pattern predicted %d/400", correct)
@@ -75,11 +72,11 @@ func TestTwoLevelBTBMissOnFirstTaken(t *testing.T) {
 	p := NewTwoLevel(Config{})
 	b := condBlock(0x3000)
 	// Train direction taken until the history register saturates and the
-	// steady-state counter is confident; Update also fills the BTB.
+	// steady-state counter is confident; training also fills the BTB.
 	for i := 0; i < 30; i++ {
-		p.Update(b, 1, true, 0)
+		p.Step(b, 1, true, 0)
 	}
-	if got := p.Predict(b); got != 1 {
+	if got := p.Step(b, 1, true, 0); got != 1 {
 		t.Errorf("trained predictor predicts %d, want 1", got)
 	}
 }
@@ -97,14 +94,14 @@ func TestTwoLevelRAS(t *testing.T) {
 	ret.Addr = 0x5000
 	ret.Ops = []isa.Op{{Opcode: isa.RET, Rs1: isa.RegLR}}
 
-	if got := p.Predict(call); got != 50 {
+	if got := p.Step(call, 50, true, 0); got != 50 {
 		t.Errorf("call predicts %d, want callee 50", got)
 	}
-	if got := p.Predict(ret); got != 7 {
+	if got := p.Step(ret, 7, true, -1); got != 7 {
 		t.Errorf("ret predicts %d, want continuation 7", got)
 	}
 	// Empty RAS: no target.
-	if got := p.Predict(ret); got != isa.NoBlock {
+	if got := p.Step(ret, 7, true, -1); got != isa.NoBlock {
 		t.Errorf("ret with empty RAS predicts %d, want none", got)
 	}
 }
@@ -134,10 +131,9 @@ func TestBSALearnsVariantSelection(t *testing.T) {
 	b := trapBlock(0x6000, []isa.BlockID{10, 11}, []isa.BlockID{20})
 	correct := 0
 	for i := 0; i < 200; i++ {
-		if p.Predict(b) == 11 {
+		if p.Step(b, 11, true, 1) == 11 {
 			correct++
 		}
-		p.Update(b, 11, true, 1)
 	}
 	if correct < 180 {
 		t.Errorf("variant selection learned %d/200", correct)
@@ -147,8 +143,9 @@ func TestBSALearnsVariantSelection(t *testing.T) {
 func TestBSAFillsBTBWithDiscoveredSuccessors(t *testing.T) {
 	p := NewBSA(Config{})
 	b := trapBlock(0x7000, []isa.BlockID{10, 11, 12, 13}, []isa.BlockID{20, 21})
-	// First prediction allocates the entry with the two canonical targets.
-	p.Predict(b)
+	// First prediction allocates the entry with the two canonical targets;
+	// the canonical taken outcome adds nothing beyond them.
+	p.Step(b, 10, true, 0)
 	e := p.btb.lookup(pcOf(b))
 	if e == nil {
 		t.Fatal("no BTB entry after first prediction")
@@ -156,9 +153,9 @@ func TestBSAFillsBTBWithDiscoveredSuccessors(t *testing.T) {
 	if len(e.targets) != 2 || !e.has(10) || !e.has(20) {
 		t.Fatalf("initial targets %v, want canonical 10 and 20", e.targets)
 	}
-	// Updates reveal more successors.
+	// Training reveals more successors.
 	for _, actual := range []isa.BlockID{11, 12, 13, 21} {
-		p.Update(b, actual, actual < 20, b.SuccIndex(actual))
+		p.Step(b, actual, actual < 20, b.SuccIndex(actual))
 	}
 	for _, want := range []isa.BlockID{10, 11, 12, 13, 20, 21} {
 		if !e.has(want) {
@@ -179,11 +176,10 @@ func TestBSAPredictsEightWayMix(t *testing.T) {
 	correct, total := 0, 0
 	for round := 0; round < 300; round++ {
 		for _, s := range seq {
-			if p.Predict(b) == s.actual {
+			if p.Step(b, s.actual, s.taken, b.SuccIndex(s.actual)) == s.actual {
 				correct++
 			}
 			total++
-			p.Update(b, s.actual, s.taken, b.SuccIndex(s.actual))
 		}
 	}
 	if float64(correct)/float64(total) < 0.5 {
@@ -196,7 +192,7 @@ func TestBSASingleSuccessorNeedsNoPrediction(t *testing.T) {
 	b := isa.NewBlock(0)
 	b.Addr = 0x9000
 	b.Succs = []isa.BlockID{33}
-	if got := p.Predict(b); got != 33 {
+	if got := p.Step(b, 33, false, 0); got != 33 {
 		t.Errorf("single-successor predicts %d", got)
 	}
 	if p.Stats().Lookups != 0 {
@@ -211,15 +207,15 @@ func TestBSAHistoryShiftVariable(t *testing.T) {
 	if b2.HistBits != 1 || b8.HistBits != 3 {
 		t.Fatalf("HistBits = %d, %d", b2.HistBits, b8.HistBits)
 	}
-	p.Update(b2, 10, true, 0)
+	p.Step(b2, 10, true, 0)
 	if p.bhr != 0 {
-		t.Errorf("bhr after 1-bit taken-canonical update = %b, want 0", p.bhr)
+		t.Errorf("bhr after 1-bit taken-canonical step = %b, want 0", p.bhr)
 	}
-	p.Update(b8, 13, true, 3)
+	p.Step(b8, 13, true, 3)
 	if p.bhr != 0b011 {
-		t.Errorf("bhr after 3-bit update = %b, want 011", p.bhr)
+		t.Errorf("bhr after 3-bit step = %b, want 011", p.bhr)
 	}
-	p.Update(b2, 20, false, 1)
+	p.Step(b2, 20, false, 1)
 	if p.bhr != 0b0111 {
 		t.Errorf("bhr = %b, want 0111", p.bhr)
 	}
@@ -250,10 +246,9 @@ func TestPredictorsAreDeterministic(t *testing.T) {
 		r := rand.New(rand.NewSource(42))
 		var preds []isa.BlockID
 		for i := 0; i < 200; i++ {
-			preds = append(preds, p.Predict(b))
 			choices := []isa.BlockID{10, 11, 20}
 			a := choices[r.Intn(3)]
-			p.Update(b, a, a < 20, b.SuccIndex(a))
+			preds = append(preds, p.Step(b, a, a < 20, b.SuccIndex(a)))
 		}
 		return preds
 	}

@@ -65,18 +65,12 @@ func (p *BSA) phtIndex(pc, bhr uint32) int {
 	return int((pc ^ hist) & mask)
 }
 
-// shiftBSA advances a block-structured global history register past block b:
-// the variable HistBits-wide successor index for a real multi-way choice,
-// nothing otherwise. Like shiftConv it is the single definition of the BHR
-// evolution, shared by the standalone predictor and the sweep Bank — the
-// evolution depends only on the committed outcome, never on HistoryBits,
-// which merely masks the register at indexing time.
-func shiftBSA(bhr uint32, b *isa.Block, succIdx int) uint32 {
-	return shiftBSATerm(bhr, b, b.Terminator(), succIdx)
-}
-
-// shiftBSATerm is shiftBSA with the terminator already resolved (the Bank
-// resolves it once per event for all lanes).
+// shiftBSATerm advances a block-structured global history register past
+// block b, whose terminator is t: the variable HistBits-wide successor index
+// for a real multi-way choice, nothing otherwise. Like shiftConvTerm it is
+// the single definition of the BHR evolution, shared by Step and the sweep
+// Bank: the evolution depends only on the committed outcome, never on
+// HistoryBits, which merely masks the register at indexing time.
 func shiftBSATerm(bhr uint32, b *isa.Block, t *isa.Op, succIdx int) uint32 {
 	if t != nil {
 		switch t.Opcode {
@@ -125,15 +119,22 @@ func selectIn(group []isa.BlockID, c *bsaCounters) isa.BlockID {
 	return group[sel]
 }
 
-// Predict implements Predictor.
-func (p *BSA) Predict(b *isa.Block) isa.BlockID {
-	return p.predictWith(b, p.bhr)
+// Step implements Predictor.
+func (p *BSA) Step(b *isa.Block, actual isa.BlockID, taken bool, succIdx int) isa.BlockID {
+	t := b.Terminator()
+	pred := p.stepTerm(b, t, actual, taken, p.bhr)
+	p.bhr = shiftBSATerm(p.bhr, b, t, succIdx)
+	return pred
 }
 
-// predictWith is Predict against an explicit history register (the Bank
-// supplies a shared one; the standalone path passes p.bhr).
-func (p *BSA) predictWith(b *isa.Block, bhr uint32) isa.BlockID {
-	t := b.Terminator()
+// stepTerm predicts the successor of b against history register bhr, then
+// trains the tables on the committed outcome, with the terminator t already
+// resolved (the Bank resolves it once per event for every lane). It does not
+// advance the register: the caller shifts it once via shiftBSATerm, whether
+// it owns one register or shares it across a Bank. The BTB is probed before
+// it is trained: its clock drives LRU replacement, so the probe order
+// decides victim choice.
+func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, bhr uint32) isa.BlockID {
 	if t != nil {
 		switch t.Opcode {
 		case isa.CALL:
@@ -151,137 +152,6 @@ func (p *BSA) predictWith(b *isa.Block, bhr uint32) isa.BlockID {
 			// lookup whether it hits or not; otherwise BTBMisses accumulate
 			// against a Lookups denominator that never saw the probes and the
 			// indirect-jump hit/miss rates are skewed.
-			p.stats.Lookups++
-			if e := p.btb.lookup(pcOf(b)); e != nil && len(e.targets) > 0 {
-				return e.targets[0]
-			}
-			p.stats.BTBMisses++
-			return isa.NoBlock
-		case isa.HALT:
-			return isa.NoBlock
-		}
-	}
-	if len(b.Succs) == 0 {
-		return isa.NoBlock
-	}
-	if len(b.Succs) == 1 {
-		// Single successor: the block header names it; no prediction.
-		return b.Succs[0]
-	}
-
-	p.stats.Lookups++
-	e := p.btb.lookup(pcOf(b))
-	if e == nil {
-		// First encounter: allocate and store the trap's two explicit
-		// targets (the canonical variant of each group).
-		e = p.btb.insert(pcOf(b))
-		tg, fg, hasTrap := groups(b, t)
-		e.add(tg[0], MaxTargets)
-		if hasTrap {
-			e.add(fg[0], MaxTargets)
-		}
-	}
-
-	c := &p.pht[p.phtIndex(pcOf(b), bhr)]
-	tg, fg, hasTrap := groups(b, t)
-	group := tg
-	if hasTrap && !taken2(c.trap) {
-		group = fg
-	}
-	want := selectIn(group, c)
-	if e.has(want) {
-		return want
-	}
-	// The selected variant's target is not yet in the BTB: fall back to a
-	// known target within the group, preferring the canonical one.
-	for _, g := range group {
-		if e.has(g) {
-			return g
-		}
-	}
-	// No known target on the predicted side at all; any stored target can
-	// at least keep fetch moving (its fault will redirect if wrong).
-	if len(e.targets) > 0 {
-		return e.targets[0]
-	}
-	p.stats.BTBMisses++
-	return isa.NoBlock
-}
-
-// Update implements Predictor.
-func (p *BSA) Update(b *isa.Block, actual isa.BlockID, taken bool, succIdx int) {
-	p.updateWith(b, actual, taken, p.bhr)
-	p.bhr = shiftBSA(p.bhr, b, succIdx)
-}
-
-// updateWith is Update against an explicit history register; it trains the
-// tables but does not advance the register (the caller shifts it once via
-// shiftBSA, whether it owns one register or shares it across a Bank).
-func (p *BSA) updateWith(b *isa.Block, actual isa.BlockID, taken bool, bhr uint32) {
-	t := b.Terminator()
-	if t != nil {
-		switch t.Opcode {
-		case isa.CALL, isa.RET, isa.HALT:
-			return
-		case isa.JR:
-			p.btb.insert(pcOf(b)).add(actual, MaxTargets)
-			return
-		}
-	}
-	if len(b.Succs) <= 1 {
-		return
-	}
-	// Reveal the actual successor to the BTB (fault mispredictions fill the
-	// remaining slots, per the paper).
-	p.btb.insert(pcOf(b)).add(actual, MaxTargets)
-
-	idx := p.phtIndex(pcOf(b), bhr)
-	c := &p.pht[idx]
-	tg, fg, hasTrap := groups(b, t)
-	group := tg
-	if hasTrap {
-		c.trap = bump(c.trap, taken)
-		if !taken {
-			group = fg
-		}
-	}
-	// Train the variant-selection counters toward the actual within-group
-	// index.
-	within := 0
-	for i, g := range group {
-		if g == actual {
-			within = i
-			break
-		}
-	}
-	if len(group) > 1 {
-		c.f1 = bump(c.f1, within&2 != 0)
-		c.f2 = bump(c.f2, within&1 != 0)
-	}
-}
-
-// stepTerm is predictWith immediately followed by updateWith against the
-// same history register, with the terminator already resolved (the Bank
-// resolves it once per event for every lane). Fusing the phases per lane is
-// observationally identical to predict-all-then-update-all because every
-// table it touches is private to this predictor; the shared work — PHT
-// index, counter entry, variant groups — is computed once. The BTB probe
-// sequence is kept call-for-call identical to the split phases: its clock
-// drives LRU replacement, so eliding a probe would diverge from the
-// standalone predictor.
-func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, bhr uint32) isa.BlockID {
-	if t != nil {
-		switch t.Opcode {
-		case isa.CALL:
-			p.ras.push(b.Cont)
-			return b.Succs[0]
-		case isa.RET:
-			p.stats.RASReturns++
-			if v, ok := p.ras.pop(); ok {
-				return v
-			}
-			return isa.NoBlock
-		case isa.JR:
 			p.stats.Lookups++
 			pred := isa.NoBlock
 			if e := p.btb.lookup(pcOf(b)); e != nil && len(e.targets) > 0 {
@@ -304,11 +174,12 @@ func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, 
 		return b.Succs[0]
 	}
 
-	// Predict phase.
 	pc := pcOf(b)
 	p.stats.Lookups++
 	e := p.btb.lookup(pc)
 	if e == nil {
+		// First encounter: allocate and store the trap's two explicit
+		// targets (the canonical variant of each group).
 		e = p.btb.insert(pc)
 		tg, fg, hasTrap := groups(b, t)
 		e.add(tg[0], MaxTargets)
@@ -328,6 +199,10 @@ func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, 
 	if e.has(want) {
 		pred = want
 	} else {
+		// The selected variant's target is not yet in the BTB: fall back to
+		// a known target within the group, preferring the canonical one.
+		// With none on the predicted side, any stored target can at least
+		// keep fetch moving (its fault will redirect if wrong).
 		for _, g := range group {
 			if e.has(g) {
 				pred = g
@@ -343,9 +218,10 @@ func (p *BSA) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, 
 		}
 	}
 
-	// Update phase: reveal the actual successor, then train the trap and
-	// variant-selection counters — reads of c above all happened before
-	// these bumps, exactly as in the split phases.
+	// Train: reveal the actual successor to the BTB (fault mispredictions
+	// fill the remaining slots, per the paper), then move the trap and
+	// variant-selection counters toward the actual outcome. Every read of c
+	// above happens before these bumps.
 	p.btb.insert(pc).add(actual, MaxTargets)
 	ugroup := tg
 	if hasTrap {

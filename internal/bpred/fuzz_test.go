@@ -41,12 +41,13 @@ func fuzzWorld(shape []byte) []*isa.Block {
 	return blocks
 }
 
-// FuzzPredictor drives two identically configured BSA predictors through a
-// block/outcome sequence decoded from the fuzz input and checks the
-// predictor's contract at every step:
+// FuzzPredictor drives a BSA predictor, and a one-lane Bank of the same
+// configuration beside it, through a block/outcome sequence decoded from the
+// fuzz input and checks the predictor's contract at every step:
 //
 //   - a prediction is either NoBlock or one of the block's successors;
-//   - the predictor is deterministic (both instances always agree);
+//   - the predictor is deterministic, and the sweep's Bank path (a shared
+//     history register) predicts exactly what the live predictor does;
 //   - BTB misses never exceed lookups (the JR stats symmetry bug class);
 //   - stats counters never decrease.
 func FuzzPredictor(f *testing.F) {
@@ -60,22 +61,22 @@ func FuzzPredictor(f *testing.F) {
 		world := fuzzWorld(data[:len(data)/2])
 		drive := data[len(data)/2:]
 		a := NewBSA(Config{})
-		b := NewBSA(Config{})
+		bank := NewBank(true, []Config{{}})
+		mirror := make([]isa.BlockID, 1)
 		var prev Stats
 		for _, step := range drive {
 			blk := world[int(step)%len(world)]
-			got := a.Predict(blk)
-			if mirror := b.Predict(blk); mirror != got {
-				t.Fatalf("B%d: predictors diverged: %d vs %d", blk.ID, got, mirror)
+			oi := int(step>>2) % len(blk.Succs)
+			actual := blk.Succs[oi]
+			taken := oi < blk.TakenCount
+			got := a.Step(blk, actual, taken, oi)
+			bank.Step(blk, actual, taken, oi, mirror)
+			if mirror[0] != got {
+				t.Fatalf("B%d: predictor and bank diverged: %d vs %d", blk.ID, got, mirror[0])
 			}
 			if got != isa.NoBlock && blk.SuccIndex(got) < 0 {
 				t.Fatalf("B%d: predicted B%d, not a successor of %v", blk.ID, got, blk.Succs)
 			}
-			oi := int(step>>2) % len(blk.Succs)
-			actual := blk.Succs[oi]
-			taken := oi < blk.TakenCount
-			a.Update(blk, actual, taken, oi)
-			b.Update(blk, actual, taken, oi)
 
 			s := a.Stats()
 			if s.BTBMisses > s.Lookups {

@@ -26,17 +26,17 @@ func TestBSAJRStatsSymmetry(t *testing.T) {
 	p := NewBSA(Config{})
 	b := jrBlock(0x4000)
 
-	// Cold probe: no BTB entry yet — one lookup, one miss.
-	if got := p.Predict(b); got != isa.NoBlock {
+	// Cold probe: no BTB entry yet — one lookup, one miss. The step trains
+	// the target.
+	if got := p.Step(b, 2, false, -1); got != isa.NoBlock {
 		t.Fatalf("cold JR predict = %d, want NoBlock", got)
 	}
 	if s := p.Stats(); s.Lookups != 1 || s.BTBMisses != 1 {
 		t.Fatalf("after cold probe: Lookups=%d BTBMisses=%d, want 1/1", s.Lookups, s.BTBMisses)
 	}
 
-	// Train the target, then probe again: one more lookup, no new miss.
-	p.Update(b, 2, false, -1)
-	if got := p.Predict(b); got != 2 {
+	// Probe again: one more lookup, no new miss.
+	if got := p.Step(b, 2, false, -1); got != 2 {
 		t.Fatalf("warm JR predict = %d, want 2", got)
 	}
 	if s := p.Stats(); s.Lookups != 2 || s.BTBMisses != 1 {
@@ -46,8 +46,7 @@ func TestBSAJRStatsSymmetry(t *testing.T) {
 	// The miss count must never outrun the lookup count over a mixed
 	// hit/miss sequence.
 	for i := 0; i < 100; i++ {
-		p.Predict(b)
-		p.Update(b, isa.BlockID(1+i%3), false, -1)
+		p.Step(b, isa.BlockID(1+i%3), false, -1)
 	}
 	if s := p.Stats(); s.BTBMisses > s.Lookups {
 		t.Fatalf("BTBMisses %d > Lookups %d", s.BTBMisses, s.Lookups)

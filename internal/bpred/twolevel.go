@@ -120,18 +120,12 @@ func (p *TwoLevel) phtIndex(pc, bhr uint32) int {
 	return int((pc ^ hist) & mask)
 }
 
-// shiftConv advances a conventional global history register past block b:
-// one taken bit per conditional branch, nothing otherwise. It is the single
-// definition of the BHR evolution both the standalone predictor and the
-// sweep Bank use — the evolution depends only on the committed outcome, so
-// every history length sees the same register and HistoryBits merely masks
-// it at indexing time.
-func shiftConv(bhr uint32, b *isa.Block, taken bool) uint32 {
-	return shiftConvTerm(bhr, b.Terminator(), taken)
-}
-
-// shiftConvTerm is shiftConv with the terminator already resolved (the Bank
-// resolves it once per event for all lanes).
+// shiftConvTerm advances a conventional global history register past a
+// block whose terminator is t: one taken bit per conditional branch, nothing
+// otherwise. It is the single definition of the BHR evolution, shared by
+// Step and the sweep Bank: the evolution depends only on the committed
+// outcome, so every history length sees the same register and HistoryBits
+// merely masks it at indexing time.
 func shiftConvTerm(bhr uint32, t *isa.Op, taken bool) uint32 {
 	if t != nil && t.Opcode == isa.BR {
 		bhr <<= 1
@@ -142,98 +136,21 @@ func shiftConvTerm(bhr uint32, t *isa.Op, taken bool) uint32 {
 	return bhr
 }
 
-// Predict implements Predictor.
-func (p *TwoLevel) Predict(b *isa.Block) isa.BlockID {
-	return p.predictWith(b, p.bhr)
-}
-
-// predictWith is Predict against an explicit history register (the Bank
-// supplies a shared one; the standalone path passes p.bhr).
-func (p *TwoLevel) predictWith(b *isa.Block, bhr uint32) isa.BlockID {
+// Step implements Predictor.
+func (p *TwoLevel) Step(b *isa.Block, actual isa.BlockID, taken bool, succIdx int) isa.BlockID {
 	t := b.Terminator()
-	if t == nil {
-		return b.Succs[0]
-	}
-	switch t.Opcode {
-	case isa.JMP:
-		return b.Succs[0]
-	case isa.CALL:
-		p.ras.push(b.Cont)
-		return b.Succs[0]
-	case isa.RET:
-		p.stats.RASReturns++
-		if v, ok := p.ras.pop(); ok {
-			return v
-		}
-		return isa.NoBlock
-	case isa.JR:
-		if e := p.btb.lookup(pcOf(b)); e != nil && len(e.targets) > 0 {
-			return e.targets[0]
-		}
-		p.stats.BTBMisses++
-		return isa.NoBlock
-	case isa.HALT:
-		return isa.NoBlock
-	case isa.BR:
-		p.stats.Lookups++
-		if taken2(p.pht[p.phtIndex(pcOf(b), bhr)]) {
-			// Predicted taken: the target must be in the BTB to redirect
-			// fetch.
-			if e := p.btb.lookup(pcOf(b)); e != nil && e.has(b.Succs[0]) {
-				return b.Succs[0]
-			}
-			p.stats.BTBMisses++
-			return isa.NoBlock
-		}
-		return b.Succs[b.TakenCount]
-	}
-	return isa.NoBlock
+	pred := p.stepTerm(b, t, actual, taken, p.bhr)
+	p.bhr = shiftConvTerm(p.bhr, t, taken)
+	return pred
 }
 
-// Update implements Predictor.
-func (p *TwoLevel) Update(b *isa.Block, actual isa.BlockID, taken bool, succIdx int) {
-	p.updateWith(b, actual, taken, p.bhr)
-	p.bhr = shiftConv(p.bhr, b, taken)
-}
-
-// updateWith is Update against an explicit history register; it trains the
-// tables but does not advance the register (the caller shifts it once via
-// shiftConv, whether it owns one register or shares it across a Bank).
-func (p *TwoLevel) updateWith(b *isa.Block, actual isa.BlockID, taken bool, bhr uint32) {
-	t := b.Terminator()
-	if t == nil {
-		return
-	}
-	switch t.Opcode {
-	case isa.BR:
-		idx := p.phtIndex(pcOf(b), bhr)
-		pred := taken2(p.pht[idx])
-		if pred == taken {
-			// Target correctness is accounted by the caller comparing
-			// block IDs; count direction hits here.
-			p.stats.Correct++
-		}
-		p.pht[idx] = bump(p.pht[idx], taken)
-		if taken {
-			p.btb.insert(pcOf(b)).add(actual, 1)
-		}
-	case isa.JR:
-		p.btb.insert(pcOf(b)).add(actual, 1)
-	case isa.RET:
-		// RAS trained at predict time.
-	}
-}
-
-// stepTerm is predictWith immediately followed by updateWith against the
-// same history register, with the terminator already resolved (the Bank
-// resolves it once per event for every lane). All state it touches — PHT,
-// BTB, RAS, stats — is private to this predictor, so fusing the two phases
-// per lane is observationally identical to the Bank's former
-// predict-all-then-update-all order while sharing the PHT index computation,
-// the counter read, and the direction evaluation. The BTB probe sequence is
-// kept call-for-call identical to the split phases: its clock drives LRU
-// replacement, so eliding a probe would change victim choice and diverge
-// from the standalone predictor.
+// stepTerm predicts the successor of b against history register bhr, then
+// trains the tables on the committed outcome, with the terminator t already
+// resolved (the Bank resolves it once per event for every lane). It does not
+// advance the register: the caller shifts it once via shiftConvTerm, whether
+// it owns one register or shares it across a Bank. The BTB is probed before
+// it is trained: its clock drives LRU replacement, so the probe order
+// decides victim choice.
 func (p *TwoLevel) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken bool, bhr uint32) isa.BlockID {
 	if t == nil {
 		return b.Succs[0]
@@ -279,6 +196,8 @@ func (p *TwoLevel) stepTerm(b *isa.Block, t *isa.Op, actual isa.BlockID, taken b
 			pred = b.Succs[b.TakenCount]
 		}
 		if dir == taken {
+			// Target correctness is accounted by the caller comparing
+			// block IDs; count direction hits here.
 			p.stats.Correct++
 		}
 		p.pht[idx] = bump(ctr, taken)

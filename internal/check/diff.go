@@ -129,7 +129,7 @@ func Differential(src string, cfg DiffConfig) *Report {
 		case isa.BlockStructured:
 			params := cfg.Params
 			if params.Static && params.Profile == nil {
-				prof, err := traceProfile(prog, emuCfg)
+				prof, err := core.CollectProfile(prog, cfg.EmuBudget)
 				if err != nil {
 					rep.failf("profile-bsa", "%v", err)
 					return rep
@@ -240,28 +240,4 @@ func crossCheckTiming(rep *Report, tag string, prog *isa.Program, trace *emu.Tra
 		rep.failf("retire-"+tag, "timing model retired %d ops/%d blocks, emulator committed %d/%d",
 			replayed.Ops, replayed.Blocks, emuStats.Ops, emuStats.Blocks)
 	}
-}
-
-// traceProfile records per-block trap outcomes for static enlargement.
-func traceProfile(p *isa.Program, cfg emu.Config) (core.Profile, error) {
-	prof := make(core.Profile)
-	em := emu.New(p, cfg)
-	_, err := em.Run(func(ev *emu.BlockEvent) error {
-		t := ev.Block.Terminator()
-		if t == nil || t.Opcode != isa.TRAP {
-			return nil
-		}
-		bp := prof[ev.Block.ID]
-		if ev.Taken {
-			bp.Taken++
-		} else {
-			bp.NotTaken++
-		}
-		prof[ev.Block.ID] = bp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return prof, nil
 }

@@ -52,16 +52,7 @@ func Record(prog *isa.Program, cfg Config) (*Trace, error) {
 	t := &Trace{prog: prog, cfg: cfg}
 	t.memCnt = make([]int32, len(prog.Blocks))
 	for id, b := range prog.Blocks {
-		if b == nil {
-			continue
-		}
-		n := 0
-		for i := range b.Ops {
-			if op := b.Ops[i].Opcode; op == isa.LD || op == isa.ST {
-				n++
-			}
-		}
-		t.memCnt[id] = int32(n)
+		t.memCnt[id] = staticMemCount(b)
 	}
 	res, err := New(prog, cfg).Run(func(ev *BlockEvent) error {
 		if len(ev.MemAddrs) != int(t.memCnt[ev.Block.ID]) {

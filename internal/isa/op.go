@@ -278,10 +278,6 @@ func (o Opcode) String() string {
 	return opcodeInfo[o].name
 }
 
-// IsControl reports whether the opcode transfers control (ClassBranch other
-// than FAULT, which redirects only when it fires).
-func (o Opcode) IsControl() bool { return o.Class() == ClassBranch }
-
 // IsBlockEnd reports whether an operation with this opcode terminates a
 // block's operation list (FAULT does not: faults appear mid-block).
 func (o Opcode) IsBlockEnd() bool {

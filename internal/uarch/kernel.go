@@ -528,81 +528,6 @@ func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bo
 	return schedTimes{done: stDone, term: fs.term, firstFault: fs.firstFault}
 }
 
-// laneSchedule2 is laneSchedule for two committed sweep lanes at once. Every
-// lane schedules the identical operation stream (the per-width tables share
-// one op arena), so fusing a pair gives the core two independent dependency
-// chains per op where the single-lane loop is bound by one serial regs
-// store-to-load chain. Results are bit-identical to two laneSchedule calls:
-// the lanes touch disjoint state except the read-only shared streams.
-func laneSchedule2(sa, sb *Sim, lb *laneBlock, issueA, issueB int64) (schedTimes, schedTimes) {
-	ra, rb := &sa.scr.ring, &sb.scr.ring
-	regsA, regsB := &sa.scr.regs, &sb.scr.regs
-	baseA, countsA := ra.base, ra.counts
-	baseB, countsB := rb.base, rb.counts
-	if len(countsA) == 0 || len(countsB) == 0 {
-		// Unreachable: newLaneRing allocates.
-		return schedTimes{done: issueA, term: issueA + 1}, schedTimes{done: issueB, term: issueB + 1}
-	}
-	maskA := uint64(len(countsA)) - 1
-	maskB := uint64(len(countsB)) - 1
-	limitA := uint8(sa.cfg.NumFUs)
-	limitB := uint8(sb.cfg.NumFUs)
-	fsA := laneFlagState{l2: int64(sa.cfg.L2Latency), term: issueA + 1, ldMiss: sa.ldMiss, ldOff: sa.ldOff}
-	fsB := laneFlagState{l2: int64(sb.cfg.L2Latency), term: issueB + 1, ldMiss: sb.ldMiss, ldOff: sb.ldOff}
-	stDoneA, stDoneB := issueA, issueB
-	for _, op := range lb.ops {
-		readyA := max(issueA, regsA[op&0xff], regsA[(op>>8)&0xff], regsA[(op>>16)&0xff])
-		readyB := max(issueB, regsB[op&0xff], regsB[(op>>8)&0xff], regsB[(op>>16)&0xff])
-		for {
-			if uint64(readyA-baseA) > maskA {
-				ra.grow(readyA)
-				countsA = ra.counts
-				if len(countsA) == 0 {
-					break // unreachable: grow only enlarges
-				}
-				maskA = uint64(len(countsA)) - 1
-			}
-			if c := countsA[uint64(readyA)&maskA]; c < limitA {
-				countsA[uint64(readyA)&maskA] = c + 1
-				break
-			}
-			readyA++
-		}
-		for {
-			if uint64(readyB-baseB) > maskB {
-				rb.grow(readyB)
-				countsB = rb.counts
-				if len(countsB) == 0 {
-					break // unreachable: grow only enlarges
-				}
-				maskB = uint64(len(countsB)) - 1
-			}
-			if c := countsB[uint64(readyB)&maskB]; c < limitB {
-				countsB[uint64(readyB)&maskB] = c + 1
-				break
-			}
-			readyB++
-		}
-		lat := int64(op >> 48)
-		doneA := readyA + lat
-		doneB := readyB + lat
-		if flags := uint8(op >> 40); flags != 0 {
-			doneA = fsA.flagged(flags, doneA)
-			doneB = fsB.flagged(flags, doneB)
-		}
-		regsA[(op>>24)&0xff] = doneA
-		regsA[(op>>32)&0xff] = doneA
-		regsB[(op>>24)&0xff] = doneB
-		regsB[(op>>32)&0xff] = doneB
-		stDoneA = max(stDoneA, doneA)
-		stDoneB = max(stDoneB, doneB)
-	}
-	sa.ldOff = fsA.ldOff
-	sb.ldOff = fsB.ldOff
-	return schedTimes{done: stDoneA, term: fsA.term, firstFault: fsA.firstFault},
-		schedTimes{done: stDoneB, term: fsB.term, firstFault: fsB.firstFault}
-}
-
 // Misprediction kinds. The kind depends only on the program structure and
 // the predicted/actual successors — never on timing state — so the sweep's
 // enrichment computes it once per event for all its lanes (see classify).

@@ -49,9 +49,9 @@ import (
 //     rename ready times, retire, recovery, serialization — against the
 //     precomputed outcomes of its (class, icache level) pair. Core-geometry
 //     axes need no shared state at all: they are plain per-lane knobs of the
-//     kernel. Lanes that differ only in icache size fold: while their timing
-//     states coincide up to a cycle shift, one follows another and does no
-//     kernel work (see foldWorker).
+//     kernel. Lanes of one predictor class that differ only in icache size
+//     fold: while their timing states coincide up to a cycle shift, one
+//     follows another and does no kernel work (see foldWorker).
 //
 // A lane runs the same kernel as a live Sim, so lane results are identical,
 // field for field, to ReplayTrace under the same configuration; sweep_test.go
@@ -630,11 +630,15 @@ type laneSim struct {
 	sw  sweepLane
 }
 
-// foldGroups partitions the lanes into fold groups: lanes whose normalized
-// configurations agree apart from the icache size. Such lanes share a
-// predictor class (one class per distinct predictor configuration), the
+// foldGroups partitions the lanes into fold groups: lanes of one predictor
+// class whose normalized configurations agree apart from the icache size
+// and the predictor tables. Such lanes share the mispredict streams, the
 // predecoded table, the load-outcome stream and every kernel knob, so they
-// differ only in icache outcomes. Groups are numbered in order of first
+// differ only in icache outcomes. Where the class stands for one predictor
+// configuration, the key is that configuration less the icache size; where
+// nothing predicts, every predictor configuration shares the one class, and
+// lanes of equal icache size are the same machine, which folds at the first
+// attempt and never splits. Groups are numbered in order of first
 // appearance. Within a group lanes run larger icache first, a perfect one
 // largest of all: the order in which they are preferred as leaders, since a
 // larger icache misses less and so splits its followers off less often.
@@ -645,7 +649,8 @@ func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
 		for j := 0; j < i; j++ {
 			a, b := norm[i], norm[j]
 			a.ICache.SizeBytes, b.ICache.SizeBytes = 0, 0
-			if a == b {
+			a.Predictor, b.Predictor = bpred.Config{}, bpred.Config{}
+			if lanes[i].sw.cls == lanes[j].sw.cls && a == b {
 				g = lanes[j].sw.group
 				break
 			}
@@ -787,23 +792,9 @@ func (fw *foldWorker) unfold(s *Sim) {
 	sw.leader = nil
 }
 
-// step runs event ei through the kernel on every live lane. Lanes are fused
-// in pairs so each block's scheduling loop carries two independent
-// dependency chains (see laneSchedule2); an odd trailing lane steps alone.
+// step runs event ei through the kernel on every live lane.
 func (fw *foldWorker) step(ei int, id isa.BlockID, last bool) {
-	live := fw.lanes[:fw.nLive]
-	p := 0
-	for ; p+1 < len(live); p += 2 {
-		a, b := live[p], live[p+1]
-		lbA, lbB := &a.lp[id], &b.lp[id]
-		issueA := a.issueAt(a.drain(len(lbA.ops)) + a.icacheStall(a.sw.fetchMiss(ei)))
-		issueB := b.issueAt(b.drain(len(lbB.ops)) + b.icacheStall(b.sw.fetchMiss(ei)))
-		stA, stB := laneSchedule2(a, b, lbA, issueA, issueB)
-		a.post(lbA, issueA, stA, int64(lbA.fetchCycles), a.sw.mispredictAt(ei), last)
-		b.post(lbB, issueB, stB, int64(lbB.fetchCycles), b.sw.mispredictAt(ei), last)
-	}
-	if p < len(live) {
-		s := live[p]
+	for _, s := range fw.lanes[:fw.nLive] {
 		lb := &s.lp[id]
 		issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss(ei)))
 		st := s.laneSchedule(lb, issue, &s.scr.regs, true)

@@ -97,7 +97,7 @@ func equalResults(t *testing.T, label string, cfgs []Config, got, want []*Result
 // every field, including cache statistics, misprediction counts and stall
 // breakdowns — over icache-only, predictor-only and cross-product grids,
 // with real and perfect branch prediction, at any worker count (one worker
-// pairs every lane through laneSchedule2), including degenerate one-point
+// steps every lane of the grid in lockstep), including degenerate one-point
 // grids. Most random programs run only a handful of blocks, so a small
 // Table-2 workload joins them: thousands of events with real icache misses,
 // trap and fault mispredictions, serialization stalls and fused pairs.
@@ -378,14 +378,16 @@ func TestLaneScratchPool(t *testing.T) {
 }
 
 // historyICacheGrid is the serve-warm shape: four branch-history lengths
-// crossed with four icache sizes, perfect included.
-func historyICacheGrid() []Config {
+// crossed with four icache sizes, perfect included. Under perfect branch
+// prediction the history axis changes nothing.
+func historyICacheGrid(perfectBP bool) []Config {
 	var cfgs []Config
 	for _, hist := range []int{2, 4, 8, 12} {
 		for _, sz := range []int{0, 1024, 2048, 4096} {
 			cfgs = append(cfgs, Config{
 				ICache:    cache.Config{SizeBytes: sz, Ways: 4},
 				Predictor: bpred.Config{HistoryBits: hist},
+				PerfectBP: perfectBP,
 			})
 		}
 	}
@@ -393,14 +395,16 @@ func historyICacheGrid() []Config {
 }
 
 // TestSweepFolding checks lane folding on a workload long enough to fold:
-// lanes that differ only in icache size follow a sibling while their timing
-// frontiers coincide and split off when their icache outcomes differ. Every
-// grid must still match SimulateMany field for field at every worker count
-// (workers deal fold groups, not lanes), the icache grids must both fold and
-// split so the materialize path runs, and no lane may ever follow a lane
-// whose configuration differs beyond the icache size — another core
-// geometry or predictor. A sweep canceled while lanes follow returns the
-// context's error.
+// lanes of one predictor class that differ only in icache size follow a
+// sibling while their timing frontiers coincide and split off when their
+// icache outcomes differ. Every grid must still match SimulateMany field for
+// field at every worker count (workers deal fold groups, not lanes), the
+// icache grids must both fold and split so the materialize path runs, and
+// no lane may ever follow a lane whose configuration differs beyond the
+// icache size — another core geometry, or another predictor where the
+// backend predicts (without a predictor, or under perfect prediction, the
+// class ignores the predictor tables, and so does this check). A sweep
+// canceled while lanes follow returns the context's error.
 func TestSweepFolding(t *testing.T) {
 	// At this scale li runs about 9,000 events: enough to fold, and more than
 	// two context-check chunks for the cancellation case.
@@ -411,11 +415,13 @@ func TestSweepFolding(t *testing.T) {
 		mustFold bool
 	}{
 		{"icache", sweepGrid(false), true},
-		{"history×icache", historyICacheGrid(), true},
+		{"history×icache", historyICacheGrid(false), true},
+		{"history×icache perfectBP", historyICacheGrid(true), true},
 		{"cross", crossGrid(), false},
 	}
 	for _, be := range backend.All() {
 		kind := be.Kind()
+		noPredictor := be.Policy().Predictor == backend.PredNone
 		prog := workloadProgram(t, "li", scale, kind)
 		tr, err := emu.Record(prog, emu.Config{})
 		if err != nil {
@@ -441,6 +447,9 @@ func TestSweepFolding(t *testing.T) {
 				for _, e := range st.edges {
 					f, l := norm[e[0]], norm[e[1]]
 					f.ICache.SizeBytes, l.ICache.SizeBytes = 0, 0
+					if noPredictor || f.PerfectBP {
+						f.Predictor, l.Predictor = bpred.Config{}, bpred.Config{}
+					}
 					if f != l {
 						t.Errorf("%s: config %d followed config %d, which differs beyond the icache size", label, e[0], e[1])
 					}

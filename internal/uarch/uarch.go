@@ -395,8 +395,7 @@ func (s *Sim) resolve(ev *emu.BlockEvent) *mispredict {
 	if ev.Next == isa.NoBlock || s.pred == nil {
 		return nil
 	}
-	predicted := s.pred.Predict(b)
-	s.pred.Update(b, ev.Next, ev.Taken, ev.SuccIdx)
+	predicted := s.pred.Step(b, ev.Next, ev.Taken, ev.SuccIdx)
 	if predicted == ev.Next {
 		return nil
 	}
