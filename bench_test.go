@@ -307,7 +307,7 @@ func BenchmarkXSweepFused(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
+		if _, err := uarch.Sweep(tr, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,8 +317,8 @@ func BenchmarkXSweepFused(b *testing.B) {
 // paper's three sizes on the paper machine — on li and gcc for conv and bsa.
 // The four lanes differ only in icache size, so they fold onto each other
 // while their timing states coincide; bsa, whose lanes coincide least often,
-// is folding's worst case. The sweep runs on one worker, so ns/op is its CPU
-// cost: a lone fold group runs on one worker however many are offered.
+// is folding's worst case. The sweep runs on the calling goroutine, so ns/op
+// is its CPU cost.
 func BenchmarkICacheSweep(b *testing.B) {
 	var cfgs []uarch.Config
 	for _, sz := range append([]int{0}, harness.ICacheSizes...) {
@@ -348,7 +348,7 @@ func BenchmarkICacheSweep(b *testing.B) {
 			b.Run(name+"/"+target.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := uarch.Sweep(tr, cfgs, 1); err != nil {
+					if _, err := uarch.Sweep(tr, cfgs); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,10 +6,8 @@
 //
 // Usage:
 //
-//	bsimd [-addr :8023] [-workers N] [-queue N] [-job-workers N]
-//	      [-timeout D] [-cache-programs N] [-cache-traces N]
-//	      [-cache-predecodes N] [-store DIR] [-store-max-bytes N]
-//	      [-log text|json] [-smoke]
+//	bsimd [-addr :8023] [-workers N] [-queue N] [-timeout D]
+//	      [-store DIR] [-store-max-bytes N] [-log text|json] [-smoke]
 //
 // Endpoints:
 //
@@ -18,10 +16,13 @@
 //	GET  /metrics       Prometheus text format
 //	     /debug/pprof/  runtime profiling
 //
-// Every job runs on the engine uarch.Run routes its configurations to: a
-// sweepable grid on the unified sweep (engine "sweep"), anything else —
-// a single config included — as one replay per config (engine
-// "simulate-many"); the job log's engine_reason says why. Concurrent
+// -workers sizes the job pool, and each job runs start to finish on its
+// worker's goroutine, so at most -workers jobs simulate at once. Every job
+// runs on the engine uarch.Run routes its configurations to: a sweepable
+// grid on the unified sweep (engine "sweep"), anything else — a single
+// config included — as one replay per config (engine "simulate-many"); the
+// job log's engine_reason says why. -timeout caps every job, recording
+// included; a request's timeout_ms may only shorten it. Concurrent
 // identical requests coalesce onto one simulation pass; followers are
 // answered from the leader's envelope with "coalesced": true and counted in
 // bsimd_coalesced_requests_total.
@@ -44,17 +45,16 @@
 // replay still has mapped (evictions count on bsimd_store_events_total).
 //
 // -smoke runs the self-check the CI service-smoke stage uses: it starts a
-// server on an ephemeral port (pool shape pinned: one worker, four job
-// workers) and checks, over HTTP against the direct library path: a
-// Figure-6-style icache sweep, a predictor sweep served from the cached
-// trace, a single-config replay, a four-way head-to-head across
-// every registered ISA backend (plus an unknown-ISA rejection carrying the
-// machine-readable error_code), and a 32-way identical load that
-// must coalesce onto one pass — then verifies cache hits, the coalesced
-// count, and both engine stages on /metrics, and finally restarts against
-// the same trace store (the -store directory, or a temporary one) to prove
-// a fresh process answers the sweep from mmapped store files with zero
-// trace recordings.
+// server on an ephemeral port (pool shape pinned: one worker) and checks,
+// over HTTP against the direct library path: a Figure-6-style icache sweep,
+// a predictor sweep served from the cached trace, a single-config replay, a
+// four-way head-to-head across every registered ISA backend (plus an
+// unknown-ISA rejection carrying the machine-readable error_code), and a
+// 32-way identical load that must coalesce onto one pass — then verifies
+// cache hits, the coalesced count, and both engine stages on /metrics, and
+// finally restarts against the same trace store (the -store directory, or a
+// temporary one) to prove a fresh process answers the sweep from mmapped
+// store files with zero trace recordings.
 package main
 
 import (
@@ -75,11 +75,7 @@ func main() {
 	addr := flag.String("addr", ":8023", "listen address")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 2*workers)")
-	jobWorkers := flag.Int("job-workers", 0, "per-job engine concurrency (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "default per-job deadline (0 = none)")
-	cacheProgs := flag.Int("cache-programs", 0, "compiled-program cache entries (0 = default)")
-	cacheTraces := flag.Int("cache-traces", 0, "recorded-trace cache entries (0 = default)")
-	cachePre := flag.Int("cache-predecodes", 0, "predecoded-op-table cache entries (0 = default)")
 	storeDir := flag.String("store", "", "persistent trace store directory (empty = in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0,
 		"evict least-recently-used store files once the directory exceeds this many bytes (0 = unbounded)")
@@ -100,14 +96,10 @@ func main() {
 	logger := slog.New(handler)
 
 	cfg := svc.ServerConfig{
-		Workers:               *workers,
-		QueueDepth:            *queue,
-		JobWorkers:            *jobWorkers,
-		DefaultTimeout:        *timeout,
-		ProgramCacheEntries:   *cacheProgs,
-		TraceCacheEntries:     *cacheTraces,
-		PredecodeCacheEntries: *cachePre,
-		Logger:                logger,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		Logger:         logger,
 	}
 	if *storeDir != "" {
 		store, err := svc.NewStore(*storeDir)

@@ -116,15 +116,13 @@ func smokePredRequest(id string) *svc.SimRequest {
 //
 // The pool shape is pinned rather than taken from the daemon flags: one
 // worker makes the coalescing step deterministic (the load queues behind a
-// slower occupier job, so exactly one of the identical requests leads), and
-// several job workers give the engines lanes to spend. The store is
-// taken from -store when given (so CI can run the smoke twice on one
+// slower occupier job, so exactly one of the identical requests leads). The
+// store is taken from -store when given (so CI can run the smoke twice on one
 // directory and get a cross-process warm start) and is a throwaway temp
 // directory otherwise.
 func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	cfg.Workers = 1
 	cfg.QueueDepth = 2
-	cfg.JobWorkers = 4
 	if cfg.Store == nil {
 		dir, err := os.MkdirTemp("", "bsimd-smoke-store-")
 		if err != nil {
@@ -530,7 +528,7 @@ func directSweep(req *svc.SimRequest) ([]svc.SimResult, error) {
 	if ok, reason := uarch.CanSweep(plan.Configs); !ok {
 		return nil, fmt.Errorf("smoke grid should be sweepable: %s", reason)
 	}
-	rs, err := uarch.Sweep(tr, plan.Configs, 0)
+	rs, err := uarch.Sweep(tr, plan.Configs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,14 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
+	"bsisa/internal/backend"
+	"bsisa/internal/compile"
 	"bsisa/internal/core"
+	"bsisa/internal/emu"
+	"bsisa/internal/lang"
 	"bsisa/internal/testgen"
 	"bsisa/internal/uarch"
 )
@@ -69,6 +74,50 @@ func FuzzEnlarger(f *testing.F) {
 		})
 		if rep.Failed() {
 			t.Fatalf("seed %d params (%d,%d,%d): %s", seed, maxOps, maxFaults, maxSuccs, rep)
+		}
+	})
+}
+
+// FuzzCompileSource feeds arbitrary source text through everything a
+// service request's MiniC source reaches before timing: lang.Parse,
+// lang.Check, lowering and code generation for every backend, the backend's
+// shaping pass, and a recording at a 10⁵-operation budget. None of it may
+// panic or hang. The seeds are generated programs, a loop of blocks without
+// operations, and each shape lang.MaxNesting bounds, near the bound. The
+// Table-2 sources are left out: they take seconds per execution.
+func FuzzCompileSource(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(testgen.Program(seed))
+	}
+	f.Add(`func main() { while (1) { } return 0; }`)
+	const n = lang.MaxNesting - 20
+	f.Add("func main() { out(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "); }")
+	f.Add("func main() { out(" + strings.Repeat("- ", n) + "1); }")
+	f.Add("func main() { out(1" + strings.Repeat("+1", n) + "); }")
+	f.Add("func main() { " + strings.Repeat("{ ", n) + "out(1);" + strings.Repeat(" }", n) + " }")
+	f.Add("func main() { if (0) { out(0); }" + strings.Repeat(" else if (0) { out(0); }", n) + " else { out(1); } }")
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := lang.Parse(src)
+		if err != nil {
+			return
+		}
+		info, err := lang.Check(file)
+		if err != nil {
+			return
+		}
+		for _, be := range backend.All() {
+			mod, err := compile.Lower(file, info, "fuzz")
+			if err != nil {
+				return
+			}
+			prog, err := compile.CompileModule(mod, compile.DefaultOptions(be.Kind()))
+			if err != nil {
+				continue
+			}
+			if _, err := be.Shape(prog, core.Params{}); err != nil {
+				continue
+			}
+			_, _ = emu.RecordContext(t.Context(), prog, emu.Config{MaxOps: 100_000})
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,12 +11,17 @@ import (
 // Config bounds an emulation run.
 type Config struct {
 	// MaxOps aborts runs exceeding this committed-operation budget
-	// (0 means DefaultMaxOps).
+	// (0 means DefaultMaxOps). Every committed block charges at least one
+	// operation against it, so a loop of blocks without operations still
+	// runs out.
 	MaxOps int64
 }
 
 // DefaultMaxOps is the default committed-operation budget.
 const DefaultMaxOps = 2_000_000_000
+
+// ErrBudget is wrapped by the error of a run that exceeds Config.MaxOps.
+var ErrBudget = errors.New("emu: operation budget exceeded")
 
 // BlockEvent describes one committed block. The struct (including MemAddrs)
 // is reused between handler invocations; handlers must not retain it.
@@ -119,6 +125,7 @@ func (e *Emulator) Run(handler Handler) (*Result, error) {
 	cur := e.prog.Entry()
 	var ev, pending BlockEvent
 	havePending := false
+	var charged int64 // operations charged against the budget
 
 	emitPending := func(committedNext isa.BlockID) error {
 		if !havePending || handler == nil {
@@ -145,8 +152,9 @@ func (e *Emulator) Run(handler Handler) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("emu: in B%d (%s): %w", b.ID, e.prog.Funcs[b.Func].Name, err)
 		}
-		if e.stats.Ops > e.cfg.MaxOps {
-			return nil, fmt.Errorf("emu: operation budget %d exceeded", e.cfg.MaxOps)
+		charged += max(int64(len(committed.Ops)), 1)
+		if charged > e.cfg.MaxOps {
+			return nil, fmt.Errorf("%w (%d operations)", ErrBudget, e.cfg.MaxOps)
 		}
 		if err := emitPending(committed.ID); err != nil {
 			return nil, err

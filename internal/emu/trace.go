@@ -49,12 +49,23 @@ func (t *Trace) Borrowed() bool { return t.borrowed }
 // stream. The recorded trace replays the exact event sequence the run
 // delivered, so any handler observes identical inputs either way.
 func Record(prog *isa.Program, cfg Config) (*Trace, error) {
+	return RecordContext(context.Background(), prog, cfg)
+}
+
+// RecordContext is Record with cooperative cancellation: every replayChunk
+// events it checks ctx and stops with ctx.Err() once the context is done.
+func RecordContext(ctx context.Context, prog *isa.Program, cfg Config) (*Trace, error) {
 	t := &Trace{prog: prog, cfg: cfg}
 	t.memCnt = make([]int32, len(prog.Blocks))
 	for id, b := range prog.Blocks {
 		t.memCnt[id] = staticMemCount(b)
 	}
 	res, err := New(prog, cfg).Run(func(ev *BlockEvent) error {
+		if len(t.blocks)&(replayChunk-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		if len(ev.MemAddrs) != int(t.memCnt[ev.Block.ID]) {
 			return fmt.Errorf("emu: trace: B%d committed %d memory addresses, static count %d",
 				ev.Block.ID, len(ev.MemAddrs), t.memCnt[ev.Block.ID])
@@ -83,10 +94,11 @@ func (t *Trace) Replay(handler Handler) error {
 	return t.ReplayContext(context.Background(), handler)
 }
 
-// replayChunk is how many events ReplayContext delivers between context
-// checks: large enough that the check is free against the per-event work,
-// small enough that cancellation of a multi-million-block replay lands
-// within microseconds. Power of two so the check is a mask, not a modulo.
+// replayChunk is how many events ReplayContext delivers, and RecordContext
+// records, between context checks: large enough that the check is free
+// against the per-event work, small enough that cancellation of a
+// multi-million-block replay lands within microseconds. Power of two so the
+// check is a mask, not a modulo.
 const replayChunk = 4096
 
 // replayEventPool recycles the one BlockEvent header a replay walks the

@@ -106,7 +106,7 @@ func (h *Harness) AblateSuperblock() (*stats.Table, error) {
 		}
 		// Superblock: profile the unenlarged program, merge majority side
 		// only.
-		prof, err := core.CollectProfile(raw, h.Opts.EmuBudget)
+		prof, err := core.CollectProfile(raw, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +208,7 @@ func (h *Harness) AblateMinBias() (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				prof, err := core.CollectProfile(raw, h.Opts.EmuBudget)
+				prof, err := core.CollectProfile(raw, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -389,7 +389,7 @@ func (h *Harness) AblateProfileLayout() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts, err := core.CollectBlockCounts(prog, h.Opts.EmuBudget)
+		counts, err := core.CollectBlockCounts(prog, 0)
 		if err != nil {
 			return nil, err
 		}

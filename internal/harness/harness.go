@@ -58,28 +58,11 @@ type Options struct {
 	Scale float64
 	// Progress, when non-nil, receives per-step progress lines.
 	Progress io.Writer
-	// EmuBudget bounds each functional run (0 = emulator default).
-	EmuBudget int64
-	// Workers is the single concurrency knob: 0 means GOMAXPROCS, 1 forces
-	// serial execution. Precedence is outermost-first — the same budget
-	// bounds benchmark preparation, then per-benchmark config fan-out (the
-	// engines' lane and replay pools). Results are identical at every
-	// worker count.
+	// Workers bounds benchmark preparation and the per-benchmark fan-out: 0
+	// means GOMAXPROCS, 1 forces serial execution. Each timing engine runs
+	// on the goroutine of the benchmark that called it. Results are
+	// identical at every worker count.
 	Workers int
-	// Context, when non-nil, cancels in-flight experiment fan-outs
-	// cooperatively: preparation and simulation workers stop between work
-	// items (and mid-replay, between trace chunks) once it is done, and the
-	// harness call returns an error matching the context's. Nil means
-	// context.Background() — run to completion.
-	Context context.Context
-}
-
-// ctx resolves the effective cancellation context.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
 }
 
 // workers resolves the effective worker count.
@@ -92,17 +75,14 @@ func (o Options) workers() int {
 
 // forEachIndex runs fn(0..n-1) over at most `workers` goroutines and returns
 // the first error. Each index is handed to exactly one worker, so writes to
-// index-i slots need no locking. A done context stops the dispatch of
-// further indices; the call returns only after every worker has exited.
-func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) error {
+// index-i slots need no locking. The call returns only after every worker
+// has exited.
+func forEachIndex(n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := fn(i); err != nil {
 				return err
 			}
@@ -121,14 +101,8 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) err
 			}
 		}()
 	}
-	done := ctx.Done()
-feed:
 	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-done:
-			break feed
-		}
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
@@ -137,7 +111,7 @@ feed:
 			return e
 		}
 	}
-	return ctx.Err()
+	return nil
 }
 
 func (o Options) progress(format string, args ...any) {
@@ -192,7 +166,7 @@ func New(opts Options) (*Harness, error) {
 	h := &Harness{Opts: opts, results: map[string]*uarch.Result{}}
 	profiles := workload.Profiles(opts.Scale)
 	h.Benches = make([]*Bench, len(profiles))
-	err := forEachIndex(opts.ctx(), len(profiles), opts.workers(), func(i int) error {
+	err := forEachIndex(len(profiles), opts.workers(), func(i int) error {
 		opts.progress("compile %-8s ...", profiles[i].Name)
 		b, err := prepare(profiles[i])
 		if err != nil {
@@ -275,7 +249,7 @@ func (h *Harness) Trace(prog *isa.Program) (t *emu.Trace, ok bool, err error) {
 		return nil, false, nil
 	}
 	e.once.Do(func() {
-		e.t, e.err = emu.Record(prog, emu.Config{MaxOps: h.Opts.EmuBudget})
+		e.t, e.err = emu.Record(prog, emu.Config{})
 	})
 	return e.t, true, e.err
 }
@@ -324,7 +298,7 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 		for j, i := range missing {
 			need[j] = cfgs[i]
 		}
-		rs, _, err := uarch.Run(h.Opts.ctx(), tr, need, uarch.RunOptions{Workers: h.Opts.workers()})
+		rs, _, err := uarch.Run(context.Background(), tr, need, nil)
 		if err != nil {
 			return nil, fmt.Errorf("harness: run %s: %w", keys[missing[0]], err)
 		}
@@ -333,7 +307,7 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 		}
 	} else {
 		for _, i := range missing {
-			r, _, err := uarch.RunProgram(prog, cfgs[i], emu.Config{MaxOps: h.Opts.EmuBudget})
+			r, _, err := uarch.RunProgram(prog, cfgs[i], emu.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("harness: run %s: %w", keys[i], err)
 			}
@@ -351,7 +325,7 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 // forEachBench runs fn for every benchmark index over the configured worker
 // pool and returns the first error.
 func (h *Harness) forEachBench(fn func(i int) error) error {
-	return forEachIndex(h.Opts.ctx(), len(h.Benches), h.Opts.workers(), fn)
+	return forEachIndex(len(h.Benches), h.Opts.workers(), fn)
 }
 
 // pairResults runs conventional and block-structured executables of every

@@ -63,7 +63,7 @@ func TestHarnessReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := uarch.RunProgram(b.Conv, cfg, emu.Config{MaxOps: h.Opts.EmuBudget})
+	want, _, err := uarch.RunProgram(b.Conv, cfg, emu.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestHarnessReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFresh, _, err := uarch.RunProgram(prog, cfg, emu.Config{MaxOps: h.Opts.EmuBudget})
+	wantFresh, _, err := uarch.RunProgram(prog, cfg, emu.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (h *Harness) TraceStoreSpeed() (*stats.Table, error) {
 			h.Opts.progress("tracestore %-8s %s", b.Profile.Name, side.tag)
 
 			start := time.Now()
-			fresh, err := emu.Record(side.prog, emu.Config{MaxOps: h.Opts.EmuBudget})
+			fresh, err := emu.Record(side.prog, emu.Config{})
 			if err != nil {
 				return nil, err
 			}

@@ -29,10 +29,11 @@ func xsweepGrid() []uarch.Config {
 // independent replay per configuration (uarch.SimulateMany) versus the
 // unified multi-axis sweep engine (uarch.Sweep), over every benchmark and
 // both ISAs, verifying on the way that the two engines return identical
-// results. The cross product exercises what makes the unified engine new —
-// one enrichment replay feeds lanes that differ along more than one axis —
-// so this table is the perf trajectory record for the multi-axis path
-// (bsbench exports it as BENCH_xsweep.json). Like the other *Speed
+// results. Both engines run on the calling goroutine. The cross product
+// exercises what makes the unified engine new — one enrichment replay feeds
+// lanes that differ along more than one axis — so this table is the perf
+// trajectory record for the multi-axis path (bsbench exports it as
+// BENCH_xsweep.json). Like the other *Speed
 // experiments it deliberately ignores the result memo: every cell is real
 // simulation work.
 func (h *Harness) XSweepSpeed() (*stats.Table, error) {
@@ -57,13 +58,13 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 			}
 			h.Opts.progress("xsweep %-8s %s", b.Profile.Name, side.tag)
 			start := time.Now()
-			legacy, err := uarch.SimulateMany(tr, cfgs, h.Opts.workers())
+			legacy, err := uarch.SimulateMany(tr, cfgs, 1)
 			if err != nil {
 				return nil, err
 			}
 			legacyMs := time.Since(start)
 			start = time.Now()
-			fused, err := uarch.Sweep(tr, cfgs, h.Opts.workers())
+			fused, err := uarch.Sweep(tr, cfgs)
 			if err != nil {
 				return nil, err
 			}

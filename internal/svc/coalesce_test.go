@@ -112,14 +112,12 @@ func TestCoalesceKeyCoverage(t *testing.T) {
 	}
 }
 
-// TestServerSingleConfigEngine gives the server engine workers to spend and
-// requires a single-config job to take one live replay, with the answer
+// TestServerSingleConfigEngine requires a single-config job to take one live
+// replay, with the answer
 // field-for-field identical to ReplayTrace, and every job's engine to be the
 // one uarch.RouteFor picks for its plan.
 func TestServerSingleConfigEngine(t *testing.T) {
-	cfg := quietConfig()
-	cfg.JobWorkers = 4
-	_, ts := testServer(t, cfg)
+	_, ts := testServer(t, quietConfig())
 	seed := int64(42)
 	prog, err := compile.Compile(testgen.Program(seed), "t", compile.DefaultOptions(isa.Conventional))
 	if err != nil {

@@ -70,6 +70,17 @@ const (
 	isaBlockStructured = "block-structured"
 )
 
+// maxEmuOps caps the operations one request may record, and is the budget
+// of a request that sets none. li, the largest Table-2 profile at maxScale,
+// commits 6,076,453 operations; the cap leaves 3.3 times that. Every
+// committed block charges at least one operation, so it also caps a trace's
+// events (DESIGN.md §8 gives the memory this allows).
+const maxEmuOps = 20_000_000
+
+// maxScale bounds a workload's scale at the bsbench reference, so that
+// every workload fits under maxEmuOps.
+const maxScale = 1.0
+
 // BuildConfig validates a decoded SimRequest and compiles it into a Plan.
 // It is the single config-assembly path for the service: every failure
 // wraps one of the typed sentinels (ErrBadProgram, ErrBadGeometry,
@@ -83,15 +94,19 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.EmuMaxOps < 0 {
-		return nil, fmt.Errorf("%w: negative emulation budget %d", ErrBadRequest, req.EmuMaxOps)
+	if req.EmuMaxOps < 0 || req.EmuMaxOps > maxEmuOps {
+		return nil, fmt.Errorf("%w: emulation budget %d outside [0, %d]", ErrBadRequest, req.EmuMaxOps, maxEmuOps)
 	}
 	if req.TimeoutMs < 0 {
 		return nil, fmt.Errorf("%w: negative timeout %dms", ErrBadRequest, req.TimeoutMs)
 	}
+	budget := req.EmuMaxOps
+	if budget == 0 {
+		budget = maxEmuOps
+	}
 	plan := &Plan{
 		Program: prog,
-		EmuCfg:  emu.Config{MaxOps: req.EmuMaxOps},
+		EmuCfg:  emu.Config{MaxOps: budget},
 		Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
 	}
 	switch {
@@ -246,8 +261,8 @@ func normalizeProgram(p ProgramSpec) (ProgramSpec, error) {
 		if p.Scale == 0 {
 			p.Scale = 1
 		}
-		if p.Scale < 0 {
-			return p, fmt.Errorf("%w: negative workload scale %g", ErrBadProgram, p.Scale)
+		if p.Scale < 0 || p.Scale > maxScale {
+			return p, fmt.Errorf("%w: workload scale %g outside (0, %g]", ErrBadProgram, p.Scale, maxScale)
 		}
 		if _, ok := workload.ProfileByName(p.Workload, p.Scale); !ok {
 			return p, fmt.Errorf("%w: unknown workload %q", ErrBadProgram, p.Workload)

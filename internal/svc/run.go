@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -96,7 +97,9 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	// configured store interposes on the miss path: load-and-validate from
 	// disk first (a hit skips the recording entirely), and write a fresh
 	// recording through so the next process starts warm. Store failures only
-	// ever degrade to a re-record — they never fail the job.
+	// ever degrade to a re-record — they never fail the job. The recording
+	// runs under this job's context; a job waiting on it whose recorder is
+	// canceled records again under its own (artifactCache.do).
 	tKey := traceKey(progKey, plan.EmuCfg.MaxOps)
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
 		if st := s.cfg.Store; st != nil {
@@ -105,8 +108,13 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 			}
 		}
 		t0 := time.Now()
-		tr, err := emu.Record(bp.prog, plan.EmuCfg)
+		tr, err := emu.RecordContext(j.ctx, bp.prog, plan.EmuCfg)
 		s.metrics.observeStage(stageTrace, time.Since(t0))
+		if errors.Is(err, emu.ErrBudget) {
+			// The program came from the request, so running past the
+			// budget is a client error.
+			return nil, fmt.Errorf("%w: %w", ErrBadProgram, err)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +180,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	}
 
 	t0 := time.Now()
-	results, _, err := uarch.Run(j.ctx, tr, plan.Configs, uarch.RunOptions{Workers: s.cfg.JobWorkers, Predecoded: pre})
+	results, _, err := uarch.Run(j.ctx, tr, plan.Configs, pre)
 	engineWall := time.Since(t0)
 	s.metrics.observeStage(stage, engineWall)
 	if err != nil {

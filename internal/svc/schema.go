@@ -34,8 +34,9 @@ type SimRequest struct {
 	ID string `json:"id,omitempty"`
 	// Program selects and parameterizes the program to simulate.
 	Program ProgramSpec `json:"program"`
-	// EmuMaxOps bounds functional emulation while recording the trace
-	// (0 = the emulator default). Part of the trace cache key.
+	// EmuMaxOps bounds functional emulation while recording the trace. It
+	// may only lower the server's cap of 2×10⁷ operations, which 0 selects.
+	// Part of the trace cache key.
 	EmuMaxOps int64 `json:"emu_max_ops,omitempty"`
 	// Config runs a single timing simulation.
 	Config *ConfigSpec `json:"config,omitempty"`
@@ -58,8 +59,8 @@ type ProgramSpec struct {
 	// Workload names one of the eight synthetic SPECint95 profiles
 	// (compress, gcc, go, ...), generated at Scale.
 	Workload string `json:"workload,omitempty"`
-	// Scale multiplies the workload's dynamic size (default 1.0; only valid
-	// with Workload).
+	// Scale multiplies the workload's dynamic size (default and maximum
+	// 1.0; only valid with Workload).
 	Scale float64 `json:"scale,omitempty"`
 	// ISA names a registered backend: "conventional", "block-structured",
 	// "basicblocker", or "fused" (aliases "conv", "bsa", "bb", "mof",

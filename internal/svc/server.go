@@ -17,26 +17,17 @@ import (
 // ServerConfig sizes the service.
 type ServerConfig struct {
 	// Workers is the simulation worker pool size (<= 0 means GOMAXPROCS).
-	// It bounds concurrent jobs, not concurrent connections: each job fans
-	// its own replays/lanes out over the engines' internal pools, so the
-	// two multiply — keep Workers small on shared machines.
+	// It bounds concurrent jobs, not concurrent connections. Each job runs
+	// start to finish on its worker's goroutine, so at most Workers jobs
+	// simulate at once.
 	Workers int
 	// QueueDepth is how many accepted jobs may wait for a worker before
 	// enqueueing blocks (and the client's deadline starts rejecting);
 	// <= 0 means 2*Workers.
 	QueueDepth int
-	// JobWorkers bounds each job's internal engine concurrency
-	// (uarch.SimulateMany / SweepICache workers; <= 0 means GOMAXPROCS).
-	JobWorkers int
 	// DefaultTimeout caps jobs that carry no timeout_ms of their own
 	// (0 = no cap). A request's own timeout may only shorten it.
 	DefaultTimeout time.Duration
-	// ProgramCacheEntries / TraceCacheEntries / PredecodeCacheEntries bound
-	// the artifact caches (<= 0 means 32 programs / 16 traces / 32
-	// predecoded tables; traces are the big artifacts).
-	ProgramCacheEntries   int
-	TraceCacheEntries     int
-	PredecodeCacheEntries int
 	// Store, when non-nil, persists recorded traces (and their predecoded op
 	// tables) on disk under the in-memory trace cache: misses fall through to
 	// the store before re-recording, and fresh recordings write through. A
@@ -46,21 +37,20 @@ type ServerConfig struct {
 	Logger *slog.Logger
 }
 
+// Artifact cache capacities, in entries. Traces are the big artifacts: at
+// the emulation cap one holds at most maxEmuOps events (DESIGN.md §8).
+const (
+	programCacheEntries   = 32
+	traceCacheEntries     = 16
+	predecodeCacheEntries = 32
+)
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
-	}
-	if c.ProgramCacheEntries <= 0 {
-		c.ProgramCacheEntries = 32
-	}
-	if c.TraceCacheEntries <= 0 {
-		c.TraceCacheEntries = 16
-	}
-	if c.PredecodeCacheEntries <= 0 {
-		c.PredecodeCacheEntries = 32
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -113,9 +103,9 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:        cfg,
 		metrics:    newMetrics(),
-		programs:   newArtifactCache(cfg.ProgramCacheEntries),
-		traces:     newArtifactCache(cfg.TraceCacheEntries),
-		predecodes: newArtifactCache(cfg.PredecodeCacheEntries),
+		programs:   newArtifactCache(programCacheEntries),
+		traces:     newArtifactCache(traceCacheEntries),
+		predecodes: newArtifactCache(predecodeCacheEntries),
 		coal:       newCoalescer(),
 		jobs:       make(chan *job, cfg.QueueDepth),
 	}

@@ -26,10 +26,7 @@ import (
 func quietConfig() ServerConfig {
 	return ServerConfig{
 		Workers: 4,
-		// One engine worker per job keeps the tests' CPU use flat on any
-		// host; TestServerSingleConfigEngine runs with more.
-		JobWorkers: 1,
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 
@@ -112,7 +109,7 @@ func TestServerMatchesLibraryPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := uarch.Sweep(tr, plan.Configs, 0)
+		want, err := uarch.Sweep(tr, plan.Configs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +193,7 @@ func TestServerPredictorSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := uarch.Sweep(tr, plan.Configs, 0)
+		want, err := uarch.Sweep(tr, plan.Configs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,6 +309,45 @@ func TestServerRejectsDeepNesting(t *testing.T) {
 		}
 	}
 	seed := int64(1)
+	status, resp := post(t, ts, &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+		Config:  &ConfigSpec{},
+	})
+	if status != http.StatusOK || len(resp.Results) != 1 {
+		t.Fatalf("normal request after the attack: status %d: %s", status, resp.Error)
+	}
+}
+
+// TestServerBoundsRecording posts requests that would otherwise record
+// without bound. A loop of blocks without operations answers timeout under a
+// 200 ms deadline and bad_program at the server's emulation cap without one;
+// a budget over the cap and a scale over the bound answer 400. The server
+// then serves a normal request.
+func TestServerBoundsRecording(t *testing.T) {
+	_, ts := testServer(t, quietConfig())
+	loop := ProgramSpec{Source: `func main() { while (1) { } return 0; }`, ISA: "bsa"}
+	seed := int64(1)
+	for _, tc := range []struct {
+		name   string
+		req    SimRequest
+		status int
+		code   string
+	}{
+		{"loop under a deadline", SimRequest{Program: loop, TimeoutMs: 200}, http.StatusGatewayTimeout, "timeout"},
+		{"loop at the cap", SimRequest{Program: loop}, http.StatusBadRequest, "bad_program"},
+		{"budget over the cap", SimRequest{Program: ProgramSpec{Seed: &seed, ISA: "conv"}, EmuMaxOps: maxEmuOps + 1},
+			http.StatusBadRequest, "bad_request"},
+		{"scale over the bound", SimRequest{Program: ProgramSpec{Workload: "compress", Scale: 1.5, ISA: "conv"}},
+			http.StatusBadRequest, "bad_program"},
+	} {
+		tc.req.Version = SchemaVersion
+		tc.req.Config = &ConfigSpec{}
+		status, resp := post(t, ts, &tc.req)
+		if status != tc.status || resp.ErrorCode != tc.code {
+			t.Fatalf("%s: status %d, error_code %q (%s), want %d %s", tc.name, status, resp.ErrorCode, resp.Error, tc.status, tc.code)
+		}
+	}
 	status, resp := post(t, ts, &SimRequest{
 		Version: SchemaVersion,
 		Program: ProgramSpec{Seed: &seed, ISA: "conv"},

@@ -63,8 +63,8 @@ func cancelTrace(t *testing.T) *emu.Trace {
 }
 
 // checkNoGoroutineLeak fails the test if the goroutine count has not
-// returned to its baseline shortly after a canceled call: the engines
-// promise to drain their worker pools before returning.
+// returned to its baseline shortly after a canceled call: the engines start
+// no goroutine that outlives them.
 func checkNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -114,17 +114,15 @@ func TestReplayTraceContextCanceled(t *testing.T) {
 func TestSimulateManyContextCanceled(t *testing.T) {
 	tr := cancelTrace(t)
 	cfgs := sweepGrid(false)
-	for _, workers := range []int{1, 4} {
-		baseline := runtime.NumGoroutine()
-		results, err := SimulateManyContext(newCountdownCtx(3), tr, cfgs, workers)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
-		}
-		if results != nil {
-			t.Fatalf("workers=%d: canceled call returned results", workers)
-		}
-		checkNoGoroutineLeak(t, baseline)
+	baseline := runtime.NumGoroutine()
+	results, err := SimulateManyContext(newCountdownCtx(3), tr, cfgs, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
+	if results != nil {
+		t.Fatal("canceled call returned results")
+	}
+	checkNoGoroutineLeak(t, baseline)
 }
 
 func TestSweepContextCanceled(t *testing.T) {
@@ -138,22 +136,20 @@ func TestSweepContextCanceled(t *testing.T) {
 		if ok, reason := CanSweep(cfgs); !ok {
 			t.Fatalf("%s: grid should be sweepable: %s", label, reason)
 		}
-		for _, workers := range []int{1, 4} {
-			baseline := runtime.NumGoroutine()
-			results, err := SweepPredecoded(newCountdownCtx(3), tr, cfgs, workers, nil)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s workers=%d: got %v, want context.Canceled", label, workers, err)
-			}
-			if results != nil {
-				t.Fatalf("%s workers=%d: canceled call returned results", label, workers)
-			}
-			checkNoGoroutineLeak(t, baseline)
+		baseline := runtime.NumGoroutine()
+		results, err := SweepPredecoded(newCountdownCtx(3), tr, cfgs, 0, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", label, err)
 		}
+		if results != nil {
+			t.Fatalf("%s: canceled call returned results", label)
+		}
+		checkNoGoroutineLeak(t, baseline)
 	}
 
 	// A background context must not perturb results.
 	cfgs := predGrid(1024)
-	want, err := Sweep(tr, cfgs, 0)
+	want, err := Sweep(tr, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +166,7 @@ func TestSweepContextCanceled(t *testing.T) {
 
 // TestSimulateManyContextPrompt bounds the cancellation latency: once the
 // context is done, a replay over a multi-million-event trace must bail out
-// after at most one chunk (4096 events) per in-flight lane rather than
-// finishing the trace.
+// after at most one chunk (4096 events) rather than finishing the trace.
 func TestSimulateManyContextPrompt(t *testing.T) {
 	tr := cancelTrace(t)
 	cfgs := sweepGrid(false)

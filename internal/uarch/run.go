@@ -41,29 +41,22 @@ func RouteFor(cfgs []Config) Route {
 	return Route{Engine: EngineSweep}
 }
 
-// RunOptions tunes Run without changing its answers.
-type RunOptions struct {
-	// Workers bounds the engine's goroutines; <= 0 means GOMAXPROCS.
-	Workers int
-	// Predecoded, when non-nil, is a prebuilt Predecode of the trace's
-	// program for the engines to share (one for another program or issue
-	// width is ignored).
-	Predecoded *Predecoded
-}
-
 // Run simulates one trace under every configuration in cfgs on the engine
 // RouteFor picks, and reports that route. Results are in configuration
 // order and identical, field for field, to SimulateMany on the same inputs.
-// Run checks ctx between trace chunks and returns an error satisfying
-// errors.Is(err, ctx.Err()) once it is done.
-func Run(ctx context.Context, t *emu.Trace, cfgs []Config, opt RunOptions) ([]*Result, Route, error) {
+// The engine runs on the calling goroutine. pre, when non-nil, is a prebuilt
+// Predecode of the trace's program for the engines to share (one for
+// another program or issue width is ignored). Run checks ctx between trace
+// chunks and returns an error satisfying errors.Is(err, ctx.Err()) once it
+// is done.
+func Run(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded) ([]*Result, Route, error) {
 	route := RouteFor(cfgs)
 	var rs []*Result
 	var err error
 	if route.Engine == EngineSweep {
-		rs, err = sweep(ctx, t, cfgs, opt.Workers, opt.Predecoded, nil)
+		rs, err = sweep(ctx, t, cfgs, pre, nil)
 	} else {
-		rs, err = simulateMany(ctx, t, cfgs, opt.Workers, opt.Predecoded)
+		rs, err = simulateMany(ctx, t, cfgs, pre)
 	}
 	return rs, route, err
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRun pins the engine gate: which route each batch shape takes and why,
-// that every route answers exactly what SimulateMany answers at any worker
-// count with or without a shared predecode, and that a canceled context
-// surfaces as Run's error.
+// that every route answers exactly what SimulateMany answers with or
+// without a shared predecode, and that a canceled context surfaces as Run's
+// error.
 func TestRun(t *testing.T) {
 	tr, err := emu.Record(workloadProgram(t, "li", 0.01, isa.BlockStructured), emu.Config{})
 	if err != nil {
@@ -50,21 +50,19 @@ func TestRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		pre := Predecode(tr.Program(), tc.cfgs[0].EffectiveIssueWidth())
-		for _, workers := range []int{1, 2} {
-			for _, p := range []*Predecoded{nil, pre} {
-				got, route, err := Run(context.Background(), tr, tc.cfgs, RunOptions{Workers: workers, Predecoded: p})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-				}
-				if route != tc.want {
-					t.Fatalf("%s: Run routed %+v, RouteFor %+v", tc.name, route, tc.want)
-				}
-				equalResults(t, tc.name, tc.cfgs, got, want)
+		for _, p := range []*Predecoded{nil, pre} {
+			got, route, err := Run(context.Background(), tr, tc.cfgs, p)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
 			}
+			if route != tc.want {
+				t.Fatalf("%s: Run routed %+v, RouteFor %+v", tc.name, route, tc.want)
+			}
+			equalResults(t, tc.name, tc.cfgs, got, want)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if rs, _, err := Run(ctx, tr, tc.cfgs, RunOptions{Workers: 2}); !errors.Is(err, context.Canceled) || rs != nil {
+		if rs, _, err := Run(ctx, tr, tc.cfgs, nil); !errors.Is(err, context.Canceled) || rs != nil {
 			t.Fatalf("%s: canceled Run = %d results, %v; want context.Canceled", tc.name, len(rs), err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 
 	"bsisa/internal/backend"
@@ -68,8 +67,7 @@ const sweepNoMp = ^uint32(0)
 
 // sweepClass holds everything the enrichment passes compute for one
 // predictor class — one distinct Predictor config in the grid (or the single
-// implicit class when nothing predicts). Lanes read it concurrently and never
-// write it.
+// implicit class when nothing predicts). Lanes read it and never write it.
 type sweepClass struct {
 	// Sparse mispredict streams: ascending event indices, a parallel kind
 	// stream, and (fault kinds only, same order) the wrongly predicted
@@ -132,7 +130,7 @@ type sweepLane struct {
 
 	idx   int // the lane's configuration index
 	group int // the lane's fold group (see foldGroups)
-	pos   int // the lane's slot in its worker's lanes (see foldWorker)
+	pos   int // the lane's slot in foldWorker.lanes
 
 	// Folding (see foldWorker). A lane with a nil leader is live and steps
 	// the kernel. A follower does no kernel work: its timing state is its
@@ -416,9 +414,9 @@ func CanSweep(cfgs []Config) (bool, string) {
 // timing lane per configuration and one profiler walk per distinct
 // predictor — instead of once per configuration. Results are returned in
 // configuration order and are identical, field for field, to SimulateMany
-// on the same inputs. workers bounds lane concurrency as in SimulateMany.
-func Sweep(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
-	return SweepPredecoded(context.Background(), t, cfgs, workers, nil)
+// on the same inputs. The sweep runs on the calling goroutine.
+func Sweep(t *emu.Trace, cfgs []Config) ([]*Result, error) {
+	return sweep(context.Background(), t, cfgs, nil, nil)
 }
 
 // SweepPredecoded is Sweep with cooperative cancellation, reusing a prebuilt
@@ -426,15 +424,14 @@ func Sweep(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
 // program or issue width, flattens fresh — results are identical either
 // way). The shared enrichment replay and every lockstep timing lane check
 // ctx between trace chunks, and the call returns an error satisfying
-// errors.Is(err, ctx.Err()) with all lane workers drained once the context
-// is done.
+// errors.Is(err, ctx.Err()) once the context is done. workers is ignored.
 func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded) ([]*Result, error) {
-	return sweep(ctx, t, cfgs, workers, pre, nil)
+	return sweep(ctx, t, cfgs, pre, nil)
 }
 
 // sweep is SweepPredecoded, also counting its folding into st when st is
 // non-nil.
-func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded, st *foldStats) ([]*Result, error) {
+func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, st *foldStats) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -501,8 +498,6 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *P
 				profiled[classOf[i]] = true
 			}
 		}
-		profs := make([]*cache.StackDist, nClasses)
-		var profClasses []int
 		levels := 0
 		for c := range classes {
 			if !profiled[c] {
@@ -512,28 +507,13 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *P
 			if err != nil {
 				return nil, fmt.Errorf("uarch: sweep: %w", err)
 			}
-			profs[c] = prof
 			levels = prof.Levels()
-			profClasses = append(profClasses, c)
+			if err := enrichSweepB(ctx, t, prof, classes[c], en.poll[c]); err != nil {
+				return nil, err
+			}
 		}
 		for sz, lvl := minSize, 0; lvl < levels; sz, lvl = sz*2, lvl+1 {
 			levelOf[sz] = lvl
-		}
-		// Classes profile independently (each walk folds in its own
-		// pollution stream), so they fan out across workers.
-		wB := workers
-		if wB <= 0 {
-			wB = runtime.GOMAXPROCS(0)
-		}
-		if wB > len(profClasses) {
-			wB = len(profClasses)
-		}
-		err = fanOut(ctx, len(profClasses), wB, func(j int) error {
-			c := profClasses[j]
-			return enrichSweepB(ctx, t, profs[c], classes[c], en.poll[c])
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 	en.poll = nil // pass B consumed the pollution streams
@@ -577,42 +557,20 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *P
 		}
 	}
 
-	// Lanes advance through the trace in lockstep, grouped by worker: every
-	// lane of a worker consumes each predecoded block back to back while it
-	// is hot in cache, instead of streaming the whole trace once per lane.
-	// Workers are dealt whole fold groups round robin — worker g takes
-	// groups g, g+w, g+2w, … — since a group's lanes fold onto each other.
-	// Lanes never interact except through folding, which is exact, so the
-	// dealing (and worker count) cannot change results.
-	groups := foldGroups(norm, lanes)
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	w = min(w, len(groups))
-	results := make([]*Result, len(norm))
-	var stats []foldStats
+	// Lanes advance through the trace in lockstep: every lane consumes each
+	// predecoded block back to back while it is hot in cache, instead of
+	// streaming the whole trace once per lane. Lanes never interact except
+	// through folding, which is exact.
+	fw := newFoldWorker(foldGroups(norm, lanes), st != nil)
+	err = fw.walk(ctx, ids)
 	if st != nil {
-		stats = make([]foldStats, w)
-	}
-	err = fanOut(ctx, w, w, func(g int) error {
-		fw := newFoldWorker(groups, g, w, st != nil)
-		err := fw.walk(ctx, ids)
-		if stats != nil {
-			stats[g] = fw.stats
-		}
-		if err != nil {
-			return err
-		}
-		fw.finish(results)
-		return nil
-	})
-	for i := range stats {
-		st.add(&stats[i])
+		*st = fw.stats
 	}
 	if err != nil {
 		return nil, err
 	}
+	results := make([]*Result, len(norm))
+	fw.finish(results)
 	return results, nil
 }
 
@@ -681,8 +639,8 @@ func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
 	return groups
 }
 
-// foldWorker walks one worker's fold groups through the trace in lockstep,
-// folding lanes onto siblings whose timing frontier they match.
+// foldWorker walks every fold group through the trace in lockstep, folding
+// lanes onto siblings whose timing frontier they match.
 //
 // A group's lanes see identical mispredict and load-outcome streams and run
 // identical kernels, so they differ only in icache outcomes. When a live
@@ -697,10 +655,8 @@ func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
 // follower.
 type foldWorker struct {
 	groups [][]*Sim
-	first  int // this worker's groups are first, first+stride, …
-	stride int
-	// lanes holds the worker's lanes: the live ones in [0, nLive), the
-	// followers after them. A lane's sweepLane.pos is its slot.
+	// lanes holds every lane: the live ones in [0, nLive), the followers
+	// after them. A lane's sweepLane.pos is its slot.
 	lanes  []*Sim
 	nLive  int
 	fr     *frontier // split scratch, borrowed from the first lane's pooled scratch
@@ -708,10 +664,10 @@ type foldWorker struct {
 	stats  foldStats
 }
 
-func newFoldWorker(groups [][]*Sim, first, stride int, record bool) foldWorker {
-	fw := foldWorker{groups: groups, first: first, stride: stride, record: record}
-	for k := first; k < len(groups); k += stride {
-		fw.lanes = append(fw.lanes, groups[k]...)
+func newFoldWorker(groups [][]*Sim, record bool) foldWorker {
+	fw := foldWorker{groups: groups, record: record}
+	for _, grp := range groups {
+		fw.lanes = append(fw.lanes, grp...)
 	}
 	for p, s := range fw.lanes {
 		s.sw.pos = p
@@ -721,7 +677,7 @@ func newFoldWorker(groups [][]*Sim, first, stride int, record bool) foldWorker {
 	return fw
 }
 
-// walk steps the worker's lanes through every event: followers split off
+// walk steps the lanes through every event: followers split off
 // before an event, live lanes step it, and lanes fold after it at the
 // cadence.
 func (fw *foldWorker) walk(ctx context.Context, ids []isa.BlockID) error {
@@ -810,8 +766,7 @@ func (fw *foldWorker) step(ei int, id isa.BlockID, last bool) {
 // pins down the state that future events read, and Cycles reads lastRetire
 // directly.
 func (fw *foldWorker) fold() {
-	for k := fw.first; k < len(fw.groups); k += fw.stride {
-		grp := fw.groups[k]
+	for _, grp := range fw.groups {
 		for j := len(grp) - 1; j >= 0; j-- {
 			s := grp[j]
 			if s.sw.leader != nil || s.sw.followers > 0 {
@@ -855,11 +810,4 @@ type foldStats struct {
 	folds, splits int
 	followed      int64    // lane-events spent following
 	edges         [][2]int // (follower, leader) configuration indices, one per fold
-}
-
-func (st *foldStats) add(o *foldStats) {
-	st.folds += o.folds
-	st.splits += o.splits
-	st.followed += o.followed
-	st.edges = append(st.edges, o.edges...)
 }

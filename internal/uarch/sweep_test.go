@@ -96,8 +96,7 @@ func equalResults(t *testing.T, label string, cfgs []Config, got, want []*Result
 // bitwise-identical to live Sims under SimulateMany on the same trace —
 // every field, including cache statistics, misprediction counts and stall
 // breakdowns — over icache-only, predictor-only and cross-product grids,
-// with real and perfect branch prediction, at any worker count (one worker
-// steps every lane of the grid in lockstep), including degenerate one-point
+// with real and perfect branch prediction, including degenerate one-point
 // grids. Most random programs run only a handful of blocks, so a small
 // Table-2 workload joins them: thousands of events with real icache misses,
 // trap and fault mispredictions, serialization stalls and fused pairs.
@@ -135,13 +134,11 @@ func TestSweepMatchesSimulateMany(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s %s: simulate many: %v", seed, kind, label, err)
 				}
-				for _, workers := range []int{1, 3} {
-					got, err := Sweep(tr, cfgs, workers)
-					if err != nil {
-						t.Fatalf("seed %d %s %s workers %d: sweep: %v", seed, kind, label, workers, err)
-					}
-					equalResults(t, fmt.Sprintf("seed %d %s %s workers %d", seed, kind, label, workers), cfgs, got, want)
+				got, err := Sweep(tr, cfgs)
+				if err != nil {
+					t.Fatalf("seed %d %s %s: sweep: %v", seed, kind, label, err)
 				}
+				equalResults(t, fmt.Sprintf("seed %d %s %s", seed, kind, label), cfgs, got, want)
 			}
 		}
 	}
@@ -198,14 +195,14 @@ func TestSweepMarginals(t *testing.T) {
 			})
 		}
 	}
-	full, err := Sweep(tr, cross, 0)
+	full, err := Sweep(tr, cross)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Icache marginals: fix a history, sweep sizes alone.
 	for hi, h := range hists {
 		slice := cross[hi*len(sizes) : (hi+1)*len(sizes)]
-		marginal, err := Sweep(tr, slice, 0)
+		marginal, err := Sweep(tr, slice)
 		if err != nil {
 			t.Fatalf("history %d: %v", h, err)
 		}
@@ -222,7 +219,7 @@ func TestSweepMarginals(t *testing.T) {
 		for hi := range hists {
 			slice = append(slice, cross[hi*len(sizes)+si])
 		}
-		marginal, err := Sweep(tr, slice, 0)
+		marginal, err := Sweep(tr, slice)
 		if err != nil {
 			t.Fatalf("size %d: %v", sz, err)
 		}
@@ -290,7 +287,7 @@ func TestSweepConfigValidation(t *testing.T) {
 		if ok, _ := CanSweep(cfgs); ok {
 			t.Errorf("bad[%d]: CanSweep = true", i)
 		}
-		if _, err := Sweep(nil, cfgs, 1); err == nil {
+		if _, err := Sweep(nil, cfgs); err == nil {
 			t.Errorf("bad[%d]: Sweep accepted", i)
 		}
 	}
@@ -317,7 +314,7 @@ func TestSweepRejectedGridFallback(t *testing.T) {
 	if ok, _ := CanSweep(cfgs); ok {
 		t.Fatal("mixed perfect/real BP grid should be rejected")
 	}
-	if _, err := Sweep(tr, cfgs, 1); err == nil {
+	if _, err := Sweep(tr, cfgs); err == nil {
 		t.Fatal("Sweep accepted a rejected grid")
 	}
 	results, err := SimulateMany(tr, cfgs, 0)
@@ -398,8 +395,7 @@ func historyICacheGrid(perfectBP bool) []Config {
 // lanes of one predictor class that differ only in icache size follow a
 // sibling while their timing frontiers coincide and split off when their
 // icache outcomes differ. Every grid must still match SimulateMany field for
-// field at every worker count (workers deal fold groups, not lanes), the
-// icache grids must both fold and split so the materialize path runs, and
+// field, the icache grids must both fold and split so the materialize path runs, and
 // no lane may ever follow a lane whose configuration differs beyond the
 // icache size — another core geometry, or another predictor where the
 // backend predicts (without a predictor, or under perfect prediction, the
@@ -433,47 +429,43 @@ func TestSweepFolding(t *testing.T) {
 				t.Fatalf("%s %s: simulate many: %v", kind, g.name, err)
 			}
 			norm := normalizeSweepConfigs(g.cfgs)
-			for _, workers := range []int{1, 2, 3} {
-				label := fmt.Sprintf("%s %s workers %d", kind, g.name, workers)
-				var st foldStats
-				got, err := sweep(context.Background(), tr, g.cfgs, workers, nil, &st)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			label := fmt.Sprintf("%s %s", kind, g.name)
+			var st foldStats
+			got, err := sweep(context.Background(), tr, g.cfgs, nil, &st)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			equalResults(t, label, g.cfgs, got, want)
+			if g.mustFold && (st.folds == 0 || st.splits == 0) {
+				t.Errorf("%s: %d folds and %d splits, want both", label, st.folds, st.splits)
+			}
+			for _, e := range st.edges {
+				f, l := norm[e[0]], norm[e[1]]
+				f.ICache.SizeBytes, l.ICache.SizeBytes = 0, 0
+				if noPredictor || f.PerfectBP {
+					f.Predictor, l.Predictor = bpred.Config{}, bpred.Config{}
 				}
-				equalResults(t, label, g.cfgs, got, want)
-				if g.mustFold && (st.folds == 0 || st.splits == 0) {
-					t.Errorf("%s: %d folds and %d splits, want both", label, st.folds, st.splits)
-				}
-				for _, e := range st.edges {
-					f, l := norm[e[0]], norm[e[1]]
-					f.ICache.SizeBytes, l.ICache.SizeBytes = 0, 0
-					if noPredictor || f.PerfectBP {
-						f.Predictor, l.Predictor = bpred.Config{}, bpred.Config{}
-					}
-					if f != l {
-						t.Errorf("%s: config %d followed config %d, which differs beyond the icache size", label, e[0], e[1])
-					}
-				}
-				if workers == 1 {
-					t.Logf("%s: %d events × %d lanes, %d folds, %d splits, %.1f%% of lane-events followed",
-						label, tr.NumEvents(), len(g.cfgs), st.folds, st.splits,
-						100*float64(st.followed)/float64(tr.NumEvents()*len(g.cfgs)))
+				if f != l {
+					t.Errorf("%s: config %d followed config %d, which differs beyond the icache size", label, e[0], e[1])
 				}
 			}
+			t.Logf("%s: %d events × %d lanes, %d folds, %d splits, %.1f%% of lane-events followed",
+				label, tr.NumEvents(), len(g.cfgs), st.folds, st.splits,
+				100*float64(st.followed)/float64(tr.NumEvents()*len(g.cfgs)))
 		}
 
-		// Cancel at the lane walk's last context check — with one worker
-		// the checks run in a fixed order, so counting a full run's checks
-		// finds it. Lanes must already be following by then.
+		// Cancel at the lane walk's last context check — the checks run in a
+		// fixed order, so counting a full run's checks finds it. Lanes must
+		// already be following by then.
 		cfgs := sweepGrid(false)
 		count := newCountdownCtx(1 << 40)
-		if _, err := sweep(count, tr, cfgs, 1, nil, nil); err != nil {
+		if _, err := sweep(count, tr, cfgs, nil, nil); err != nil {
 			t.Fatalf("%s: counting run: %v", kind, err)
 		}
 		checks := 1<<40 - count.budget.Load()
 		var st foldStats
 		baseline := runtime.NumGoroutine()
-		got, err := sweep(newCountdownCtx(checks-1), tr, cfgs, 1, nil, &st)
+		got, err := sweep(newCountdownCtx(checks-1), tr, cfgs, nil, &st)
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("%s: canceled mid-fold: results %v, err %v; want context.Canceled", kind, got, err)
 		}
