@@ -1,12 +1,12 @@
 // bsimd is the simulation service daemon: an HTTP/JSON API over the
-// compile → enlarge → trace → simulate pipeline, with a bounded worker
-// pool, per-job deadlines, an artifact cache that lets repeated sweeps over
+// compile → enlarge → trace → simulate pipeline, with a bound on concurrent
+// jobs, per-job deadlines, an artifact cache that lets repeated sweeps over
 // the same program skip compilation and trace recording, Prometheus-text
 // metrics, pprof, and graceful drain on SIGTERM/SIGINT.
 //
 // Usage:
 //
-//	bsimd [-addr :8023] [-workers N] [-queue N] [-timeout D]
+//	bsimd [-addr :8023] [-workers N] [-timeout D]
 //	      [-store DIR] [-store-max-bytes N] [-log text|json] [-smoke]
 //
 // Endpoints:
@@ -16,16 +16,17 @@
 //	GET  /metrics       Prometheus text format
 //	     /debug/pprof/  runtime profiling
 //
-// -workers sizes the job pool, and each job runs start to finish on its
-// worker's goroutine, so at most -workers jobs simulate at once. Every job
+// Each request's job runs start to finish on the request's own goroutine
+// once it holds one of -workers slots, so at most -workers jobs simulate at
+// once; the rest wait for a slot, counted in bsimd_jobs_queued. Every job
 // runs on the engine uarch.Run routes its configurations to: a sweepable
 // grid on the unified sweep (engine "sweep"), anything else — a single
 // config included — as one replay per config (engine "simulate-many"); the
 // job log's engine_reason says why. -timeout caps every job, recording
-// included; a request's timeout_ms may only shorten it. Concurrent
-// identical requests coalesce onto one simulation pass; followers are
-// answered from the leader's envelope with "coalesced": true and counted in
-// bsimd_coalesced_requests_total.
+// included; a request's timeout_ms may only shorten it. A request whose
+// deadline ends before it gets a slot is answered 503 "unavailable".
+// Identical requests in flight at once each run their own pass; the
+// artifact caches share the program, trace and predecode builds among them.
 //
 // -store DIR layers a persistent content-addressed trace store under the
 // in-memory caches: recorded traces (and their predecoded op tables) are
@@ -45,14 +46,14 @@
 // replay still has mapped (evictions count on bsimd_store_events_total).
 //
 // -smoke runs the self-check the CI service-smoke stage uses: it starts a
-// server on an ephemeral port (pool shape pinned: one worker) and checks,
-// over HTTP against the direct library path: a Figure-6-style icache sweep,
-// a predictor sweep served from the cached trace, a single-config replay, a
-// four-way head-to-head across every registered ISA backend (plus an
-// unknown-ISA rejection carrying the machine-readable error_code), and a
-// 32-way identical load that must coalesce onto one pass — then verifies
-// cache hits, the coalesced count, and both engine stages on /metrics, and
-// finally restarts against the same trace store (the -store directory, or a
+// server on an ephemeral port and checks, over HTTP against the direct
+// library path: a Figure-6-style icache sweep, a predictor sweep served from
+// the cached trace, a single-config replay, a four-way head-to-head across
+// every registered ISA backend (plus an unknown-ISA rejection carrying the
+// machine-readable error_code), and 32 concurrent identical sweeps that must
+// each answer the first sweep's results from the program and trace caches —
+// then verifies cache hits and both engine stages on /metrics, and finally
+// restarts against the same trace store (the -store directory, or a
 // temporary one) to prove a fresh process answers the sweep from mmapped
 // store files with zero trace recordings.
 package main
@@ -73,8 +74,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8023", "listen address")
-	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "job queue depth (0 = 2*workers)")
+	workers := flag.Int("workers", 0, "jobs that may simulate at once (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "default per-job deadline (0 = none)")
 	storeDir := flag.String("store", "", "persistent trace store directory (empty = in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0,
@@ -97,7 +97,6 @@ func main() {
 
 	cfg := svc.ServerConfig{
 		Workers:        *workers,
-		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		Logger:         logger,
 	}
@@ -137,7 +136,7 @@ func main() {
 	case sig := <-sigCh:
 		logger.Info("shutting down: draining in-flight jobs", "signal", sig.String())
 		// Stop accepting connections and wait for in-flight handlers —
-		// each of which is waiting on its job — then drain the pool.
+		// each of which runs its own job — then drain the server.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {

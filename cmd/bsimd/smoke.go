@@ -50,21 +50,6 @@ func smokeSingleRequest(id string) *svc.SimRequest {
 	}
 }
 
-// smokeOccupier is a deliberately slower sweep (larger scale, so a different
-// artifact and coalesce key) used to hold the single smoke worker busy while
-// the coalescing load piles up behind it. The scale sets how long stragglers
-// of the 32-way load have to join the leader's flight; a request arriving
-// after the flight closes would lead a pass of its own and fail the exact
-// coalesced-count check below.
-func smokeOccupier(id string) *svc.SimRequest {
-	return &svc.SimRequest{
-		Version: svc.SchemaVersion,
-		ID:      id,
-		Program: svc.ProgramSpec{Workload: "compress", Scale: 0.5, ISA: "conv"},
-		Sweep:   &svc.SweepSpec{ICacheSizes: []int{0, 8 * 1024, 16 * 1024, 32 * 1024}},
-	}
-}
-
 // smokeXRequest is the multi-axis question: branch-history lengths crossed
 // with icache sizes in one SweepSpec, answered by the unified sweep engine
 // from the same cached trace.
@@ -108,21 +93,16 @@ func smokePredRequest(id string) *svc.SimRequest {
 
 // runSmoke is the CI service-smoke stage: equivalence against the direct
 // library path for the unified sweep engine (icache, predictor, and
-// multi-axis grids) and the single-config replay,
-// then a 32-way concurrent identical load that must coalesce onto one pass,
-// with the cache hits, coalesced count, and stage metrics checked on
-// /metrics — and finally a restart against the same trace store, which must
-// serve the sweep without recording anything.
+// multi-axis grids) and the single-config replay, then 32 concurrent
+// identical sweeps that must each answer from the artifact caches, with the
+// cache hits and stage metrics checked on /metrics — and finally a restart
+// against the same trace store, which must serve the sweep without
+// recording anything.
 //
-// The pool shape is pinned rather than taken from the daemon flags: one
-// worker makes the coalescing step deterministic (the load queues behind a
-// slower occupier job, so exactly one of the identical requests leads). The
-// store is taken from -store when given (so CI can run the smoke twice on one
-// directory and get a cross-process warm start) and is a throwaway temp
-// directory otherwise.
+// The store is taken from -store when given (so CI can run the smoke twice
+// on one directory and get a cross-process warm start) and is a throwaway
+// temp directory otherwise.
 func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
-	cfg.Workers = 1
-	cfg.QueueDepth = 2
 	if cfg.Store == nil {
 		dir, err := os.MkdirTemp("", "bsimd-smoke-store-")
 		if err != nil {
@@ -314,23 +294,10 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	}
 	logger.Info("smoke: unknown ISA rejected with bad_program and the registry listing")
 
-	// 4. Coalescing: hold the single worker busy with a slower job, then fire
-	// 32 identical requests. One leads (queued behind the occupier) and the
-	// rest share its pass. A couple of stragglers are tolerated: a request
-	// goroutine starved past the flight's close by the engine's own CPU load
-	// leads a short pass of its own, which is correct behavior, just not a
-	// shared one — the check defends against coalescing collapsing (toward
-	// zero shared requests or one pass per request), not scheduler jitter.
+	// 4. Concurrent load: 32 identical sweeps at once. Each runs its own
+	// pass, and each must answer phase 1's results from the program and
+	// trace caches.
 	const load = 32
-	const maxStragglers = 3
-	occDone := make(chan error, 1)
-	go func() {
-		_, err := postSim(base, smokeOccupier("smoke-occupier"))
-		occDone <- err
-	}()
-	if err := waitMetric(base, "bsimd_jobs_inflight", 1, 10*time.Second); err != nil {
-		return fmt.Errorf("occupier never started: %w", err)
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, load)
 	resps := make([]*svc.SimResponse, load)
@@ -343,10 +310,6 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		}(i)
 	}
 	wg.Wait()
-	if err := <-occDone; err != nil {
-		return fmt.Errorf("occupier: %w", err)
-	}
-	coalesced := 0
 	for i, err := range errs {
 		if err != nil {
 			return err
@@ -355,8 +318,8 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		if r.ID != fmt.Sprintf("smoke-load-%d", i) {
 			return fmt.Errorf("request %d answered with id %q", i, r.ID)
 		}
-		if r.Coalesced {
-			coalesced++
+		if r.ArtifactCache == nil || !r.ArtifactCache.Program || !r.ArtifactCache.Trace {
+			return fmt.Errorf("request %d missed the artifact caches: %+v", i, r.ArtifactCache)
 		}
 		if len(r.Results) != len(want) {
 			return fmt.Errorf("request %d returned %d results, want %d", i, len(r.Results), len(want))
@@ -367,14 +330,10 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 			}
 		}
 	}
-	if coalesced < load-1-maxStragglers {
-		return fmt.Errorf("%d of %d identical requests coalesced, want >= %d", coalesced, load, load-1-maxStragglers)
-	}
-	logger.Info("smoke: concurrent identical load coalesced onto one pass",
-		"requests", load, "coalesced", coalesced, "wall", time.Since(start).Round(time.Millisecond))
+	logger.Info("smoke: concurrent identical load answered from the artifact caches",
+		"requests", load, "wall", time.Since(start).Round(time.Millisecond))
 
-	// 5. Cache hits, coalescing, and engine stages must be visible on
-	// /metrics.
+	// 5. Cache hits and engine stages must be visible on /metrics.
 	metrics, err := fetch(base + "/metrics")
 	if err != nil {
 		return err
@@ -383,12 +342,14 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		series string
 		min    float64
 	}{
-		{`bsimd_artifact_cache_events_total{cache="trace",event="hit"}`, 2},
-		{`bsimd_artifact_cache_events_total{cache="program",event="hit"}`, 2},
+		// The predictor and multi-axis sweeps and every request of the
+		// load hit both caches.
+		{`bsimd_artifact_cache_events_total{cache="trace",event="hit"}`, load + 2},
+		{`bsimd_artifact_cache_events_total{cache="program",event="hit"}`, load + 2},
 		// The unified sweep stage absorbs every grid shape: the phase-1
 		// icache sweep, the predictor sweep, the multi-axis cross product,
-		// the occupier, and the coalesce leader.
-		{`bsimd_stage_seconds_count{stage="sweep"}`, 5},
+		// and every request of the load.
+		{`bsimd_stage_seconds_count{stage="sweep"}`, load + 3},
 		// The single-config phase and the four backend requests replay.
 		{`bsimd_stage_seconds_count{stage="replay"}`, 5},
 	} {
@@ -399,9 +360,6 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		if v < check.min {
 			return fmt.Errorf("metric %s = %g, want >= %g", check.series, v, check.min)
 		}
-	}
-	if v, ok := metricValue(metrics, "bsimd_coalesced_requests_total"); !ok || v != float64(coalesced) {
-		return fmt.Errorf("bsimd_coalesced_requests_total = %g (present %v), want %d", v, ok, coalesced)
 	}
 	// The store must have been involved: this process either wrote the smoke
 	// artifacts through or (when CI re-runs the smoke on one -store dir) read
@@ -421,7 +379,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 			return fmt.Errorf("warm store run recorded %g traces (present %v), want 0", v, ok)
 		}
 	}
-	logger.Info("smoke: cache, coalescing, stage, and store metrics visible on /metrics")
+	logger.Info("smoke: cache, stage, and store metrics visible on /metrics")
 
 	// 6. Restart warm start: a second server pointed at the same store
 	// directory (a fresh svc.Store, as a restarted process would open) must
@@ -479,24 +437,6 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	logger.Info("smoke: restarted server served the sweep from mmapped store files with zero recordings",
 		"store", cfg.Store.Dir())
 	return nil
-}
-
-// waitMetric polls /metrics until series reaches at least min.
-func waitMetric(base, series string, min float64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		text, err := fetch(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		if v, ok := metricValue(text, series); ok && v >= min {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never reached %g", series, min)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // directSweep computes the same answer bsim -sweep-icache / -sweep-pred

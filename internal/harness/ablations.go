@@ -105,12 +105,13 @@ func (h *Harness) AblateSuperblock() (*stats.Table, error) {
 			return nil, err
 		}
 		// Superblock: profile the unenlarged program, merge majority side
-		// only.
+		// only. Compilation is deterministic, so the profile's block IDs
+		// match those of the fresh compile it steers.
 		prof, err := core.CollectProfile(raw, 0)
 		if err != nil {
 			return nil, err
 		}
-		super, _, err := b.CompileBSA(core.Params{Static: true, Profile: remapProfile(prof)})
+		super, _, err := b.CompileBSA(core.Params{Static: true, Profile: prof})
 		if err != nil {
 			return nil, err
 		}
@@ -128,11 +129,6 @@ func (h *Harness) AblateSuperblock() (*stats.Table, error) {
 	}
 	return t, nil
 }
-
-// remapProfile is an identity hook: profiles collected on a fresh compile of
-// the same source align block IDs with another fresh compile because
-// compilation is deterministic.
-func remapProfile(p core.Profile) core.Profile { return p }
 
 // AblateHistory sweeps the predictor's global history length for both ISAs.
 // The whole sweep is a batch replay: per benchmark executable, one recorded

@@ -347,7 +347,7 @@ func (p *Program) Validate() error {
 	if len(p.Funcs) == 0 {
 		return fmt.Errorf("isa: program has no functions")
 	}
-	if int(p.EntryFunc) >= len(p.Funcs) {
+	if p.EntryFunc < 0 || int(p.EntryFunc) >= len(p.Funcs) {
 		return fmt.Errorf("isa: entry function %d out of range", p.EntryFunc)
 	}
 	for _, f := range p.Funcs {

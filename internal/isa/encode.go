@@ -111,9 +111,15 @@ func DecodeOp(w uint32) (Op, error) {
 		op.Rs1 = Reg(w >> 21 & 31)
 		op.FaultNZ = w>>20&1 != 0
 		op.Target = BlockID(w & (1<<20 - 1))
+		if op.Target >= maxBlockTarget>>1 {
+			return Op{}, fmt.Errorf("isa: fault target B%d out of encodable range in word %#x", op.Target, w)
+		}
 	case info.hasTarget:
 		op.Rs1 = Reg(w >> 21 & 31)
 		op.Target = BlockID(w & (1<<21 - 1))
+		if op.Target >= maxBlockTarget {
+			return Op{}, fmt.Errorf("isa: %s target B%d out of encodable range in word %#x", opc, op.Target, w)
+		}
 	case opc == LUI:
 		op.Rd = Reg(w >> 21 & 31)
 		op.Imm = int32(w >> 5 & 0xFFFF)
@@ -267,6 +273,9 @@ func Decode(data []byte) (*Program, error) {
 			p.Blocks = append(p.Blocks, nil)
 			continue
 		}
+		if r.err == nil && fid >= uint32(len(p.Funcs)) {
+			return nil, fmt.Errorf("isa: block %d belongs to missing function %d", i, fid)
+		}
 		b := &Block{ID: BlockID(i), Func: FuncID(fid)}
 		b.Cont = BlockID(int32(r.u32()))
 		flags := r.u8()
@@ -295,6 +304,12 @@ func Decode(data []byte) (*Program, error) {
 	}
 
 	ng := int(r.u32())
+	// Every global takes at least 8 bytes (name length and offset), so a
+	// count the remaining bytes cannot hold is rejected before the map is
+	// sized from it.
+	if r.err == nil && ng > (len(r.data)-r.pos)/8 {
+		return nil, fmt.Errorf("isa: implausible global count %d", ng)
+	}
 	if r.err == nil && ng > 0 {
 		p.GlobalOffsets = make(map[string]int32, ng)
 		for i := 0; i < ng && r.err == nil; i++ {

@@ -1,8 +1,10 @@
 package isa
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -170,6 +172,54 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(data[:cut]); err == nil {
 			t.Errorf("Decode should reject truncation at %d", cut)
 		}
+	}
+}
+
+// TestDecodeBoundsGlobalCount hands Decode a 29-byte container whose
+// global count claims 2^22 entries. Decode must fail without allocating in
+// proportion to the claim: a globals map sized from it would take 224 MB.
+func TestDecodeBoundsGlobalCount(t *testing.T) {
+	data := append([]byte{}, containerMagic[:]...)
+	data = append(data, byte(Conventional))
+	for _, v := range []uint32{0, 0, 0, 0, 0, 1 << 22} { // name, entry, global words, funcs, blocks, globals
+		data = binary.LittleEndian.AppendUint32(data, v)
+	}
+	if len(data) != 29 {
+		t.Fatalf("container is %d bytes, want 29", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decode accepted a global count the container cannot hold")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("Decode allocated %d bytes before failing, want at most 64 KiB", got)
+	}
+}
+
+// TestDecodeRejectsWhatEncodeCannotWrite covers the inputs Decode would
+// otherwise accept but Encode, Layout or the emulator cannot use: branch
+// targets beyond the encodable range, and blocks of a function the
+// container does not have.
+func TestDecodeRejectsWhatEncodeCannotWrite(t *testing.T) {
+	for _, w := range []uint32{
+		uint32(FAULT)<<26 | maxBlockTarget>>1,
+		uint32(JMP)<<26 | maxBlockTarget,
+	} {
+		if op, err := DecodeOp(w); err == nil {
+			t.Errorf("DecodeOp(%#x) accepted %+v, which EncodeOp rejects", w, op)
+		}
+	}
+	p := testProgram(t)
+	p.Blocks[1].Func = FuncID(len(p.Funcs))
+	data, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err == nil {
+		t.Error("Decode accepted a block of a missing function")
 	}
 }
 

@@ -79,7 +79,7 @@ func TestErrorCodeMapping(t *testing.T) {
 		{fmt.Errorf("x: %w", ErrBadSweep), "bad_sweep"},
 		{fmt.Errorf("x: %w", ErrBadRequest), "bad_request"},
 		{errDraining, "unavailable"},
-		{errQueueFull, "unavailable"},
+		{errNoSlot, "unavailable"},
 		{fmt.Errorf("x: %w", context.DeadlineExceeded), "timeout"},
 		{fmt.Errorf("x: %w", context.Canceled), "canceled"},
 		{errors.New("disk on fire"), "internal"},

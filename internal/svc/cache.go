@@ -10,11 +10,11 @@ import (
 )
 
 // artifactCache is a keyed, bounded, single-flight LRU cache for expensive
-// request-independent artifacts: compiled programs and recorded
-// committed-block traces. Concurrent requests for the same key share one
-// build (the PR-1 trace memo's single-flight discipline, promoted to a
-// cross-request subsystem); completed entries are reused in LRU order up to
-// the capacity bound.
+// request-independent artifacts: compiled programs, recorded committed-block
+// traces and predecoded op tables. Concurrent requests for the same key
+// share one build (the PR-1 trace memo's single-flight discipline, promoted
+// to a cross-request subsystem); completed entries are reused in LRU order
+// up to the capacity bound.
 //
 // Eviction is by entry count, not bytes: entries (traces especially) vary in
 // size, but the service's working set is "programs under active sweep", for
@@ -232,8 +232,8 @@ func traceKey(progKey string, emuMaxOps int64) string {
 
 // TraceKeyFor derives the persistent-store trace key a request resolves to,
 // by normalizing it exactly as the job pipeline would (BuildConfig). Tools
-// that pre-seed or inspect a store (the smoke harness's upgrade phase) use
-// it to address the same file the service will touch.
+// that pre-seed or inspect a store (svcbench's replica) use it to address
+// the same file the service will touch.
 func TraceKeyFor(req *SimRequest) (string, error) {
 	plan, err := BuildConfig(req)
 	if err != nil {

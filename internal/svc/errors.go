@@ -60,7 +60,7 @@ func ErrorCode(err error) string {
 		return "bad_sweep"
 	case errors.Is(err, ErrBadRequest):
 		return "bad_request"
-	case errors.Is(err, errDraining), errors.Is(err, errQueueFull):
+	case errors.Is(err, errDraining), errors.Is(err, errNoSlot):
 		return "unavailable"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"

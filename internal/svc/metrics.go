@@ -44,16 +44,15 @@ func (h *histogram) observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// metrics is the service's observability state: job and queue counters,
+// metrics is the service's observability state: job counters and gauges,
 // per-stage latency histograms, and (via the server) artifact cache rates.
 // All fields are safe for concurrent use.
 type metrics struct {
-	jobsTotal    atomic.Int64 // jobs accepted onto the pool
+	jobsTotal    atomic.Int64 // jobs that got a worker slot
 	jobsFailed   atomic.Int64 // jobs that returned an error envelope
-	jobsRejected atomic.Int64 // requests refused before pooling (4xx/503)
+	jobsRejected atomic.Int64 // requests refused without running a job (4xx/503)
 	inFlight     atomic.Int64 // jobs currently executing
-	queued       atomic.Int64 // jobs waiting for a pool slot
-	coalesced    atomic.Int64 // requests answered from another request's pass
+	queued       atomic.Int64 // requests waiting for a worker slot
 
 	traceRecords atomic.Int64 // traces actually recorded (cache+store misses)
 
@@ -86,13 +85,16 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("bsimd_jobs_total", "Simulation jobs accepted onto the worker pool.", m.jobsTotal.Load())
+	counter("bsimd_jobs_total", "Simulation jobs that got a worker slot.", m.jobsTotal.Load())
 	counter("bsimd_jobs_failed_total", "Jobs that completed with an error envelope.", m.jobsFailed.Load())
-	counter("bsimd_requests_rejected_total", "Requests refused before reaching the pool.", m.jobsRejected.Load())
-	gauge("bsimd_jobs_inflight", "Jobs currently executing on the pool.", m.inFlight.Load())
-	gauge("bsimd_jobs_queued", "Jobs waiting for a pool slot.", m.queued.Load())
+	counter("bsimd_requests_rejected_total", "Requests refused without running a job.", m.jobsRejected.Load())
+	gauge("bsimd_jobs_inflight", "Jobs currently executing.", m.inFlight.Load())
+	gauge("bsimd_jobs_queued", "Requests waiting for a worker slot.", m.queued.Load())
+	// Every request runs its own pass, so nothing is ever coalesced and this
+	// is always zero. It is emitted because svcbench's scrape requires the
+	// series.
 	counter("bsimd_coalesced_requests_total",
-		"Requests answered from a concurrent identical request's simulation pass.", m.coalesced.Load())
+		"Requests answered from another request's simulation pass (always zero).", 0)
 	counter("bsimd_trace_records_total",
 		"Traces recorded from scratch (every cache and store tier missed).", m.traceRecords.Load())
 

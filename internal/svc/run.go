@@ -65,8 +65,8 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	}
 
 	fail := func(err error) (*SimResponse, error) {
-		// The code is stamped here, not in the HTTP layer: the coalescer
-		// shares this envelope with followers, which must never mutate it.
+		// The code is stamped beside the error text, so the envelope
+		// classifies itself; the HTTP layer only picks the status.
 		resp.Error = err.Error()
 		resp.ErrorCode = ErrorCode(err)
 		resp.WallMs = time.Since(start).Milliseconds()
@@ -209,7 +209,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 // pass (the enlarger for block-structured, the linear reshaper for
 // basicblocker, nothing for the others). Jobs waiting on the same artifact
 // share this build, so it deliberately takes no context: a canceled first
-// requester must not abort an artifact that other requests are queued on.
+// requester must not abort an artifact that other requests are waiting on.
 func buildProgram(plan *Plan) (*builtProgram, error) {
 	p := plan.Program
 	var src, name string

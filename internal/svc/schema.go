@@ -1,8 +1,8 @@
 // Package svc is the simulation service layer: a versioned JSON request
 // schema over the repository's compile → enlarge → trace → simulate
 // pipeline, an artifact cache that lets repeated requests over the same
-// program skip compilation and trace recording, a bounded worker pool with
-// per-job deadlines and graceful drain, and an observability surface
+// program skip compilation and trace recording, a bound on concurrent jobs
+// with per-job deadlines and graceful drain, and an observability surface
 // (Prometheus-text /metrics, pprof, structured per-job logs). cmd/bsimd is
 // the daemon wrapping it; bsbench's -json output shares the same response
 // envelope so offline benchmark artifacts and service answers have one
@@ -167,10 +167,6 @@ type SimResponse struct {
 	// ArtifactCache reports whether this job reused a cached compiled
 	// program / recorded trace.
 	ArtifactCache *ArtifactHits `json:"artifact_cache,omitempty"`
-	// Coalesced marks a response served from another in-flight identical
-	// request's simulation pass rather than a pass of its own
-	// (schema-additive).
-	Coalesced bool `json:"coalesced,omitempty"`
 	// Results holds one typed result per requested configuration, in
 	// request order.
 	Results []SimResult `json:"results,omitempty"`

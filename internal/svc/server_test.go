@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func quietConfig() ServerConfig {
 }
 
 // testServer starts a Server behind httptest and tears both down in order
-// (listener first, so no handler is still enqueueing when the pool drains).
+// (listener first, so no request arrives while the server drains).
 func testServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(cfg)
@@ -219,6 +220,112 @@ func TestServerPredictorSweep(t *testing.T) {
 	}
 }
 
+// TestServerSingleConfigEngine requires a single-config job to take one live
+// replay, with the answer
+// field-for-field identical to ReplayTrace, and every job's engine to be the
+// one uarch.RouteFor picks for its plan.
+func TestServerSingleConfigEngine(t *testing.T) {
+	_, ts := testServer(t, quietConfig())
+	seed := int64(42)
+	prog, err := compile.Compile(testgen.Program(seed), "t", compile.DefaultOptions(isa.Conventional))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := emu.Record(prog, emu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(label string, req *SimRequest) (*Plan, *SimResponse) {
+		t.Helper()
+		status, resp := post(t, ts, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", label, status, resp.Error)
+		}
+		plan, err := BuildConfig(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := string(uarch.RouteFor(plan.Configs).Engine); resp.Engine != want {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, want)
+		}
+		return plan, resp
+	}
+
+	// The request schema has no trace-cache knob, so the second single
+	// config varies what it can: perfect icache and perfect prediction.
+	for label, spec := range map[string]*ConfigSpec{
+		"plain":   {ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
+		"perfect": {PerfectBP: true},
+	} {
+		plan, resp := run(label, &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Config:  spec,
+		})
+		if resp.Engine != string(uarch.EngineMany) {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, uarch.EngineMany)
+		}
+		want, err := uarch.ReplayTrace(tr, plan.Configs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
+			t.Fatalf("%s: answer diverges from ReplayTrace:\nservice: %+v\ndirect:  %+v",
+				label, resp.Results, ResultOf(plan.ICacheBytes[0], want))
+		}
+	}
+
+	for label, sw := range map[string]*SweepSpec{
+		"icache":         {ICacheSizes: []int{0, 2048, 8192}},
+		"history×icache": {ICacheSizes: []int{2048, 8192}, HistoryBits: []int{4, 12}},
+	} {
+		_, resp := run(label, &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Sweep:   sw,
+		})
+		if resp.Engine != string(uarch.EngineSweep) {
+			t.Fatalf("%s: engine %q, want %q", label, resp.Engine, uarch.EngineSweep)
+		}
+	}
+}
+
+// TestServerPredecodeCache requires repeated sweeps over one program to reuse
+// the predecoded op tables, and the reuse to be reported in the envelope.
+func TestServerPredecodeCache(t *testing.T) {
+	s, ts := testServer(t, quietConfig())
+	seed := int64(11)
+	mk := func() *SimRequest {
+		return &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Sweep:   &SweepSpec{ICacheSizes: []int{0, 2048, 4096}},
+		}
+	}
+	status, first := post(t, ts, mk())
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, first.Error)
+	}
+	if first.ArtifactCache == nil || first.ArtifactCache.Predecode {
+		t.Fatalf("first sweep should miss the predecode cache: %+v", first.ArtifactCache)
+	}
+	status, second := post(t, ts, mk())
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, second.Error)
+	}
+	if !second.ArtifactCache.Predecode {
+		t.Fatalf("second sweep should hit the predecode cache: %+v", second.ArtifactCache)
+	}
+	for i, r := range second.Results {
+		if r != first.Results[i] {
+			t.Fatalf("result %d diverges across the predecode cache hit", i)
+		}
+	}
+	if pc := s.predecodes.counters(); pc.Misses != 1 || pc.Hits < 1 {
+		t.Fatalf("predecode cache counters %+v, want 1 miss and >= 1 hit", pc)
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
 	v := fmt.Sprintf(`{"version":%d`, SchemaVersion)
@@ -377,12 +484,141 @@ func TestServerJobTimeout(t *testing.T) {
 	}
 }
 
+// TestServerBoundsConcurrentJobs holds the only worker slot and requires a
+// request that outwaits its deadline to be answered 503 "unavailable",
+// counted as a rejection, and no longer counted as waiting; once the slot
+// frees, the same request runs.
+func TestServerBoundsConcurrentJobs(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Workers = 1
+	s, ts := testServer(t, cfg)
+	// A tiny program, so the run after the slot frees finishes well
+	// inside the deadline even under the race detector.
+	req := &SimRequest{
+		Version:   SchemaVersion,
+		Program:   ProgramSpec{Source: "func main() { out(1); }", ISA: "conv"},
+		Config:    &ConfigSpec{},
+		TimeoutMs: 100,
+	}
+
+	s.slots <- struct{}{} // the test holds the only slot
+	status, resp := post(t, ts, req)
+	if status != http.StatusServiceUnavailable || resp.ErrorCode != "unavailable" {
+		t.Fatalf("with no free slot: status %d, error_code %q (%s), want 503 unavailable",
+			status, resp.ErrorCode, resp.Error)
+	}
+	if got := metricValue(t, ts, "bsimd_requests_rejected_total"); got != 1 {
+		t.Fatalf("bsimd_requests_rejected_total = %d, want 1", got)
+	}
+	if got := metricValue(t, ts, "bsimd_jobs_queued"); got != 0 {
+		t.Fatalf("bsimd_jobs_queued = %d after the request gave up, want 0", got)
+	}
+
+	<-s.slots
+	if status, resp := post(t, ts, req); status != http.StatusOK {
+		t.Fatalf("with the slot free: status %d: %s", status, resp.Error)
+	}
+}
+
+// TestServerCloseWaitsForAdmittedJobs starts Close while a request waits
+// for the only worker slot: Close must not return before that request has
+// run and answered, and a request arriving meanwhile is refused.
+func TestServerCloseWaitsForAdmittedJobs(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Workers = 1
+	s, ts := testServer(t, cfg)
+	req := &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Source: "func main() { out(1); }", ISA: "conv"},
+		Config:  &ConfigSpec{},
+	}
+
+	s.slots <- struct{}{} // the test holds the only slot
+	release := sync.OnceFunc(func() { <-s.slots })
+	t.Cleanup(release) // runs before testServer's cleanup drains the server
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting := make(chan int, 1)
+	go func() {
+		httpResp, err := http.Post(ts.URL+"/v1/sim", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Error(err)
+			waiting <- 0
+			return
+		}
+		httpResp.Body.Close()
+		waiting <- httpResp.StatusCode
+	}()
+	waitUntil(t, "the request to wait for the slot", func() bool { return s.metrics.queued.Load() == 1 })
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitUntil(t, "Close to stop the server", func() bool {
+		s.stopMu.RLock()
+		defer s.stopMu.RUnlock()
+		return s.stopped
+	})
+	if status, resp := post(t, ts, req); status != http.StatusServiceUnavailable || resp.ErrorCode != "unavailable" {
+		t.Fatalf("request during drain: status %d, error_code %q, want 503 unavailable", status, resp.ErrorCode)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted request was still waiting for its slot")
+	default:
+	}
+
+	release()
+	if status := <-waiting; status != http.StatusOK {
+		t.Fatalf("admitted request: status %d, want 200", status)
+	}
+	<-closed
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// metricValue scrapes /metrics and returns one unlabelled series' value.
+func metricValue(t *testing.T, ts *httptest.Server, series string) int64 {
+	t.Helper()
+	httpResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(httpResp.Body)
+	httpResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", series, body)
+	return 0
+}
+
 // TestServerConcurrentCachedLoad fires 32 concurrent identical sweeps and
 // requires (a) every answer identical, (b) one compile and one trace
-// recording total, with the hit rate visible on /metrics. Some of the 32 may
-// coalesce onto a shared pass (they inherit the leader's cache-hit flags),
-// so the cache counters are bounded by the number of passes that actually
-// ran, not by the request count.
+// recording total, with the hit rate visible on /metrics. Every request runs
+// its own pass, so each of the 32 is one hit on each cache.
 func TestServerConcurrentCachedLoad(t *testing.T) {
 	s, ts := testServer(t, quietConfig())
 	seed := int64(123)
@@ -431,19 +667,11 @@ func TestServerConcurrentCachedLoad(t *testing.T) {
 			}
 		}
 	}
-	coalesced := 0
-	for _, resp := range resps {
-		if resp.Coalesced {
-			coalesced++
-		}
+	if pc := s.programs.counters(); pc.Misses != 1 || pc.Hits != load {
+		t.Fatalf("program cache counters %+v, want 1 miss and %d hits", pc, load)
 	}
-	if pc := s.programs.counters(); pc.Misses != 1 || pc.Hits < int64(load-coalesced) {
-		t.Fatalf("program cache counters %+v, want 1 miss and >= %d hits (%d coalesced)",
-			pc, load-coalesced, coalesced)
-	}
-	if tc := s.traces.counters(); tc.Misses != 1 || tc.Hits < int64(load-coalesced) {
-		t.Fatalf("trace cache counters %+v, want 1 miss and >= %d hits (%d coalesced)",
-			tc, load-coalesced, coalesced)
+	if tc := s.traces.counters(); tc.Misses != 1 || tc.Hits != load {
+		t.Fatalf("trace cache counters %+v, want 1 miss and %d hits", tc, load)
 	}
 
 	// The same numbers must be visible on /metrics.
@@ -468,8 +696,8 @@ func TestServerConcurrentCachedLoad(t *testing.T) {
 	}
 }
 
-// TestServerDrain checks graceful shutdown: jobs in flight when Close begins
-// still complete, and the pool's goroutines are gone afterwards.
+// TestServerDrain checks graceful shutdown: every answered job completes, no
+// goroutine outlives Close, and a request after Close is refused.
 func TestServerDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := NewServer(quietConfig())
@@ -489,7 +717,7 @@ func TestServerDrain(t *testing.T) {
 			})
 		}(i)
 	}
-	wg.Wait() // handlers hold jobs open until the pool answers, so all are done
+	wg.Wait() // each handler runs its own job, so all are done
 	ts.Close()
 	s.Close()
 	http.DefaultClient.CloseIdleConnections()
