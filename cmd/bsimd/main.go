@@ -7,7 +7,7 @@
 // Usage:
 //
 //	bsimd [-addr :8023] [-workers N] [-timeout D]
-//	      [-store DIR] [-store-max-bytes N] [-log text|json] [-smoke]
+//	      [-store DIR] [-store-max-bytes N] [-log text|json]
 //
 // Endpoints:
 //
@@ -44,18 +44,6 @@
 // the quarantined copies are evicted first, then the least-recently-used
 // files (by atime), until the cap holds, never touching a file an in-flight
 // replay still has mapped (evictions count on bsimd_store_events_total).
-//
-// -smoke runs the self-check the CI service-smoke stage uses: it starts a
-// server on an ephemeral port and checks, over HTTP against the direct
-// library path: a Figure-6-style icache sweep, a predictor sweep served from
-// the cached trace, a single-config replay, a four-way head-to-head across
-// every registered ISA backend (plus an unknown-ISA rejection carrying the
-// machine-readable error_code), and 32 concurrent identical sweeps that must
-// each answer the first sweep's results from the program and trace caches —
-// then verifies cache hits and both engine stages on /metrics, and finally
-// restarts against the same trace store (the -store directory, or a
-// temporary one) to prove a fresh process answers the sweep from mmapped
-// store files with zero trace recordings.
 package main
 
 import (
@@ -63,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,7 +69,6 @@ func main() {
 	storeMax := flag.Int64("store-max-bytes", 0,
 		"evict least-recently-used store files once the directory exceeds this many bytes (0 = unbounded)")
 	logFormat := flag.String("log", "text", "log format: text or json")
-	smoke := flag.Bool("smoke", false, "run the self-check against an ephemeral server and exit")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -113,22 +101,19 @@ func main() {
 		logger.Info("trace store open", "dir", *storeDir, "max_bytes", *storeMax)
 	}
 
-	if *smoke {
-		if err := runSmoke(cfg, logger); err != nil {
-			fmt.Fprintln(os.Stderr, "bsimd: smoke FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("bsimd: smoke PASS")
-		return
+	// Bind before announcing, so the log names the port actually bound
+	// (-addr may ask for port 0) and a taken port fails here.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bsimd:", err)
+		os.Exit(1)
 	}
-
 	server := svc.NewServer(cfg)
 	httpSrv := newHTTPServer(server.Handler())
-	httpSrv.Addr = *addr
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	logger.Info("bsimd listening", "addr", *addr)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	logger.Info("bsimd listening", "addr", ln.Addr().String())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
@@ -157,7 +142,6 @@ func main() {
 // body capped by the service) within ReadTimeout. net/http clears the read
 // deadline once the handler has consumed the body, so the deadline never
 // cancels a long job. Idle keep-alive connections close after IdleTimeout.
-// The smoke servers use it too.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,

@@ -171,15 +171,6 @@ func Tag(b Backend) string {
 	return b.Name()
 }
 
-// Names returns the canonical backend names in registration order.
-func Names() []string {
-	ns := make([]string, len(order))
-	for i, b := range order {
-		ns[i] = b.Name()
-	}
-	return ns
-}
-
 // All returns the registered backends in registration order.
 func All() []Backend {
 	return append([]Backend(nil), order...)

@@ -12,14 +12,12 @@ import (
 // with Name matching the kind string (the service stores canonical names).
 func TestRegistryContents(t *testing.T) {
 	wantNames := []string{"conventional", "block-structured", "basicblocker", "fused"}
-	if got := Names(); len(got) != len(wantNames) {
-		t.Fatalf("Names() = %v, want %v", got, wantNames)
-	} else {
-		for i := range wantNames {
-			if got[i] != wantNames[i] {
-				t.Fatalf("Names() = %v, want %v", got, wantNames)
-			}
-		}
+	var got []string
+	for _, be := range All() {
+		got = append(got, be.Name())
+	}
+	if strings.Join(got, ",") != strings.Join(wantNames, ",") {
+		t.Fatalf("All() names = %v, want %v", got, wantNames)
 	}
 	for _, spelling := range []struct {
 		in   string

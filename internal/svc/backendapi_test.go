@@ -9,60 +9,26 @@ import (
 	"testing"
 
 	"bsisa/internal/backend"
-	"bsisa/internal/compile"
-	"bsisa/internal/core"
-	"bsisa/internal/emu"
-	"bsisa/internal/testgen"
-	"bsisa/internal/uarch"
 )
 
 // TestServerFourBackends is the registry acceptance check: every registered
 // ISA backend must answer a single-config request over HTTP, field-for-field
-// identical to the direct compile → shape → record → replay pipeline.
+// identical to the reference compile → shape → record → replay path.
 func TestServerFourBackends(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
 	seed := int64(42)
 
-	for _, name := range backend.Names() {
+	for _, be := range backend.All() {
 		req := &SimRequest{
 			Version: SchemaVersion,
-			Program: ProgramSpec{Seed: &seed, ISA: name},
+			Program: ProgramSpec{Seed: &seed, ISA: be.Name()},
 			Config:  &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
 		}
 		status, resp := post(t, ts, req)
 		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, status, resp.Error)
+			t.Fatalf("%s: status %d: %s", be.Name(), status, resp.Error)
 		}
-		if len(resp.Results) != 1 {
-			t.Fatalf("%s: %d results", name, len(resp.Results))
-		}
-
-		plan, err := BuildConfig(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		be, err := backend.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := compile.Compile(testgen.Program(seed), "t", compile.DefaultOptions(be.Kind()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := be.Shape(prog, core.Params{}); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := emu.Record(prog, emu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := uarch.ReplayTrace(tr, plan.Configs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ResultOf(2048, r); resp.Results[0] != want {
-			t.Fatalf("%s diverges from the direct path:\nservice: %+v\ndirect:  %+v", name, resp.Results[0], want)
-		}
+		requireResults(t, be.Name(), resp.Results, referenceResults(t, req))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"bsisa/internal/backend"
 	"bsisa/internal/compile"
-	"bsisa/internal/core"
 	"bsisa/internal/emu"
 	"bsisa/internal/isa"
 	"bsisa/internal/stats"
@@ -15,12 +14,6 @@ import (
 	"bsisa/internal/uarch"
 	"bsisa/internal/workload"
 )
-
-// builtProgram is the program artifact cached across requests.
-type builtProgram struct {
-	prog    *isa.Program
-	enlarge *core.Stats // backend shaping-pass stats; nil for shapeless backends
-}
 
 // cachedTrace is the trace artifact cached across requests: the trace itself
 // plus, when it was loaded from the persistent store, the file's aux sections
@@ -84,14 +77,14 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	progKey := programKey(plan.Program)
 	pv, progHit, err := s.programs.do(progKey, func() (any, error) {
 		t0 := time.Now()
-		bp, err := buildProgram(plan)
+		prog, err := buildProgram(plan)
 		s.metrics.observeStage(stageCompile, time.Since(t0))
-		return bp, err
+		return prog, err
 	})
 	if err != nil {
 		return fail(err)
 	}
-	bp := pv.(*builtProgram)
+	prog := pv.(*isa.Program)
 
 	// Trace artifact: record the committed stream once per program+budget. A
 	// configured store interposes on the miss path: load-and-validate from
@@ -103,12 +96,12 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	tKey := traceKey(progKey, plan.EmuCfg.MaxOps)
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
 		if st := s.cfg.Store; st != nil {
-			if mt, ok := st.LoadTraceMapped(tKey, bp.prog, plan.EmuCfg); ok {
+			if mt, ok := st.LoadTraceMapped(tKey, prog, plan.EmuCfg); ok {
 				return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt}, nil
 			}
 		}
 		t0 := time.Now()
-		tr, err := emu.RecordContext(j.ctx, bp.prog, plan.EmuCfg)
+		tr, err := emu.RecordContext(j.ctx, prog, plan.EmuCfg)
 		s.metrics.observeStage(stageTrace, time.Since(t0))
 		if errors.Is(err, emu.ErrBudget) {
 			// The program came from the request, so running past the
@@ -155,12 +148,12 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 				if sec.Tag != uint64(iw) {
 					continue
 				}
-				if dec, derr := uarch.DecodePredecoded(sec.Data, bp.prog); derr == nil && dec.IssueWidth() == iw {
+				if dec, derr := uarch.DecodePredecoded(sec.Data, prog); derr == nil && dec.IssueWidth() == iw {
 					return dec, nil
 				}
 				break // stale payload under this width's tag: reflatten and overwrite it
 			}
-			fresh := uarch.Predecode(bp.prog, iw)
+			fresh := uarch.Predecode(prog, iw)
 			if st := s.cfg.Store; st != nil {
 				sec := emu.AuxSection{Tag: uint64(iw), Data: fresh.EncodeBytes()}
 				if serr := st.AttachAux(tKey, tr, sec); serr != nil {
@@ -210,7 +203,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 // basicblocker, nothing for the others). Jobs waiting on the same artifact
 // share this build, so it deliberately takes no context: a canceled first
 // requester must not abort an artifact that other requests are waiting on.
-func buildProgram(plan *Plan) (*builtProgram, error) {
+func buildProgram(plan *Plan) (*isa.Program, error) {
 	p := plan.Program
 	var src, name string
 	switch {
@@ -240,11 +233,10 @@ func buildProgram(plan *Plan) (*builtProgram, error) {
 		// client error.
 		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
 	}
-	st, err := be.Shape(prog, plan.EnlargeParams())
-	if err != nil {
+	if _, err := be.Shape(prog, plan.EnlargeParams()); err != nil {
 		return nil, err
 	}
-	return &builtProgram{prog: prog, enlarge: st}, nil
+	return prog, nil
 }
 
 // renderTable renders the human-oriented table for a service response,

@@ -62,7 +62,7 @@ type Server struct {
 	cfg     ServerConfig
 	metrics *metrics
 
-	programs   *artifactCache // ProgramSpec -> *builtProgram
+	programs   *artifactCache // ProgramSpec -> *isa.Program
 	traces     *artifactCache // program+budget -> *cachedTrace
 	predecodes *artifactCache // program+issue width -> *uarch.Predecoded
 

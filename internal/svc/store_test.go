@@ -266,8 +266,8 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 // TestServerStoreWarmStart is the end-to-end restart contract: a second
 // server pointed at the first one's store directory answers the same sweep
 // identically without recording a single trace — the store, not the
-// emulator, supplies the artifact — and serves the predecoded op table out
-// of the file's aux section.
+// emulator, supplies the artifact, mmapped — and serves the predecoded op
+// table out of the file's aux section.
 func TestServerStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	seed := int64(4247)
@@ -312,15 +312,15 @@ func TestServerStoreWarmStart(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("warm run: status %d: %s", status, warm.Error)
 	}
-	if warm.ArtifactCache == nil || !warm.ArtifactCache.Store {
-		t.Fatalf("warm run not served from the store: %+v", warm.ArtifactCache)
+	if warm.ArtifactCache == nil || !warm.ArtifactCache.Store || !warm.ArtifactCache.Mmap {
+		t.Fatalf("warm run not served from the mmapped store: %+v", warm.ArtifactCache)
 	}
 	if n := sB.metrics.traceRecords.Load(); n != 0 {
 		t.Fatalf("warm run recorded %d traces, want 0", n)
 	}
 	cc := stB.counters()
-	if cc.Hits != 1 || cc.Corruptions != 0 {
-		t.Fatalf("store counters after warm run = %+v, want 1 hit / 0 corruptions", cc)
+	if cc.Hits != 1 || cc.Corruptions != 0 || cc.MmapMaps < 1 {
+		t.Fatalf("store counters after warm run = %+v, want 1 hit / 0 corruptions / >= 1 map", cc)
 	}
 	// The aux predecode satisfied the warm server's flatten, so it wrote
 	// nothing back.

@@ -59,11 +59,8 @@ func TestMappedV3MatchesRecordedAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	benchNames := []string{"compress", "gcc", "go", "ijpeg", "li", "m88ksim", "perl", "vortex"}
 	dir := t.TempDir()
-	for _, beName := range backend.Names() {
-		be, err := backend.Get(beName)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, be := range backend.All() {
+		beName := be.Name()
 		for draw := 0; draw < 2; draw++ {
 			name := benchNames[rng.Intn(len(benchNames))]
 			scale := 0.01 + 0.02*rng.Float64()
