@@ -191,6 +191,37 @@ func BenchmarkEnlarge(b *testing.B) {
 	}
 }
 
+// BenchmarkProgramDecode measures what a restarted bsimd does in place of
+// building a program: decode the enlarged image a store file carries and
+// lay it out. Build for comparison is BenchmarkCompileBlockStructured plus
+// BenchmarkEnlarge.
+func BenchmarkProgramDecode(b *testing.B) {
+	for _, name := range compileBenches {
+		prog, err := compile.Compile(benchSource(name), name, compile.DefaultOptions(isa.BlockStructured))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Enlarge(prog, core.Params{}); err != nil {
+			b.Fatal(err)
+		}
+		image, err := isa.Encode(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(image)))
+			for i := 0; i < b.N; i++ {
+				dec, err := isa.Decode(image)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dec.Layout()
+			}
+		})
+	}
+}
+
 // BenchmarkEmulator measures functional emulation throughput (ops/sec via
 // b.ReportMetric).
 func BenchmarkEmulator(b *testing.B) {

@@ -185,9 +185,10 @@ func requireMetric(t *testing.T, m map[string]float64, series string, want float
 
 // TestDaemonRestartServesFromStore runs bsimd twice, as separate processes
 // on one -store directory, with Figure 6's question for compress. The first
-// process records the trace and writes it through; the second must answer
-// field for field the same from the mmapped store file without recording.
-// Both must drain and exit 0 on SIGTERM.
+// process compiles the program, records the trace and writes both through;
+// the second must answer field for field the same from the mmapped store
+// file without compiling or recording. Both must drain and exit 0 on
+// SIGTERM.
 func TestDaemonRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	req := &svc.SimRequest{
@@ -201,7 +202,9 @@ func TestDaemonRestartServesFromStore(t *testing.T) {
 	if cold.ArtifactCache == nil || cold.ArtifactCache.Store {
 		t.Fatalf("first process served a stored trace: %+v", cold.ArtifactCache)
 	}
-	requireMetric(t, a.metrics(t), "bsimd_trace_records_total", 1)
+	first := a.metrics(t)
+	requireMetric(t, first, "bsimd_trace_records_total", 1)
+	requireMetric(t, first, `bsimd_stage_seconds_count{stage="compile"}`, 1)
 	a.stop(t)
 
 	b := startDaemon(t, dir)
@@ -214,7 +217,9 @@ func TestDaemonRestartServesFromStore(t *testing.T) {
 	}
 	m := b.metrics(t)
 	requireMetric(t, m, "bsimd_trace_records_total", 0)
+	requireMetric(t, m, `bsimd_stage_seconds_count{stage="compile"}`, 0)
 	requireMetric(t, m, `bsimd_store_events_total{event="hit"}`, 1)
+	requireMetric(t, m, `bsimd_store_events_total{event="miss"}`, 0)
 	requireMetric(t, m, `bsimd_store_events_total{event="corrupt"}`, 0)
 	if maps := m[`bsimd_store_mmap_events_total{event="map"}`]; maps < 1 {
 		t.Fatalf("second process mapped %g store files, want >= 1", maps)

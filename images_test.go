@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,7 +26,9 @@ const imagePins = "testdata/program_images.txt"
 
 // imageLine compiles one benchmark for one backend exactly as the service
 // and the harness do (default options, default shaping parameters) and
-// renders its pin line.
+// renders its pin line. It also requires the image, decoded and laid out,
+// to be the program field for field: that is how a restarted bsimd gets the
+// program out of a trace store file.
 func imageLine(src, name string, be backend.Backend) (string, error) {
 	prog, err := compile.Compile(src, name, compile.DefaultOptions(be.Kind()))
 	if err != nil {
@@ -38,6 +41,14 @@ func imageLine(src, name string, be backend.Backend) (string, error) {
 	img, err := isa.Encode(prog)
 	if err != nil {
 		return "", err
+	}
+	dec, err := isa.Decode(img)
+	if err != nil {
+		return "", err
+	}
+	dec.Layout()
+	if !reflect.DeepEqual(dec, prog) {
+		return "", fmt.Errorf("the image, decoded and laid out, differs from the program")
 	}
 	stats := "-"
 	if st != nil {

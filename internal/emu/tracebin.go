@@ -27,6 +27,11 @@ import (
 //	tail     result varints · optional aux sections (flagAux) · one CRC-32C
 //	         per column (5 × u32) · CRC-32C of the tail itself
 //
+//	A trace store's file also carries the program the trace was recorded
+//	from: its isa.Encode image is the aux section tagged ProgramTag
+//	(ProgramSection), so a restarted process decodes the program from the
+//	file instead of compiling it again.
+//
 //	The columns are bit-for-bit the flat slices Record builds and Replay
 //	walks, so decoding is pointer-and-stride bookkeeping: on a
 //	little-endian host the returned Trace aliases the input buffer directly
@@ -38,13 +43,14 @@ import (
 // releases wrote — is a bad trace: a store quarantines such a file and
 // re-records it like any corrupt one.
 //
-// Aux sections are opaque tagged payloads with strictly increasing tags; the
-// store puts one predecoded-op-table blob (uarch) here per issue width,
+// Aux sections are tagged payloads with strictly increasing tags. Tag 0
+// (ProgramTag) holds a program image; the rest are opaque here, and the
+// store puts one predecoded-op-table blob (uarch) per issue width there,
 // tagged by the width. Encoding is deterministic, so Encode∘Decode∘Encode is
 // byte-identical. Every decode failure — bad magic, unknown version,
-// checksum mismatch, truncation, or a stream that does not match the
-// supplied program — wraps ErrBadTrace; corrupt bytes never panic and never
-// yield a partially filled trace.
+// checksum mismatch, truncation, a bad program section, or a stream that
+// does not match the program — wraps ErrBadTrace; corrupt bytes never panic
+// and never yield a partially filled trace.
 
 // ErrBadTrace is wrapped by every DecodeTrace failure, so stores classify
 // corrupt-vs-mismatched files with errors.Is instead of parsing messages.
@@ -61,13 +67,28 @@ const (
 	traceTrailerLen = 4
 )
 
+// ProgramTag is the aux tag of the section holding the program a trace was
+// recorded from (ProgramSection). It is the lowest tag, below every issue
+// width the store tags predecode sections with.
+const ProgramTag = 0
+
+// ProgramSection returns the ProgramTag section for prog: its isa.Encode
+// image, which DecodeTrace reads back when it is given no program.
+func ProgramSection(prog *isa.Program) (AuxSection, error) {
+	image, err := isa.Encode(prog)
+	if err != nil {
+		return AuxSection{}, err
+	}
+	return AuxSection{Tag: ProgramTag, Data: image}, nil
+}
+
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AuxSection is one opaque tagged payload riding along with an encoded
-// trace. The trace store keys predecoded-op-table blobs by issue width
-// (Tag = width), one section per width, so attaching a new width never
-// clobbers another width's table.
+// AuxSection is one tagged payload riding along with an encoded trace. The
+// trace store writes the program under ProgramTag and keys
+// predecoded-op-table blobs by issue width (Tag = width), one section per
+// width, so attaching a new width never clobbers another width's table.
 type AuxSection struct {
 	Tag  uint64
 	Data []byte
@@ -222,14 +243,18 @@ func (r *traceReader) readAux() ([]AuxSection, error) {
 // indices, and static memory-operation counts must all match — so a file
 // keyed to the wrong program decodes to an error, never to a wrong answer.
 //
+// A nil prog reads the program from the buffer instead: the ProgramTag
+// section is decoded (isa.Decode), laid out (Layout) and validated
+// (Validate), and the stream is then validated against it as above. A
+// missing or bad section fails like any corrupt byte. A non-nil prog is
+// used as given; the section, if any, is returned with the others
+// undecoded.
+//
 // On a little-endian host with an 8-byte-aligned buffer the trace decodes by
 // aliasing: its event columns point into data (Borrowed reports true), so
 // data must stay immutable and mapped for the trace's lifetime. Misaligned
 // buffers and big-endian hosts decode into fresh heap slices.
 func DecodeTrace(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
-	if prog == nil {
-		return nil, nil, fmt.Errorf("%w: nil program", ErrBadTrace)
-	}
 	if len(data) < v3HeaderLen {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrBadTrace, len(data))
 	}
@@ -240,6 +265,24 @@ func DecodeTrace(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 		return nil, nil, fmt.Errorf("%w: format version %d, want %d", ErrBadTrace, data[4], traceVersion3)
 	}
 	return decodeTraceV3(data, prog)
+}
+
+// sectionProgram decodes, lays out and validates the program image in the
+// ProgramTag section. Tags strictly increase, so that section is the first
+// when present.
+func sectionProgram(aux []AuxSection) (*isa.Program, error) {
+	if len(aux) == 0 || aux[0].Tag != ProgramTag {
+		return nil, fmt.Errorf("%w: no program section", ErrBadTrace)
+	}
+	prog, err := isa.Decode(aux[0].Data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: program section: %w", ErrBadTrace, err)
+	}
+	prog.Layout()
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: program section: %w", ErrBadTrace, err)
+	}
+	return prog, nil
 }
 
 // staticMemCount is the program-constant number of LD/ST operations in b

@@ -186,3 +186,79 @@ func TestTraceCodecRejectsNonCanonicalAux(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceCodecReadsProgramSection decodes files with no program in hand.
+// A file carrying its program's ProgramSection must decode to a trace whose
+// program is the recorded one, field for field, and which replays the
+// recorded stream; mapping the file must do the same. A file with no
+// section, a section that is not a program, one whose program fails
+// Validate, and one holding another program must each fail with
+// ErrBadTrace.
+func TestTraceCodecReadsProgramSection(t *testing.T) {
+	section := func(p *isa.Program) emu.AuxSection {
+		sec, err := emu.ProgramSection(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sec
+	}
+	for _, kind := range []isa.Kind{isa.Conventional, isa.BlockStructured} {
+		prog := codecProgram(t, 9027, kind)
+		tr, err := emu.Record(prog, emu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		aux := []emu.AuxSection{section(prog), {Tag: 8, Data: []byte("predecode")}}
+		blob := tr.EncodeBytes(aux)
+		got, gotAux, err := emu.DecodeTrace(blob, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !reflect.DeepEqual(got.Program(), prog) {
+			t.Fatalf("%s: the program decoded from the file differs from the recorded one", kind)
+		}
+		if !reflect.DeepEqual(replayEvents(t, got), replayEvents(t, tr)) {
+			t.Fatalf("%s: the trace decoded with its own program replays differently", kind)
+		}
+		if !reflect.DeepEqual(gotAux, aux) {
+			t.Fatalf("%s: aux sections %+v, want %+v", kind, gotAux, aux)
+		}
+		m, err := emu.OpenTraceFile(writeTraceFile(t, blob), nil)
+		if err != nil {
+			t.Fatalf("%s: mapping: %v", kind, err)
+		}
+		if !reflect.DeepEqual(m.Trace().Program(), prog) || !reflect.DeepEqual(replayEvents(t, m.Trace()), replayEvents(t, tr)) {
+			t.Fatalf("%s: the mapped trace differs from the recorded one", kind)
+		}
+		m.Release()
+	}
+
+	prog := codecProgram(t, 9028, isa.Conventional)
+	tr, err := emu.Record(prog, emu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := codecProgram(t, 9028, isa.Conventional)
+	invalid.Funcs[0].Entry = isa.BlockID(len(invalid.Blocks)) // Validate: entry block missing
+	for _, tc := range []struct {
+		name    string
+		aux     []emu.AuxSection
+		wantIsa bool // the failure also wraps isa.ErrBadContainer
+	}{
+		{"missing", []emu.AuxSection{{Tag: 8, Data: []byte("predecode")}}, false},
+		{"not-a-program", []emu.AuxSection{{Tag: emu.ProgramTag, Data: []byte("BSA1 but no more")}}, true},
+		{"invalid-program", []emu.AuxSection{section(invalid)}, false},
+		{"other-program", []emu.AuxSection{section(codecProgram(t, 9029, isa.Conventional))}, false},
+	} {
+		_, _, err := emu.DecodeTrace(tr.EncodeBytes(tc.aux), nil)
+		if !errors.Is(err, emu.ErrBadTrace) {
+			t.Fatalf("%s: err = %v, want ErrBadTrace", tc.name, err)
+		}
+		if tc.wantIsa && !errors.Is(err, isa.ErrBadContainer) {
+			t.Fatalf("%s: err = %v, want it to wrap isa.ErrBadContainer too", tc.name, err)
+		}
+	}
+	if _, _, err := emu.DecodeTrace(tr.EncodeBytes(nil), nil); !errors.Is(err, emu.ErrBadTrace) {
+		t.Fatalf("no aux at all: err = %v, want ErrBadTrace", err)
+	}
+}

@@ -152,10 +152,11 @@ func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
 }
 
 // decodeTraceV3 validates a fixed-stride buffer whose magic and version
-// DecodeTrace has checked, and builds a Trace over it. On a little-endian
-// host with an 8-byte-aligned buffer the trace's columns alias data directly
-// (the zero-copy path every mmap hits — mappings are page-aligned);
-// otherwise the columns are copied out.
+// DecodeTrace has checked, and builds a Trace over it (reading the program
+// from its section when prog is nil). On a little-endian host with an
+// 8-byte-aligned buffer the trace's columns alias data directly (the
+// zero-copy path every mmap hits — mappings are page-aligned); otherwise the
+// columns are copied out.
 func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	le := binary.LittleEndian
 	if got, want := crc32.Checksum(data[:60], crcTable), le.Uint32(data[60:]); got != want {
@@ -169,9 +170,6 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 	numEvents := le.Uint64(data[16:])
 	numBlocks := le.Uint64(data[24:])
 	memTotal := le.Uint64(data[32:])
-	if numBlocks != uint64(len(prog.Blocks)) {
-		return nil, nil, fmt.Errorf("%w: trace is over %d blocks, program has %d", ErrBadTrace, numBlocks, len(prog.Blocks))
-	}
 	if bodyOff := le.Uint64(data[40:]); bodyOff != v3BodyOff {
 		return nil, nil, fmt.Errorf("%w: non-canonical body offset %d", ErrBadTrace, bodyOff)
 	}
@@ -228,6 +226,14 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 	}
 	if r.pos != crcOff {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last section", ErrBadTrace, crcOff-r.pos)
+	}
+	if prog == nil {
+		if prog, err = sectionProgram(aux); err != nil {
+			return nil, nil, err
+		}
+	}
+	if numBlocks != uint64(len(prog.Blocks)) {
+		return nil, nil, fmt.Errorf("%w: trace is over %d blocks, program has %d", ErrBadTrace, numBlocks, len(prog.Blocks))
 	}
 
 	cols := l.columns(data)

@@ -34,10 +34,12 @@ type TraceMapping struct {
 }
 
 // OpenTraceFile maps the trace file at path read-only and validates it
-// against prog. Decode failures (including a program mismatch or a version
-// other than 3) release the mapping and wrap ErrBadTrace, so callers
-// quarantine exactly as they would for a byte-slice decode; a missing file
-// surfaces as the *PathError from os.Open.
+// against prog, or, when prog is nil, against the program it decodes from
+// the file's ProgramTag section (see DecodeTrace); Trace().Program() returns
+// that program. Decode failures (including a program mismatch, a missing or
+// bad program section, or a version other than 3) release the mapping and
+// wrap ErrBadTrace, so callers quarantine exactly as they would for a
+// byte-slice decode; a missing file surfaces as the *PathError from os.Open.
 //
 // On platforms without mmap, and on big-endian hosts, the file still opens
 // but decodes into heap copies; ZeroCopy reports which path was taken.

@@ -3,6 +3,7 @@ package isa
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -97,11 +98,11 @@ func EncodeOp(op *Op) (uint32, error) {
 	return w, nil
 }
 
-// DecodeOp unpacks a 32-bit encoding.
+// DecodeOp unpacks a 32-bit encoding. Every failure wraps ErrBadContainer.
 func DecodeOp(w uint32) (Op, error) {
 	opc := Opcode(w >> 26)
 	if opc >= numOpcodes {
-		return Op{}, fmt.Errorf("isa: invalid opcode %d in word %#x", opc, w)
+		return Op{}, badContainer("invalid opcode %d in word %#x", opc, w)
 	}
 	info := &opcodeInfo[opc]
 	var op Op
@@ -112,13 +113,13 @@ func DecodeOp(w uint32) (Op, error) {
 		op.FaultNZ = w>>20&1 != 0
 		op.Target = BlockID(w & (1<<20 - 1))
 		if op.Target >= maxBlockTarget>>1 {
-			return Op{}, fmt.Errorf("isa: fault target B%d out of encodable range in word %#x", op.Target, w)
+			return Op{}, badContainer("fault target B%d out of encodable range in word %#x", op.Target, w)
 		}
 	case info.hasTarget:
 		op.Rs1 = Reg(w >> 21 & 31)
 		op.Target = BlockID(w & (1<<21 - 1))
 		if op.Target >= maxBlockTarget {
-			return Op{}, fmt.Errorf("isa: %s target B%d out of encodable range in word %#x", opc, op.Target, w)
+			return Op{}, badContainer("%s target B%d out of encodable range in word %#x", opc, op.Target, w)
 		}
 	case opc == LUI:
 		op.Rd = Reg(w >> 21 & 31)
@@ -152,6 +153,7 @@ var containerMagic = [4]byte{'B', 'S', 'A', '1'}
 // Encode serializes the program to the container format.
 func Encode(p *Program) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.Grow(encodedLen(p))
 	buf.Write(containerMagic[:])
 	buf.WriteByte(byte(p.Kind))
 	writeString(&buf, p.Name)
@@ -214,6 +216,26 @@ func Encode(p *Program) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// encodedLen is the length of p's container, so Encode allocates it once.
+func encodedLen(p *Program) int {
+	n := len(containerMagic) + 1 + 4 + len(p.Name) + 4 + 4 + 4
+	for _, f := range p.Funcs {
+		n += 4 + len(f.Name) + 4 + 4 + 4 + 1
+	}
+	n += 4
+	for _, b := range p.Blocks {
+		n += 4
+		if b != nil {
+			n += 4 + 3 + 4 + 4*len(b.Succs) + 4 + 4*len(b.Ops)
+		}
+	}
+	n += 4
+	for name := range p.GlobalOffsets {
+		n += 4 + len(name) + 4
+	}
+	return n + 4 + 8*len(p.Rodata)
+}
+
 type globalEntry struct {
 	name string
 	off  int32
@@ -232,26 +254,39 @@ func sortedGlobals(m map[string]int32) []globalEntry {
 	return out
 }
 
-// Decode deserializes a container produced by Encode.
+// ErrBadContainer is wrapped by every Decode and DecodeOp failure, so a
+// caller (the trace store, which reads program images out of its files) can
+// tell a malformed container from any other error with errors.Is.
+var ErrBadContainer = errors.New("isa: bad program container")
+
+func badContainer(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadContainer}, args...)...)
+}
+
+// Decode deserializes a container produced by Encode. Every count is checked
+// against the bytes left before anything is sized from it, so a crafted
+// header cannot make Decode allocate more than the container could hold.
 func Decode(data []byte) (*Program, error) {
 	r := &reader{data: data}
 	var magic [4]byte
 	r.bytes(magic[:])
 	if magic != containerMagic {
-		return nil, fmt.Errorf("isa: bad magic %q", magic)
+		return nil, badContainer("bad magic %q", magic)
 	}
 	p := &Program{}
 	p.Kind = Kind(r.u8())
 	if p.Kind >= NumKinds {
-		return nil, fmt.Errorf("isa: unknown program kind %d", p.Kind)
+		return nil, badContainer("unknown program kind %d", p.Kind)
 	}
 	p.Name = r.str()
 	p.EntryFunc = FuncID(r.u32())
 	p.GlobalWords = int32(r.u32())
 
-	nf := int(r.u32())
-	if r.err == nil && nf > 1<<20 {
-		return nil, fmt.Errorf("isa: implausible function count %d", nf)
+	// A function takes at least 17 bytes: name length, entry, argument
+	// count, frame size and the library flag.
+	nf := r.count("function", 17, 1<<20)
+	if nf > 0 {
+		p.Funcs = make([]*Func, 0, nf)
 	}
 	for i := 0; i < nf && r.err == nil; i++ {
 		f := &Func{ID: FuncID(i)}
@@ -263,9 +298,11 @@ func Decode(data []byte) (*Program, error) {
 		p.Funcs = append(p.Funcs, f)
 	}
 
-	nb := int(r.u32())
-	if r.err == nil && nb > maxBlockTarget {
-		return nil, fmt.Errorf("isa: implausible block count %d", nb)
+	// A block takes at least its 4-byte function ID (a nil block is only
+	// that).
+	nb := r.count("block", 4, maxBlockTarget)
+	if nb > 0 {
+		p.Blocks = make([]*Block, 0, nb)
 	}
 	for i := 0; i < nb && r.err == nil; i++ {
 		fid := r.u32()
@@ -274,7 +311,7 @@ func Decode(data []byte) (*Program, error) {
 			continue
 		}
 		if r.err == nil && fid >= uint32(len(p.Funcs)) {
-			return nil, fmt.Errorf("isa: block %d belongs to missing function %d", i, fid)
+			return nil, badContainer("block %d belongs to missing function %d", i, fid)
 		}
 		b := &Block{ID: BlockID(i), Func: FuncID(fid)}
 		b.Cont = BlockID(int32(r.u32()))
@@ -282,35 +319,27 @@ func Decode(data []byte) (*Program, error) {
 		b.Library = flags&1 != 0
 		b.TakenCount = int(r.u8())
 		b.HistBits = int(r.u8())
-		ns := int(r.u32())
-		if r.err == nil && ns > maxBlockTarget {
-			return nil, fmt.Errorf("isa: implausible successor count %d", ns)
-		}
-		for j := 0; j < ns && r.err == nil; j++ {
-			b.Succs = append(b.Succs, BlockID(r.u32()))
-		}
-		no := int(r.u32())
-		if r.err == nil && no > 1<<24 {
-			return nil, fmt.Errorf("isa: implausible op count %d", no)
-		}
-		for j := 0; j < no && r.err == nil; j++ {
-			op, err := DecodeOp(r.u32())
-			if err != nil {
-				return nil, err
+		if ns := r.count("successor", 4, maxBlockTarget); ns > 0 {
+			b.Succs = make([]BlockID, ns)
+			for j := range b.Succs {
+				b.Succs[j] = BlockID(r.u32())
 			}
-			b.Ops = append(b.Ops, op)
+		}
+		if no := r.count("op", 4, 1<<24); no > 0 {
+			b.Ops = make([]Op, no)
+			for j := range b.Ops {
+				op, err := DecodeOp(r.u32())
+				if err != nil {
+					return nil, err
+				}
+				b.Ops[j] = op
+			}
 		}
 		p.Blocks = append(p.Blocks, b)
 	}
 
-	ng := int(r.u32())
-	// Every global takes at least 8 bytes (name length and offset), so a
-	// count the remaining bytes cannot hold is rejected before the map is
-	// sized from it.
-	if r.err == nil && ng > (len(r.data)-r.pos)/8 {
-		return nil, fmt.Errorf("isa: implausible global count %d", ng)
-	}
-	if r.err == nil && ng > 0 {
+	// A global takes at least 8 bytes: name length and offset.
+	if ng := r.count("global", 8, 1<<24); ng > 0 {
 		p.GlobalOffsets = make(map[string]int32, ng)
 		for i := 0; i < ng && r.err == nil; i++ {
 			name := r.str()
@@ -318,14 +347,13 @@ func Decode(data []byte) (*Program, error) {
 			p.GlobalOffsets[name] = off
 		}
 	}
-	nr := int(r.u32())
-	if r.err == nil && nr > 1<<24 {
-		return nil, fmt.Errorf("isa: implausible rodata size %d", nr)
-	}
-	for i := 0; i < nr && r.err == nil; i++ {
-		lo := uint64(r.u32())
-		hi := uint64(r.u32())
-		p.Rodata = append(p.Rodata, int64(hi<<32|lo))
+	if nr := r.count("rodata word", 8, 1<<24); nr > 0 {
+		p.Rodata = make([]int64, nr)
+		for i := range p.Rodata {
+			lo := uint64(r.u32())
+			hi := uint64(r.u32())
+			p.Rodata[i] = int64(hi<<32 | lo)
+		}
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -355,7 +383,7 @@ func (r *reader) bytes(dst []byte) {
 		return
 	}
 	if r.pos+len(dst) > len(r.data) {
-		r.err = fmt.Errorf("isa: truncated container at offset %d", r.pos)
+		r.err = badContainer("truncated container at offset %d", r.pos)
 		return
 	}
 	copy(dst, r.data[r.pos:])
@@ -374,13 +402,29 @@ func (r *reader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b[:])
 }
 
+// count reads an element count and returns it once it is at most limit and
+// the bytes left can hold that many elements of at least size bytes each;
+// otherwise it sets the error and returns 0, so no caller ever sizes an
+// allocation from a count the container cannot back.
+func (r *reader) count(what string, size, limit int) int {
+	n := int64(r.u32())
+	if r.err != nil {
+		return 0
+	}
+	if n > int64(limit) || n > int64((len(r.data)-r.pos)/size) {
+		r.err = badContainer("implausible %s count %d at offset %d", what, n, r.pos-4)
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) str() string {
-	n := int(r.u32())
+	n := int64(r.u32())
 	if r.err != nil {
 		return ""
 	}
-	if n > len(r.data)-r.pos {
-		r.err = fmt.Errorf("isa: truncated string at offset %d", r.pos)
+	if n > int64(len(r.data)-r.pos) {
+		r.err = badContainer("truncated string at offset %d", r.pos)
 		return ""
 	}
 	b := make([]byte, n)

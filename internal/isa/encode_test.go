@@ -2,6 +2,7 @@ package isa
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -88,8 +89,8 @@ func TestEncodeOpRejectsOutOfRange(t *testing.T) {
 
 func TestDecodeOpRejectsInvalidOpcode(t *testing.T) {
 	w := uint32(uint32(numOpcodes) << 26)
-	if _, err := DecodeOp(w); err == nil {
-		t.Error("DecodeOp should reject invalid opcode")
+	if _, err := DecodeOp(w); !errors.Is(err, ErrBadContainer) {
+		t.Errorf("DecodeOp of an invalid opcode: %v, want ErrBadContainer", err)
 	}
 }
 
@@ -162,15 +163,31 @@ func TestProgramEncodePreservesNilBlocks(t *testing.T) {
 	}
 }
 
+// TestEncodedLen: Encode sizes its buffer from encodedLen, so the two must
+// agree byte for byte.
+func TestEncodedLen(t *testing.T) {
+	p := testProgram(t)
+	p.GlobalOffsets = map[string]int32{"a": 0, "buf": 1}
+	p.Rodata = []int64{1, -2}
+	p.Blocks = append(p.Blocks, nil)
+	data, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := encodedLen(p); n != len(data) {
+		t.Fatalf("encodedLen = %d, Encode wrote %d bytes", n, len(data))
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a program")); err == nil {
-		t.Error("Decode should reject bad magic")
+	if _, err := Decode([]byte("not a program")); !errors.Is(err, ErrBadContainer) {
+		t.Errorf("Decode of bad magic: %v, want ErrBadContainer", err)
 	}
 	p := testProgram(t)
 	data, _ := Encode(p)
-	for _, cut := range []int{5, 10, len(data) / 2, len(data) - 1} {
-		if _, err := Decode(data[:cut]); err == nil {
-			t.Errorf("Decode should reject truncation at %d", cut)
+	for _, cut := range []int{0, 3, 5, 10, len(data) / 2, len(data) - 1} {
+		if _, err := Decode(data[:cut]); !errors.Is(err, ErrBadContainer) {
+			t.Errorf("Decode of a truncation at %d: %v, want ErrBadContainer", cut, err)
 		}
 	}
 }
@@ -191,8 +208,36 @@ func TestDecodeBoundsGlobalCount(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := Decode(data)
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("Decode accepted a global count the container cannot hold")
+	if !errors.Is(err, ErrBadContainer) {
+		t.Fatalf("Decode of a global count the container cannot hold: %v, want ErrBadContainer", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("Decode allocated %d bytes before failing, want at most 64 KiB", got)
+	}
+}
+
+// TestDecodeBoundsOpCount hands Decode a container whose one block claims
+// 2^24 operations, the most the count check lets through, and ends there.
+// Decode sizes each block's op slice up front, so it must size it from the
+// bytes left, not from the claim: an op slice sized from it would take
+// 256 MiB.
+func TestDecodeBoundsOpCount(t *testing.T) {
+	le := binary.LittleEndian
+	data := append([]byte{}, containerMagic[:]...)
+	data = append(data, byte(Conventional))
+	for _, v := range []uint32{0, 0, 0, 1} { // name, entry, global words, funcs
+		data = le.AppendUint32(data, v)
+	}
+	data = append(le.AppendUint32(le.AppendUint32(le.AppendUint32(le.AppendUint32(data, 0), 0), 0), 0), 0) // the function
+	data = le.AppendUint32(data, 1)                                                                        // blocks
+	data = append(le.AppendUint32(le.AppendUint32(data, 0), 0), 0, 0, 0)                                   // func, cont, flags
+	data = le.AppendUint32(le.AppendUint32(data, 0), 1<<24)                                                // successors, ops
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadContainer) {
+		t.Fatalf("Decode of an op count the container cannot hold: %v, want ErrBadContainer", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 		t.Fatalf("Decode allocated %d bytes before failing, want at most 64 KiB", got)
@@ -208,8 +253,8 @@ func TestDecodeRejectsWhatEncodeCannotWrite(t *testing.T) {
 		uint32(FAULT)<<26 | maxBlockTarget>>1,
 		uint32(JMP)<<26 | maxBlockTarget,
 	} {
-		if op, err := DecodeOp(w); err == nil {
-			t.Errorf("DecodeOp(%#x) accepted %+v, which EncodeOp rejects", w, op)
+		if op, err := DecodeOp(w); !errors.Is(err, ErrBadContainer) {
+			t.Errorf("DecodeOp(%#x) = %+v, %v; want ErrBadContainer, since EncodeOp rejects it", w, op, err)
 		}
 	}
 	p := testProgram(t)
@@ -218,8 +263,8 @@ func TestDecodeRejectsWhatEncodeCannotWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data); err == nil {
-		t.Error("Decode accepted a block of a missing function")
+	if _, err := Decode(data); !errors.Is(err, ErrBadContainer) {
+		t.Errorf("Decode of a block of a missing function: %v, want ErrBadContainer", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package isa_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"bsisa/internal/backend"
@@ -12,10 +13,11 @@ import (
 )
 
 // FuzzDecodeProgram feeds arbitrary bytes to isa.Decode, the parser bsim and
-// bsdis hand .bso files. Decode, and Layout and Validate on whatever it
-// accepts, must never panic, and an accepted program must re-encode to bytes
-// that decode and re-encode identically. The seeds are generated programs
-// compiled and shaped for every registered backend.
+// bsdis hand .bso files and the trace store hands the program section of its
+// files. Decode, and Layout and Validate on whatever it accepts, must never
+// panic, every failure must wrap ErrBadContainer, and an accepted program
+// must re-encode to bytes that decode and re-encode identically. The seeds
+// are generated programs compiled and shaped for every registered backend.
 func FuzzDecodeProgram(f *testing.F) {
 	for _, be := range backend.All() {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -36,6 +38,9 @@ func FuzzDecodeProgram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := isa.Decode(data)
 		if err != nil {
+			if !errors.Is(err, isa.ErrBadContainer) {
+				t.Fatalf("decode failure does not wrap ErrBadContainer: %v", err)
+			}
 			return
 		}
 		p.Layout()

@@ -224,10 +224,20 @@ func programKey(p ProgramSpec) string {
 	return hex.EncodeToString(sum[:16])
 }
 
+// codegenStamp is the SHA-256 of testdata/program_images.txt, the file that
+// pins every benchmark's program image under every backend. A store file
+// carries its program, so a store kept across a compiler upgrade would serve
+// programs the new compiler no longer produces. Any change to the compiler
+// or a shaping pass changes those pins (TestProgramImages), and so this
+// stamp (TestCodegenStamp), and with it every trace key: the old files are
+// never looked up again, and the store goes cold once.
+const codegenStamp = "bf1eee0b46579c071ceb463b95ec4d9d40bcf7d7ff6e8b74aae7e12d0a421138"
+
 // traceKey derives the trace artifact key: the program plus the emulation
-// budget (the committed stream depends on both, and nothing else).
+// budget (the committed stream depends on both, and nothing else), and the
+// codegen stamp (the program a store file carries depends on the compiler).
 func traceKey(progKey string, emuMaxOps int64) string {
-	return fmt.Sprintf("%s/emu=%d", progKey, emuMaxOps)
+	return fmt.Sprintf("%s/emu=%d/codegen=%s", progKey, emuMaxOps, codegenStamp)
 }
 
 // TraceKeyFor derives the persistent-store trace key a request resolves to,

@@ -17,9 +17,10 @@ import (
 
 // cachedTrace is the trace artifact cached across requests: the trace itself
 // plus, when it was loaded from the persistent store, the file's aux sections
-// (encoded predecoded-op-tables, one per issue width a previous process
-// attached, tagged by width). Immutable after construction — the predecode
-// write-through updates the file, not this struct, so readers never race.
+// (the program image, and encoded predecoded-op-tables, one per issue width a
+// previous process attached, tagged by width). Immutable after construction
+// — the predecode write-through updates the file, not this struct, so
+// readers never race.
 //
 // A store-served trace (mapped != nil) aliases read-only mmapped pages; the
 // refcounted hooks forward to the mapping so the artifact cache and every
@@ -73,9 +74,21 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		return fail(err)
 	}
 
-	// Program artifact: compile (and enlarge) once per distinct spec.
+	// Program artifact: compile (and enlarge) once per distinct spec. With a
+	// store, a miss first opens the trace file, which carries the shaped
+	// program; decoding it costs a fraction of building it (DESIGN.md §11).
+	// The mapping is handed on to the trace step, so a job makes one store
+	// lookup, and compiles only when the store misses too.
 	progKey := programKey(plan.Program)
+	tKey := traceKey(progKey, plan.EmuCfg.MaxOps)
+	var stored *emu.TraceMapping // opened by the program step for the trace step
 	pv, progHit, err := s.programs.do(progKey, func() (any, error) {
+		if st := s.cfg.Store; st != nil {
+			if mt, ok := st.LoadTraceMapped(tKey, nil, plan.EmuCfg); ok {
+				stored = mt
+				return mt.Trace().Program(), nil
+			}
+		}
 		t0 := time.Now()
 		prog, err := buildProgram(plan)
 		s.metrics.observeStage(stageCompile, time.Since(t0))
@@ -87,18 +100,22 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	prog := pv.(*isa.Program)
 
 	// Trace artifact: record the committed stream once per program+budget. A
-	// configured store interposes on the miss path: load-and-validate from
-	// disk first (a hit skips the recording entirely), and write a fresh
-	// recording through so the next process starts warm. Store failures only
-	// ever degrade to a re-record — they never fail the job. The recording
-	// runs under this job's context; a job waiting on it whose recorder is
-	// canceled records again under its own (artifactCache.do).
-	tKey := traceKey(progKey, plan.EmuCfg.MaxOps)
+	// configured store interposes on the miss path: the file the program
+	// step opened, or else, when the program came from the cache, a
+	// load-and-validate from disk (a hit skips the recording entirely); a
+	// fresh recording is written through so the next process starts warm.
+	// Store failures only ever degrade to a re-record — they never fail the
+	// job. The recording runs under this job's context; a job waiting on it
+	// whose recorder is canceled records again under its own
+	// (artifactCache.do).
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
-		if st := s.cfg.Store; st != nil {
-			if mt, ok := st.LoadTraceMapped(tKey, prog, plan.EmuCfg); ok {
-				return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt}, nil
-			}
+		mt := stored
+		stored = nil
+		if st := s.cfg.Store; st != nil && mt == nil && progHit {
+			mt, _ = st.LoadTraceMapped(tKey, prog, plan.EmuCfg)
+		}
+		if mt != nil {
+			return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt}, nil
 		}
 		t0 := time.Now()
 		tr, err := emu.RecordContext(j.ctx, prog, plan.EmuCfg)
@@ -119,6 +136,11 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		}
 		return &cachedTrace{tr: tr}, nil
 	})
+	if stored != nil {
+		// Another job put the trace in the cache while this one decoded the
+		// program: drop the second mapping.
+		stored.Release()
+	}
 	if err != nil {
 		return fail(err)
 	}

@@ -179,9 +179,11 @@ type SimResponse struct {
 // meaningful on jobs routed to a fused sweep engine (the only consumers of
 // predecoded tables). Store marks a trace that came off the persistent store
 // rather than being recorded by this process (schema-additive; always false
-// when the server runs without a store). Mmap further marks a store-served
-// trace that replays zero-copy off read-only mmapped pages of a v3 file
-// instead of a private decoded heap (schema-additive).
+// when the server runs without a store); on a program-cache miss it also
+// means the program was decoded from the store file, not compiled. Mmap
+// further marks a store-served trace that replays zero-copy off read-only
+// mmapped pages of a v3 file instead of a private decoded heap
+// (schema-additive).
 type ArtifactHits struct {
 	Program   bool `json:"program"`
 	Trace     bool `json:"trace"`

@@ -23,6 +23,11 @@ import (
 // can be shared across restarts — and across processes — and a key can only
 // ever resolve to bytes written for that exact program + emulation budget.
 //
+// Each file also carries the shaped program its trace was recorded from, so
+// a restarted process decodes the program instead of compiling it
+// (LoadTraceMapped with a nil program). The keys carry codegenStamp, so a
+// compiler change retires every stored program.
+//
 // The store is strictly a cache tier: every read is re-validated (checksums
 // and program shape, via emu.DecodeTrace) before it is served, a file that
 // fails validation is quarantined and reported as a miss so the caller
@@ -88,9 +93,12 @@ func (s *Store) FilePath(key string) string { return s.path(key) }
 
 // LoadTraceMapped returns the stored trace for key as a reference-counted
 // mapping, or ok=false on a miss. The file is memory-mapped read-only and
-// served zero-copy. A file that exists but fails validation — bad checksum,
-// truncation, a format version other than 3, or a stream that does not
-// match prog/cfg — is quarantined (renamed aside with a .corrupt suffix, for
+// served zero-copy. A nil prog takes the program from the file: it is
+// decoded from the file's program section, laid out and validated, and
+// Trace().Program() returns it. A file that exists but fails validation —
+// bad checksum, truncation, a format version other than 3, a missing or bad
+// program section when prog is nil, or a stream that does not match the
+// program or cfg — is quarantined (renamed aside with a .corrupt suffix, for
 // post mortems) and reported as a miss, so the caller falls through to a
 // rebuild.
 //
@@ -146,14 +154,25 @@ func (s *Store) LoadTraceMapped(key string, prog *isa.Program, cfg emu.Config) (
 // svcbench's replica names it.
 type MappedTrace = emu.TraceMapping
 
-// SaveTrace writes the trace (and any aux sections) for key atomically and
-// durably: the temp file is fsynced before the rename and the directory
-// after it, so a reader concurrent with this write sees either the old
-// complete file or the new complete file — never a prefix, and (even across
-// a crash) never a committed zero-length entry. Concurrent writers of one
-// key are safe — each rename is atomic and both sides wrote equivalent
-// content.
+// SaveTrace writes the trace, the program it was recorded from, and any aux
+// sections for key atomically and durably: the temp file is fsynced before
+// the rename and the directory after it, so a reader concurrent with this
+// write sees either the old complete file or the new complete file — never a
+// prefix, and (even across a crash) never a committed zero-length entry.
+// Concurrent writers of one key are safe — each rename is atomic and both
+// sides wrote equivalent content.
+//
+// The program's isa.Encode image (emu.ProgramSection) is written in the same
+// file as the recording. When aux already starts with that section (AttachAux
+// passes the file's own sections back), it is kept as it is.
 func (s *Store) SaveTrace(key string, tr *emu.Trace, aux []emu.AuxSection) error {
+	if len(aux) == 0 || aux[0].Tag != emu.ProgramTag {
+		sec, err := emu.ProgramSection(tr.Program())
+		if err != nil {
+			return fmt.Errorf("svc: store: %w", err)
+		}
+		aux = append([]emu.AuxSection{sec}, aux...)
+	}
 	blob := tr.EncodeBytes(aux)
 	tmp, err := os.CreateTemp(s.dir, ".bstr-tmp-*")
 	if err != nil {
@@ -275,14 +294,15 @@ func (s *Store) isLive(path string) bool {
 // AttachAux upserts one tagged aux section into key's trace file: the current
 // file's sections are re-read from disk (so a section another process attached
 // since our load survives), the same-tag section is replaced, every other tag
-// is preserved, and the merged file is rewritten atomically. A missing or
-// invalid file degrades to writing the trace with just this section — the
-// attach never fails harder than a plain SaveTrace. Replays still mapped onto
-// the replaced file are unaffected: the rename swaps the directory entry, and
-// their pages stay live until the last reference drains. This is what fixes
-// the old "last width wins" behavior: with one untagged section, attaching a
-// predecode table for a second issue width clobbered the first width's table,
-// and the two widths then thrashed each other's write-through forever.
+// — the program section too — is preserved, and the merged file is rewritten
+// atomically. A missing or invalid file degrades to writing the trace with
+// just this section and the program — the attach never fails harder than a
+// plain SaveTrace. Replays still mapped onto the replaced file are
+// unaffected: the rename swaps the directory entry, and their pages stay
+// live until the last reference drains. This is what fixes the old "last
+// width wins" behavior: with one untagged section, attaching a predecode
+// table for a second issue width clobbered the first width's table, and the
+// two widths then thrashed each other's write-through forever.
 //
 // The current sections are read through a private mapping of the file, never
 // a heap copy of it (section data is copied at decode), and the mapping is

@@ -119,7 +119,6 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, tr := storeTrace(t, 5152)
-	blobSize := int64(len(tr.EncodeBytes(nil)))
 
 	keys := []string{traceKey("gc-a", 0), traceKey("gc-b", 0), traceKey("gc-c", 0)}
 	for _, k := range keys {
@@ -127,6 +126,7 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	blobSize := fileSize(t, st, keys[0])
 	// Age the files oldest-first so LRU order is deterministic, then cap the
 	// store at two files and trigger a sweep with a fourth write: the coldest
 	// file (gc-a) must go, and only as many as needed.
@@ -199,7 +199,6 @@ func TestStoreGCEvictsQuarantinedFirst(t *testing.T) {
 	prog, tr := storeTrace(t, 5154)
 	old := tr.EncodeBytes(nil)
 	old[4] = 2
-	blobSize := int64(len(old))
 
 	keys := []string{traceKey("q-a", 0), traceKey("q-b", 0), traceKey("q-c", 0)}
 	base := time.Now().Add(-time.Hour)
@@ -222,7 +221,8 @@ func TestStoreGCEvictsQuarantinedFirst(t *testing.T) {
 		t.Fatalf("corruptions = %d, want 3", cc.Corruptions)
 	}
 
-	limit := 3*blobSize + blobSize/2
+	// Room for the three servable files and half a quarantined one.
+	limit := 3*fileSize(t, st, keys[0]) + int64(len(old))/2
 	st.SetMaxBytes(limit)
 	ents, err := os.ReadDir(st.Dir())
 	if err != nil {

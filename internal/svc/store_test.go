@@ -2,6 +2,9 @@ package svc
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,10 +44,32 @@ func loadTrace(t *testing.T, st *Store, key string, prog *isa.Program, cfg emu.C
 	return m.Trace(), m.Aux(), true
 }
 
-// requireSame asserts the loaded trace is the recorded one, field for field:
-// same event stream, same emulator result, and a byte-identical re-encode.
+// programSection is the aux section SaveTrace writes for prog.
+func programSection(t *testing.T, prog *isa.Program) emu.AuxSection {
+	t.Helper()
+	sec, err := emu.ProgramSection(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
+}
+
+// fileSize reports the size of key's store file.
+func fileSize(t *testing.T, st *Store, key string) int64 {
+	t.Helper()
+	fi, err := os.Stat(st.FilePath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// requireSame asserts the loaded trace is the one SaveTrace(key, want,
+// wantAux) wrote, field for field: same event stream, same emulator result,
+// a byte-identical re-encode, and the program section ahead of wantAux.
 func requireSame(t *testing.T, want, got *emu.Trace, wantAux, gotAux []emu.AuxSection) {
 	t.Helper()
+	wantAux = append([]emu.AuxSection{programSection(t, want.Program())}, wantAux...)
 	if !reflect.DeepEqual(got.BlockIDs(), want.BlockIDs()) {
 		t.Fatal("loaded trace's event stream diverges")
 	}
@@ -176,6 +201,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 // fix: attaching a predecode blob for a second issue width must preserve the
 // first width's blob (the old single-section format let the last writer win),
 // and re-attaching an existing width replaces only that width's payload.
+// The program section must survive every attach.
 func TestStoreAttachAuxPerWidth(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
@@ -217,6 +243,16 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatal("trace not served after re-attach")
 	}
 	requireSame(t, tr, got, want, gotAux)
+
+	// The program section survived every attach: the file still decodes
+	// with no program in hand, to the recorded one.
+	fromFile, _, ok := loadTrace(t, st, key, nil, emu.Config{})
+	if !ok {
+		t.Fatal("trace not served with its program read from the file")
+	}
+	if !reflect.DeepEqual(fromFile.Program(), prog) {
+		t.Fatal("the program read from the file differs from the recorded one")
+	}
 
 	// Attaching to a missing file degrades to a plain save with one section.
 	key2 := traceKey("prog-e2", 0)
@@ -265,8 +301,8 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 
 // TestServerStoreWarmStart is the end-to-end restart contract: a second
 // server pointed at the first one's store directory answers the same sweep
-// identically without recording a single trace — the store, not the
-// emulator, supplies the artifact, mmapped — and serves the predecoded op
+// identically without compiling the program or recording the trace — one
+// store hit supplies both, the trace mmapped — and serves the predecoded op
 // table out of the file's aux section.
 func TestServerStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
@@ -297,6 +333,9 @@ func TestServerStoreWarmStart(t *testing.T) {
 	if n := sA.metrics.traceRecords.Load(); n != 1 {
 		t.Fatalf("cold run recorded %d traces, want 1", n)
 	}
+	if n := sA.metrics.stages[stageCompile].count.Load(); n != 1 {
+		t.Fatalf("cold run compiled %d programs, want 1", n)
+	}
 	if cc := stA.counters(); cc.Writes < 2 { // trace write-through + aux attach
 		t.Fatalf("store counters after cold run = %+v, want >= 2 writes", cc)
 	}
@@ -318,9 +357,12 @@ func TestServerStoreWarmStart(t *testing.T) {
 	if n := sB.metrics.traceRecords.Load(); n != 0 {
 		t.Fatalf("warm run recorded %d traces, want 0", n)
 	}
+	if n := sB.metrics.stages[stageCompile].count.Load(); n != 0 {
+		t.Fatalf("warm run compiled %d programs, want 0: the program comes from the store file", n)
+	}
 	cc := stB.counters()
-	if cc.Hits != 1 || cc.Corruptions != 0 || cc.MmapMaps < 1 {
-		t.Fatalf("store counters after warm run = %+v, want 1 hit / 0 corruptions / >= 1 map", cc)
+	if cc.Hits != 1 || cc.Misses != 0 || cc.Corruptions != 0 || cc.MmapMaps < 1 {
+		t.Fatalf("store counters after warm run = %+v, want 1 hit / 0 misses / 0 corruptions / >= 1 map", cc)
 	}
 	// The aux predecode satisfied the warm server's flatten, so it wrote
 	// nothing back.
@@ -329,6 +371,123 @@ func TestServerStoreWarmStart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm.Results, cold.Results) {
 		t.Fatalf("warm results diverge from cold:\nwarm: %+v\ncold: %+v", warm.Results, cold.Results)
+	}
+}
+
+// TestServerStoreBadProgramSection seeds the store file of a request with a
+// sound trace but a program section that is missing, cut short, or another
+// program's image. A fresh server must quarantine the file (one corruption),
+// compile the program, record the trace again and write it through, and
+// answer as the reference path does; a server started after it must then
+// read the program from the rewritten file without compiling.
+func TestServerStoreBadProgramSection(t *testing.T) {
+	seed, otherSeed := int64(4249), int64(4250)
+	req := func(seed *int64) *SimRequest {
+		return &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: seed, ISA: "bsa"},
+			Sweep:   &SweepSpec{ICacheSizes: []int{0, 2048}},
+		}
+	}
+	build := func(req *SimRequest) (*isa.Program, emu.Config) {
+		plan, err := BuildConfig(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := buildProgram(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog, plan.EmuCfg
+	}
+	prog, emuCfg := build(req(&seed))
+	other, _ := build(req(&otherSeed))
+	tr, err := emu.Record(prog, emuCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := TraceKeyFor(req(&seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := programSection(t, prog)
+	want := referenceResults(t, req(&seed))
+
+	for _, tc := range []struct {
+		name string
+		aux  []emu.AuxSection
+	}{
+		{"missing", nil},
+		{"cut-short", []emu.AuxSection{{Tag: emu.ProgramTag, Data: image.Data[:len(image.Data)/2]}}},
+		{"other-program", []emu.AuxSection{programSection(t, other)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			serve := func() (*Server, *Store, *SimResponse) {
+				st, err := NewStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := quietConfig()
+				cfg.Store = st
+				s, ts := testServer(t, cfg)
+				status, resp := post(t, ts, req(&seed))
+				if status != http.StatusOK {
+					t.Fatalf("status %d: %s", status, resp.Error)
+				}
+				requireResults(t, tc.name, resp.Results, want)
+				return s, st, resp
+			}
+			st, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(st.FilePath(key), tr.EncodeBytes(tc.aux), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, st, resp := serve()
+			if cc := st.counters(); cc.Corruptions != 1 || cc.Hits != 0 || cc.Misses != 1 {
+				t.Fatalf("store counters = %+v, want 1 corruption / 0 hits / 1 miss", cc)
+			}
+			if _, err := os.Stat(st.FilePath(key) + ".corrupt"); err != nil {
+				t.Fatalf("file not quarantined: %v", err)
+			}
+			if n := s.metrics.stages[stageCompile].count.Load(); n != 1 {
+				t.Fatalf("compiled %d programs, want 1", n)
+			}
+			if n := s.metrics.traceRecords.Load(); n != 1 {
+				t.Fatalf("recorded %d traces, want 1", n)
+			}
+			if resp.ArtifactCache.Store {
+				t.Fatalf("answered from the quarantined file: %+v", resp.ArtifactCache)
+			}
+
+			s, st, resp = serve()
+			if cc := st.counters(); cc.Corruptions != 0 || cc.Hits != 1 {
+				t.Fatalf("store counters after the rewrite = %+v, want 0 corruptions / 1 hit", cc)
+			}
+			if n := s.metrics.stages[stageCompile].count.Load(); n != 0 {
+				t.Fatalf("compiled %d programs over the rewritten file, want 0", n)
+			}
+			if !resp.ArtifactCache.Store {
+				t.Fatalf("not answered from the rewritten file: %+v", resp.ArtifactCache)
+			}
+		})
+	}
+}
+
+// TestCodegenStamp requires codegenStamp to be the SHA-256 of the program
+// image pins. A change to the compiler or a shaping pass must update those
+// pins (TestProgramImages), so it changes every trace key too, and the
+// programs stored under the old keys are never served.
+func TestCodegenStamp(t *testing.T) {
+	pins, err := os.ReadFile(filepath.Join("..", "..", "testdata", "program_images.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(pins)); got != codegenStamp {
+		t.Fatalf("testdata/program_images.txt hashes to %s, but codegenStamp is %s: set it to the new hash", got, codegenStamp)
 	}
 }
 
