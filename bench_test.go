@@ -328,10 +328,9 @@ func BenchmarkXSweepLegacy(b *testing.B) {
 }
 
 // BenchmarkXSweepFused times the unified multi-axis engine on the identical
-// cross product: one enrichment replay feeding all sixteen lanes. -benchmem
-// also pins the per-call allocation profile — lane scratch comes from the
-// geometry-keyed pool, so steady-state calls must not scale allocations
-// with trace length.
+// cross product: one enrichment replay feeding all sixteen lanes. It reports
+// the per-call allocation but gates nothing: uarch's TestSweepAllocLedger is
+// what requires a sweep's allocation not to grow with the trace.
 func BenchmarkXSweepFused(b *testing.B) {
 	tr := sweepBenchTrace(b)
 	cfgs := xsweepBenchGrid()

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"bsisa/internal/isa"
@@ -29,7 +30,9 @@ func xsweepGrid() []uarch.Config {
 // independent replay per configuration (uarch.SimulateMany) versus the
 // unified multi-axis sweep engine (uarch.Sweep), over every benchmark and
 // both ISAs, verifying on the way that the two engines return identical
-// results. Both engines run on the calling goroutine. The cross product
+// results. Both engines run on the calling goroutine; Fused MB is the bytes
+// one sweep call allocates (the runtime.MemStats.TotalAlloc delta across
+// it), which stays flat as traces grow. The cross product
 // exercises what makes the unified engine new — one enrichment replay feeds
 // lanes that differ along more than one axis — so this table is the perf
 // trajectory record for the multi-axis path (bsbench exports it as
@@ -39,11 +42,13 @@ func xsweepGrid() []uarch.Config {
 func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Cross sweep speed: per-config replay (legacy) vs unified multi-axis sweep",
-		Columns: []string{"Benchmark", "ISA", "Configs", "Legacy (ms)", "Fused (ms)", "Speedup"},
+		Columns: []string{"Benchmark", "ISA", "Configs", "Legacy (ms)", "Fused (ms)", "Speedup", "Fused MB"},
 		Note:    "4x4 history-bits x icache-size cross grid at the Figure 3 machine; engines verified to return identical results.",
 	}
 	cfgs := xsweepGrid()
 	var legacyTotal, fusedTotal time.Duration
+	var fusedBytes uint64
+	var before, after runtime.MemStats
 	for _, b := range h.Benches {
 		for _, side := range []struct {
 			tag  string
@@ -63,12 +68,15 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 				return nil, err
 			}
 			legacyMs := time.Since(start)
+			runtime.ReadMemStats(&before)
 			start = time.Now()
 			fused, err := uarch.Sweep(tr, cfgs)
 			if err != nil {
 				return nil, err
 			}
 			fusedMs := time.Since(start)
+			runtime.ReadMemStats(&after)
+			alloc := after.TotalAlloc - before.TotalAlloc
 			for i := range legacy {
 				if *legacy[i] != *fused[i] {
 					return nil, fmt.Errorf("harness: xsweep: %s/%s config %d: fused result diverges:\nlegacy %+v\nfused  %+v",
@@ -77,12 +85,16 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 			}
 			legacyTotal += legacyMs
 			fusedTotal += fusedMs
+			fusedBytes += alloc
 			t.AddRow(b.Profile.Name, side.tag, len(cfgs),
 				legacyMs.Milliseconds(), fusedMs.Milliseconds(),
-				fmt.Sprintf("%.2fx", float64(legacyMs)/float64(fusedMs)))
+				fmt.Sprintf("%.2fx", float64(legacyMs)/float64(fusedMs)), megabytes(alloc))
 		}
 	}
 	t.AddRow("TOTAL", "", len(cfgs), legacyTotal.Milliseconds(), fusedTotal.Milliseconds(),
-		fmt.Sprintf("%.2fx", float64(legacyTotal)/float64(fusedTotal)))
+		fmt.Sprintf("%.2fx", float64(legacyTotal)/float64(fusedTotal)), megabytes(fusedBytes))
 	return t, nil
 }
+
+// megabytes renders a byte count in MB (2^20 bytes) to two decimals.
+func megabytes(n uint64) string { return fmt.Sprintf("%.2f", float64(n)/(1<<20)) }
