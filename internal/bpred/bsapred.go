@@ -41,22 +41,20 @@ type bsaCounters struct {
 // keep the predictor's size down.
 func NewBSA(cfg Config) *BSA {
 	cfg = cfg.withDefaults()
-	entries := cfg.PHTEntries / 4
-	if entries < 1024 {
-		entries = 1024
-	}
-	// Likewise the BTB: entries hold eight successor targets instead of
-	// one, so the equal-storage organization has an eighth of the sets.
-	sets := cfg.BTBSets / 8
-	if sets < 32 {
-		sets = 32
-	}
+	entries, sets := bsaTables(cfg)
 	return &BSA{
 		cfg: cfg,
 		pht: make([]bsaCounters, entries),
 		btb: newBTB(sets, cfg.BTBWays, MaxTargets),
 		ras: newRAS(cfg.RASDepth),
 	}
+}
+
+// bsaTables returns the PHT entries and BTB sets NewBSA allocates for the
+// defaulted cfg: a quarter of its entries, at least 1,024, and an eighth of
+// its sets, at least 32.
+func bsaTables(cfg Config) (entries, sets int) {
+	return max(cfg.PHTEntries/4, 1024), max(cfg.BTBSets/8, 32)
 }
 
 func (p *BSA) phtIndex(pc, bhr uint32) int {

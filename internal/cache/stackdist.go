@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // StackDist is a single-pass LRU stack-distance profiler: it walks an
@@ -78,6 +79,18 @@ func NewStackDist(cfg Config, minSizeBytes, maxSizeBytes int) (*StackDist, error
 	sd.cnt = make([]int, sd.levels)
 	sd.stats = make([]Stats, sd.levels)
 	return sd, nil
+}
+
+// StackDistBytes bounds the bytes of the recency stacks a StackDist over
+// [minSizeBytes, maxSizeBytes] at cfg's associativity and line size holds,
+// however long its stream: pruning keeps at most Ways lines of each set of
+// the largest size, so the stacks hold at most that size's line count, in
+// slices that append at most doubles.
+func StackDistBytes(cfg Config, minSizeBytes, maxSizeBytes int) int {
+	cfg = cfg.withDefaults()
+	minSets := minSizeBytes / (cfg.Ways * cfg.LineBytes)
+	maxLines := maxSizeBytes / cfg.LineBytes
+	return minSets*int(unsafe.Sizeof([]uint32(nil))) + 2*maxLines*int(unsafe.Sizeof(uint32(0)))
 }
 
 // Levels returns the number of sweep points (one per power-of-two size).
