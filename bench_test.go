@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -314,8 +315,9 @@ func xsweepBenchGrid() []uarch.Config {
 	return cfgs
 }
 
-// BenchmarkXSweepLegacy times the 4x4 history x icache cross product the
-// pre-fusion way: one full trace replay per grid point.
+// BenchmarkXSweepLegacy times the 4x4 history x icache cross product as one
+// full trace replay per grid point, the baseline BenchmarkXSweepFused is
+// read against.
 func BenchmarkXSweepLegacy(b *testing.B) {
 	tr := sweepBenchTrace(b)
 	cfgs := xsweepBenchGrid()
@@ -327,18 +329,29 @@ func BenchmarkXSweepLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkXSweepFused times the unified multi-axis engine on the identical
+// BenchmarkXSweepFused times the multi-axis sweep engine on the identical
 // cross product: one enrichment replay feeding all sixteen lanes. It reports
 // the per-call allocation but gates nothing: uarch's TestSweepAllocLedger is
 // what requires a sweep's allocation not to grow with the trace.
 func BenchmarkXSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := xsweepBenchGrid()
+	benchSweep(b, sweepBenchTrace(b), xsweepBenchGrid())
+}
+
+// benchSweep times what a warm bsimd request runs for a sweep grid:
+// uarch.Run with the program's Predecode built once, before the timer
+// starts. It fails unless the grid takes the sweep.
+func benchSweep(b *testing.B, tr *emu.Trace, cfgs []uarch.Config) {
+	b.Helper()
+	pre := uarch.Predecode(tr.Program(), cfgs[0].EffectiveIssueWidth())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs); err != nil {
+		_, route, err := uarch.Run(context.Background(), tr, cfgs, pre)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if route.Engine != uarch.EngineSweep {
+			b.Fatalf("grid took %s, not the sweep: %s", route.Engine, route.Reason)
 		}
 	}
 }
@@ -375,14 +388,7 @@ func BenchmarkICacheSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(name+"/"+target.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := uarch.Sweep(tr, cfgs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			b.Run(name+"/"+target.name, func(b *testing.B) { benchSweep(b, tr, cfgs) })
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package backend is the registry of ISA backends. A backend bundles the
-// three per-ISA decisions that used to be scattered as `kind ==
-// isa.BlockStructured` switches across the repo:
+// three per-ISA decisions every layer asks it for instead of switching on an
+// isa.Kind:
 //
 //   - compile-side block shaping: the pass that runs after code generation
 //     (the paper's block enlarger for the block-structured ISA, the
@@ -15,11 +15,10 @@
 //   - the service/CLI surface: the canonical name and aliases `-isa`,
 //     `bsc -target` and svc.ProgramSpec.ISA accept.
 //
-// conv and bsa are the first two registrations and re-express the repo's
-// original hardcoded binary exactly — the registry refactor changes no
-// conv/bsa result. basicblocker (Thoma et al.) and fused (Celio et al.'s
-// macro-op fusion) are the third and fourth backends; the next ones
-// (decoupled front end, variable fetch rate) plug into the same interface.
+// conv and bsa are the paper's pair. basicblocker (Thoma et al.) and fused
+// (Celio et al.'s macro-op fusion) are the third and fourth backends; the
+// next ones (decoupled front end, variable fetch rate) plug into the same
+// interface.
 package backend
 
 import (

@@ -117,6 +117,8 @@ func TestServerErrorCodes(t *testing.T) {
 			http.StatusBadRequest, "bad_geometry"},
 		{"l2 latency over the cap", oversize(ConfigSpec{L2Latency: 1 << 40}),
 			http.StatusBadRequest, "bad_geometry"},
+		{"fault squash penalty over the cap", oversize(ConfigSpec{FaultSquashPenalty: 1 << 62}),
+			http.StatusBadRequest, "bad_geometry"},
 		{"swept icache over the cap", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"},
 			Sweep: &SweepSpec{ICacheSizes: []int{1024, 1 << 40}}}, http.StatusBadRequest, "bad_geometry"},
 		{"swept pht over the cap", &SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"},

@@ -12,9 +12,8 @@ import (
 // artifactCache is a keyed, bounded, single-flight LRU cache for expensive
 // request-independent artifacts: compiled programs, recorded committed-block
 // traces and predecoded op tables. Concurrent requests for the same key
-// share one build (the PR-1 trace memo's single-flight discipline, promoted
-// to a cross-request subsystem); completed entries are reused in LRU order
-// up to the capacity bound.
+// share one build; completed entries are reused in LRU order up to the
+// capacity bound.
 //
 // Eviction is by entry count, not bytes: entries (traces especially) vary in
 // size, but the service's working set is "programs under active sweep", for

@@ -57,7 +57,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			// Valid geometry past every cap.
 			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
 			Config: &ConfigSpec{
-				WindowBlocks: 1 << 40, FrontEndDepth: 1 << 40, L2Latency: 1 << 40,
+				WindowBlocks: 1 << 40, FrontEndDepth: 1 << 40, L2Latency: 1 << 40, FaultSquashPenalty: 1 << 62,
 				ICache:    &CacheSpec{SizeBytes: 1 << 40},
 				DCache:    &CacheSpec{SizeBytes: 1 << 20, Ways: 1, LineBytes: 1 << 20},
 				Predictor: &PredictorSpec{PHTEntries: 1 << 32, BTBSets: 1 << 20, BTBWays: 1 << 30, RASDepth: 1 << 33},
@@ -116,5 +116,6 @@ func withinCaps(cfg uarch.Config) bool {
 		dc.SizeBytes <= maxCacheBytes && dc.LineBytes <= maxLineBytes && dc.SizeBytes/dc.LineBytes <= maxCacheLines &&
 		p.PHTEntries <= maxPHTEntries && p.RASDepth <= maxRASDepth &&
 		p.BTBSets <= maxBTBEntries && p.BTBWays <= maxBTBEntries/p.BTBSets &&
-		cfg.WindowBlocks <= maxWindowBlocks && cfg.FrontEndDepth <= maxFrontEndDepth && cfg.L2Latency <= maxL2Latency
+		cfg.WindowBlocks <= maxWindowBlocks && cfg.FrontEndDepth <= maxFrontEndDepth && cfg.L2Latency <= maxL2Latency &&
+		cfg.FaultSquashPenalty <= maxFaultSquashPenalty
 }

@@ -299,10 +299,8 @@ func (s *Store) isLive(path string) bool {
 // just this section and the program — the attach never fails harder than a
 // plain SaveTrace. Replays still mapped onto the replaced file are
 // unaffected: the rename swaps the directory entry, and their pages stay
-// live until the last reference drains. This is what fixes the old "last
-// width wins" behavior: with one untagged section, attaching a predecode
-// table for a second issue width clobbered the first width's table, and the
-// two widths then thrashed each other's write-through forever.
+// live until the last reference drains. Sections are kept per tag so that
+// one file serves the predecode table of every issue width swept against it.
 //
 // The current sections are read through a private mapping of the file, never
 // a heap copy of it (section data is copied at decode), and the mapping is

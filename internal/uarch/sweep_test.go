@@ -168,9 +168,8 @@ func workloadProgram(t *testing.T, name string, scale float64, kind isa.Kind) *i
 
 // TestSweepMarginals is the axis-composition property: slicing a
 // cross-product grid along one axis (fixing the other) and sweeping the
-// slice alone must reproduce exactly the rows of the full cross sweep — the
-// single-axis answers the old SweepICache/SweepPredictor engines gave are
-// the marginals of the unified engine's cross grid.
+// slice alone must reproduce exactly the rows of the full cross sweep, so
+// every single-axis answer is a marginal of the cross grid.
 func TestSweepMarginals(t *testing.T) {
 	src := testgen.Program(4107)
 	prog, err := compile.Compile(src, "marginals", compile.DefaultOptions(isa.BlockStructured))
@@ -340,21 +339,22 @@ func TestSweepDefaultedGeometry(t *testing.T) {
 	}
 }
 
-// TestLaneScratchPool pins the perf rider: lane scratch released by one
-// sweep is reused by the next (keyed by window geometry), and reuse resets
-// the mutable state a stale lane could leak into fresh results.
+// TestLaneScratchPool pins the pool's contract: scratch released by one
+// engine call is reused by the next, whatever its window size, and reuse
+// resets the mutable state a stale lane could leak into fresh results. A
+// scratch whose FU ring grew is never handed out again.
 func TestLaneScratchPool(t *testing.T) {
 	s1 := getLaneScratch(32)
 	s1.ring.counts[7] = 9
 	s1.ring.base = 1234
 	s1.regs[3] = 55
 	s1.shadow[5] = 66
-	putLaneScratch(32, s1)
+	putLaneScratch(s1)
 	s2 := getLaneScratch(32)
 	if s2 != s1 {
 		// Pools may drop objects under GC pressure; retry once via a fresh
 		// put/get pair before declaring the pool broken.
-		putLaneScratch(32, s2)
+		putLaneScratch(s2)
 		s2 = getLaneScratch(32)
 		if s2 != s1 && s2 == nil {
 			t.Fatal("pool returned nil")
@@ -367,10 +367,24 @@ func TestLaneScratchPool(t *testing.T) {
 	if len(s2.win) != 33 {
 		t.Fatalf("pooled scratch window length %d, want 33", len(s2.win))
 	}
-	// A different window geometry must not receive this scratch.
-	s3 := getLaneScratch(8)
-	if len(s3.win) != 9 {
-		t.Fatalf("geometry-keyed pool returned window length %d, want 9", len(s3.win))
+	// Another window size takes scratch from the same pool, with its own
+	// window length, shorter or longer.
+	for _, wb := range []int{8, 64, 32} {
+		putLaneScratch(s2)
+		s2 = getLaneScratch(wb)
+		if len(s2.win) != wb+1 {
+			t.Fatalf("window size %d: scratch window length %d, want %d", wb, len(s2.win), wb+1)
+		}
+	}
+	// A grown ring goes back to no one.
+	s2.ring.grow(4 * laneRingSlots)
+	putLaneScratch(s2)
+	for i := 0; i < 8; i++ {
+		s := getLaneScratch(32)
+		if s == s2 || len(s.ring.counts) != laneRingSlots {
+			t.Fatalf("get %d handed out a grown ring of %d slots", i, len(s.ring.counts))
+		}
+		putLaneScratch(s)
 	}
 }
 
