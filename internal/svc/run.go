@@ -76,7 +76,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 
 	// Program artifact: compile (and enlarge) once per distinct spec. With a
 	// store, a miss first opens the trace file, which carries the shaped
-	// program; decoding it costs a fraction of building it (DESIGN.md §11).
+	// program; decoding it costs a fraction of building it (DESIGN.md §15).
 	// The mapping is handed on to the trace step, so a job makes one store
 	// lookup, and compiles only when the store misses too.
 	progKey := programKey(plan.Program)

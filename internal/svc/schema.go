@@ -20,7 +20,7 @@ import (
 
 // SchemaVersion is the request/response schema this package speaks. Requests
 // must carry it in their "version" field; responses echo it. Bump it only
-// with a migration note in DESIGN.md §8.
+// with a migration note in DESIGN.md §14.
 const SchemaVersion = 2
 
 // SimRequest is one simulation job. Exactly one program source (source,

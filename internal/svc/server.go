@@ -35,7 +35,7 @@ type ServerConfig struct {
 }
 
 // Artifact cache capacities, in entries. Traces are the big artifacts: at
-// the emulation cap one holds at most maxEmuOps events (DESIGN.md §8).
+// the emulation cap one holds at most maxEmuOps events (DESIGN.md §14).
 const (
 	programCacheEntries   = 32
 	traceCacheEntries     = 16
