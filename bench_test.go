@@ -334,24 +334,40 @@ func BenchmarkXSweepLegacy(b *testing.B) {
 // the per-call allocation but gates nothing: uarch's TestSweepAllocLedger is
 // what requires a sweep's allocation not to grow with the trace.
 func BenchmarkXSweepFused(b *testing.B) {
-	benchSweep(b, sweepBenchTrace(b), xsweepBenchGrid())
+	benchSweep(b, sweepBenchTrace(b), xsweepBenchGrid(), false)
+}
+
+// BenchmarkXSweepMemo times the same cross product served from the trace's
+// outcome memo, which one untimed sweep filled: the fold worker walks chunk
+// tables refilled from the memo, with no enrichment replay.
+func BenchmarkXSweepMemo(b *testing.B) {
+	benchSweep(b, sweepBenchTrace(b), xsweepBenchGrid(), true)
 }
 
 // benchSweep times what a warm bsimd request runs for a sweep grid:
 // uarch.Run with the program's Predecode built once, before the timer
-// starts. It fails unless the grid takes the sweep.
-func benchSweep(b *testing.B, tr *emu.Trace, cfgs []uarch.Config) {
+// starts, and, when memo is set, an outcome memo that an untimed sweep
+// filled. It fails unless the grid takes the sweep, and the memo serves it.
+func benchSweep(b *testing.B, tr *emu.Trace, cfgs []uarch.Config, memo bool) {
 	b.Helper()
 	pre := uarch.Predecode(tr.Program(), cfgs[0].EffectiveIssueWidth())
+	var om *uarch.OutcomeMemo
+	want := uarch.MemoAbsent
+	if memo {
+		om, want = uarch.NewOutcomeMemo(tr), uarch.MemoServed
+		if _, _, err := uarch.Run(context.Background(), tr, cfgs, pre, om); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, route, err := uarch.Run(context.Background(), tr, cfgs, pre)
+		_, route, err := uarch.Run(context.Background(), tr, cfgs, pre, om)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if route.Engine != uarch.EngineSweep {
-			b.Fatalf("grid took %s, not the sweep: %s", route.Engine, route.Reason)
+		if route.Engine != uarch.EngineSweep || route.Memo != want {
+			b.Fatalf("grid took %s with memo %s, not the sweep with memo %s: %s", route.Engine, route.Memo, want, route.Reason)
 		}
 	}
 }
@@ -388,7 +404,7 @@ func BenchmarkICacheSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(name+"/"+target.name, func(b *testing.B) { benchSweep(b, tr, cfgs) })
+			b.Run(name+"/"+target.name, func(b *testing.B) { benchSweep(b, tr, cfgs, false) })
 		}
 	}
 }

@@ -172,7 +172,7 @@ func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, 
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, route, err := uarch.Run(context.Background(), tr, cfgs, nil)
+	results, route, err := uarch.Run(context.Background(), tr, cfgs, nil, nil)
 	if err != nil {
 		return err
 	}

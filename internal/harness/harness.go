@@ -298,7 +298,7 @@ func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config)
 		for j, i := range missing {
 			need[j] = cfgs[i]
 		}
-		rs, _, err := uarch.Run(context.Background(), tr, need, nil)
+		rs, _, err := uarch.Run(context.Background(), tr, need, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("harness: run %s: %w", keys[missing[0]], err)
 		}

@@ -26,27 +26,29 @@ func xsweepGrid() []uarch.Config {
 	return cfgs
 }
 
-// XSweepSpeed times the 4x4 history x icache cross grid both ways: one
-// independent replay per configuration versus the multi-axis sweep engine,
-// over every benchmark and both ISAs, verifying on the way that the two
-// return identical results. Each side runs what a warm bsimd request runs:
+// XSweepSpeed times the 4x4 history x icache cross grid three ways: one
+// independent replay per configuration, the multi-axis sweep engine, and
+// the sweep served from an outcome memo that an untimed sweep filled, over
+// every benchmark and both ISAs, verifying on the way that all three return
+// identical results. Each side runs what a warm bsimd request runs:
 // uarch.Run on the calling goroutine, with the program's Predecode built
-// once, outside the timed region. Fused MB is the bytes one sweep call
-// allocates (the runtime.MemStats.TotalAlloc delta across it), which stays
-// flat as traces grow. The cross product exercises what makes the sweep
-// engine new — one enrichment replay feeds lanes that differ along more
-// than one axis — so this table is the perf trajectory record for the
-// multi-axis path (bsbench exports it as BENCH_xsweep.json). Like the other
-// *Speed experiments it deliberately ignores the result memo: every cell is
-// real simulation work.
+// once, outside the timed region; Fused runs without a memo, as a request
+// for a trace the server has not swept before does. Fused MB is the bytes
+// one memo-less sweep call allocates (the runtime.MemStats.TotalAlloc delta
+// across it), which stays flat as traces grow. The cross product exercises
+// what makes the sweep engine new — one enrichment replay feeds lanes that
+// differ along more than one axis — so this table is the perf trajectory
+// record for the multi-axis path (bsbench exports it as BENCH_xsweep.json).
+// Like the other *Speed experiments it deliberately ignores the harness's
+// result memo: every cell is real simulation work.
 func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 	t := &stats.Table{
 		Title:   "Cross sweep speed: per-config replay (legacy) vs unified multi-axis sweep",
-		Columns: []string{"Benchmark", "ISA", "Configs", "Legacy (ms)", "Fused (ms)", "Speedup", "Fused MB"},
-		Note:    "4x4 history-bits x icache-size cross grid at the Figure 3 machine, predecoded tables built before timing; engines verified to return identical results.",
+		Columns: []string{"Benchmark", "ISA", "Configs", "Legacy (ms)", "Fused (ms)", "Memo (ms)", "Speedup", "Fused MB"},
+		Note:    "4x4 history-bits x icache-size cross grid at the Figure 3 machine, predecoded tables built before timing; Memo is the sweep served from an outcome memo an untimed sweep filled; engines verified to return identical results.",
 	}
 	cfgs := xsweepGrid()
-	var legacyTotal, fusedTotal time.Duration
+	var legacyTotal, fusedTotal, memoTotal time.Duration
 	var fusedBytes uint64
 	var before, after runtime.MemStats
 	for _, b := range h.Benches {
@@ -66,7 +68,7 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 			legacy := make([]*uarch.Result, len(cfgs))
 			start := time.Now()
 			for i := range cfgs {
-				rs, _, err := uarch.Run(context.Background(), tr, cfgs[i:i+1], pre)
+				rs, _, err := uarch.Run(context.Background(), tr, cfgs[i:i+1], pre, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -75,7 +77,7 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 			legacyMs := time.Since(start)
 			runtime.ReadMemStats(&before)
 			start = time.Now()
-			fused, route, err := uarch.Run(context.Background(), tr, cfgs, pre)
+			fused, route, err := uarch.Run(context.Background(), tr, cfgs, pre, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -86,21 +88,36 @@ func (h *Harness) XSweepSpeed() (*stats.Table, error) {
 					b.Profile.Name, side.tag, route.Engine, route.Reason)
 			}
 			alloc := after.TotalAlloc - before.TotalAlloc
+			memo := uarch.NewOutcomeMemo(tr)
+			if _, _, err := uarch.Run(context.Background(), tr, cfgs, pre, memo); err != nil {
+				return nil, err
+			}
+			start = time.Now()
+			served, route, err := uarch.Run(context.Background(), tr, cfgs, pre, memo)
+			if err != nil {
+				return nil, err
+			}
+			memoMs := time.Since(start)
+			if route.Memo != uarch.MemoServed {
+				return nil, fmt.Errorf("harness: xsweep: %s/%s: the memo did not serve the sweep (%s, %d B of %d B)",
+					b.Profile.Name, side.tag, route.Memo, memo.Bytes(), tr.Footprint())
+			}
 			for i := range legacy {
-				if *legacy[i] != *fused[i] {
-					return nil, fmt.Errorf("harness: xsweep: %s/%s config %d: fused result diverges:\nlegacy %+v\nfused  %+v",
-						b.Profile.Name, side.tag, i, *legacy[i], *fused[i])
+				if *legacy[i] != *fused[i] || *legacy[i] != *served[i] {
+					return nil, fmt.Errorf("harness: xsweep: %s/%s config %d: results diverge:\nlegacy %+v\nfused  %+v\nmemo   %+v",
+						b.Profile.Name, side.tag, i, *legacy[i], *fused[i], *served[i])
 				}
 			}
 			legacyTotal += legacyMs
 			fusedTotal += fusedMs
+			memoTotal += memoMs
 			fusedBytes += alloc
 			t.AddRow(b.Profile.Name, side.tag, len(cfgs),
-				legacyMs.Milliseconds(), fusedMs.Milliseconds(),
+				legacyMs.Milliseconds(), fusedMs.Milliseconds(), memoMs.Milliseconds(),
 				fmt.Sprintf("%.2fx", float64(legacyMs)/float64(fusedMs)), megabytes(alloc))
 		}
 	}
-	t.AddRow("TOTAL", "", len(cfgs), legacyTotal.Milliseconds(), fusedTotal.Milliseconds(),
+	t.AddRow("TOTAL", "", len(cfgs), legacyTotal.Milliseconds(), fusedTotal.Milliseconds(), memoTotal.Milliseconds(),
 		fmt.Sprintf("%.2fx", float64(legacyTotal)/float64(fusedTotal)), megabytes(fusedBytes))
 	return t, nil
 }

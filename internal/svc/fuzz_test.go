@@ -77,6 +77,33 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	// One seed per checkGeometry row, in its order: valid geometry with a
+	// single knob past its cap and every other row passing, so deleting any
+	// row lets a plan past the caps through. The BTB sets and ways seeds
+	// overflow the product row to zero.
+	for _, cfg := range []ConfigSpec{
+		{ICache: &CacheSpec{SizeBytes: 2 * maxCacheBytes, LineBytes: 128}},
+		{ICache: &CacheSpec{SizeBytes: 64 << 10, LineBytes: 2 * maxLineBytes}},
+		{DCache: &CacheSpec{SizeBytes: 2 * maxCacheBytes, LineBytes: 128}},
+		{DCache: &CacheSpec{SizeBytes: 64 << 10, LineBytes: 2 * maxLineBytes}},
+		{ICache: &CacheSpec{SizeBytes: 1 << 20, Ways: 1, LineBytes: 8}},
+		{DCache: &CacheSpec{SizeBytes: 1 << 20, Ways: 1, LineBytes: 8}},
+		{Predictor: &PredictorSpec{PHTEntries: 2 * maxPHTEntries}},
+		{Predictor: &PredictorSpec{BTBSets: 1 << 48, BTBWays: maxBTBEntries}},
+		{Predictor: &PredictorSpec{BTBSets: maxBTBEntries, BTBWays: 1 << 48}},
+		{Predictor: &PredictorSpec{BTBSets: 1 << 12, BTBWays: 1 << 5}},
+		{Predictor: &PredictorSpec{RASDepth: 2 * maxRASDepth}},
+		{WindowBlocks: 2 * maxWindowBlocks},
+		{FrontEndDepth: 2 * maxFrontEndDepth},
+		{L2Latency: 2 * maxL2Latency},
+		{FaultSquashPenalty: 2 * maxFaultSquashPenalty},
+	} {
+		blob, err := json.Marshal(&SimRequest{Version: SchemaVersion, Program: ProgramSpec{Seed: &seed, ISA: "conv"}, Config: &cfg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data))
 		if err != nil {

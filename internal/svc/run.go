@@ -26,10 +26,15 @@ import (
 // refcounted hooks forward to the mapping so the artifact cache and every
 // in-flight job each hold a reference, and the file is unmapped only after
 // the last of them releases.
+//
+// memo is the trace's outcome memo, which sweeps of the cached trace read
+// and fill (it synchronizes itself). It lives and is evicted with the
+// trace, and never holds more bytes than the trace's Footprint.
 type cachedTrace struct {
 	tr     *emu.Trace
 	aux    []emu.AuxSection
 	mapped *emu.TraceMapping // non-nil when served from the store
+	memo   *uarch.OutcomeMemo
 }
 
 func (ct *cachedTrace) tryRef() bool { return ct.mapped == nil || ct.mapped.Acquire() }
@@ -115,7 +120,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 			mt, _ = st.LoadTraceMapped(tKey, prog, plan.EmuCfg)
 		}
 		if mt != nil {
-			return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt}, nil
+			return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), mapped: mt, memo: uarch.NewOutcomeMemo(mt.Trace())}, nil
 		}
 		t0 := time.Now()
 		tr, err := emu.RecordContext(j.ctx, prog, plan.EmuCfg)
@@ -134,7 +139,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 				s.cfg.Logger.Warn("trace store write failed", "key", tKey, "err", serr.Error())
 			}
 		}
-		return &cachedTrace{tr: tr}, nil
+		return &cachedTrace{tr: tr, memo: uarch.NewOutcomeMemo(tr)}, nil
 	})
 	if stored != nil {
 		// Another job put the trace in the cache while this one decoded the
@@ -194,8 +199,16 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		Store: ct.mapped != nil, Mmap: ct.zeroCopy(),
 	}
 
+	// The outcome memo is admitted on reuse: only a trace that came from
+	// the trace cache is swept with it. A trace recorded or mapped for this
+	// request may never be swept again, so recording its outcomes would
+	// only cost this request time and memory.
+	var memo *uarch.OutcomeMemo
+	if traceHit {
+		memo = ct.memo
+	}
 	t0 := time.Now()
-	results, _, err := uarch.Run(j.ctx, tr, plan.Configs, pre)
+	results, ran, err := uarch.Run(j.ctx, tr, plan.Configs, pre, memo)
 	engineWall := time.Since(t0)
 	s.metrics.observeStage(stage, engineWall)
 	if err != nil {
@@ -215,7 +228,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		"job", j.id, "id", j.req.ID, "experiment", resp.Experiment,
 		"engine", resp.Engine, "engine_reason", route.Reason,
 		"configs", len(plan.Configs), "events", tr.NumEvents(),
-		"program_cache_hit", progHit, "trace_cache_hit", traceHit,
+		"program_cache_hit", progHit, "trace_cache_hit", traceHit, "memo", ran.Memo.String(),
 		"engine_ms", engineWall.Milliseconds(), "wall_ms", resp.WallMs)
 	return resp, nil
 }

@@ -350,6 +350,87 @@ func TestServerPredecodeCache(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink that handlers on request goroutines write
+// while a test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// cachedMemoBytes is the bytes the outcome memo of the cached trace of key
+// holds, or -1 when the trace is not cached.
+func cachedMemoBytes(s *Server, key string) int64 {
+	s.traces.mu.Lock()
+	el, ok := s.traces.entries[key]
+	s.traces.mu.Unlock()
+	if !ok {
+		return -1
+	}
+	e := el.Value.(*cacheEntry)
+	<-e.ready
+	return e.val.(*cachedTrace).memo.Bytes()
+}
+
+// TestServerOutcomeMemo pins the memo's admission on reuse: the sweep that
+// records a trace builds no memo, the next sweep of the cached trace
+// records one, and the sweep after that is served from it. A restarted
+// server that maps the trace from the store likewise sweeps it without a
+// memo first. The "job done" line says which, and every answer equals the
+// reference's.
+func TestServerOutcomeMemo(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Workload: "compress", Scale: 0.05, ISA: "bsa"},
+		Sweep:   &SweepSpec{ICacheSizes: []int{0, 2048, 8192}, HistoryBits: []int{4, 8}},
+	}
+	key, err := TraceKeyFor(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceResults(t, req)
+	for _, start := range []string{"recorded", "mapped"} {
+		var logs lockedBuffer
+		cfg := quietConfig()
+		cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+		cfg.Store = store
+		s, ts := testServer(t, cfg)
+		for i, use := range []string{"absent", "recorded", "served"} {
+			label := fmt.Sprintf("%s trace, sweep %d", start, i)
+			status, resp := post(t, ts, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", label, status, resp.Error)
+			}
+			if resp.ArtifactCache.Store != (start == "mapped") {
+				t.Fatalf("%s: artifact cache %+v", label, resp.ArtifactCache)
+			}
+			requireResults(t, label, resp.Results, want)
+			lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+			if last := lines[len(lines)-1]; !strings.Contains(last, "msg=\"job done\"") || !strings.Contains(last, " memo="+use+" ") {
+				t.Fatalf("%s: log line %q, want memo=%s", label, last, use)
+			}
+			if n := cachedMemoBytes(s, key); (n == 0) != (use == "absent") {
+				t.Fatalf("%s (memo %s): the cached trace's memo holds %d B", label, use, n)
+			}
+		}
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
 	v := fmt.Sprintf(`{"version":%d`, SchemaVersion)

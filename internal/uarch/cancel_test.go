@@ -147,6 +147,36 @@ func TestSweepContextCanceled(t *testing.T) {
 		checkNoGoroutineLeak(t, baseline)
 	}
 
+	// A canceled sweep publishes nothing to its memo. Once a sweep has
+	// recorded the memo, a sweep served from it checks ctx once per chunk,
+	// the cadence of the replay it skips, so it stops within one chunk.
+	chunks := int64(tr.NumEvents()+sweepChunk-1) / sweepChunk
+	for label, cfgs := range grids {
+		memo := NewOutcomeMemo(tr)
+		if rs, _, err := Run(newCountdownCtx(3), tr, cfgs, nil, memo); !errors.Is(err, context.Canceled) || rs != nil {
+			t.Fatalf("%s: canceled recording: %d results, %v; want context.Canceled", label, len(rs), err)
+		}
+		if n := memo.Bytes(); n != 0 {
+			t.Fatalf("%s: a canceled sweep published %d B to the memo", label, n)
+		}
+		if _, route, err := Run(context.Background(), tr, cfgs, nil, memo); err != nil || route.Memo != MemoRecorded {
+			t.Fatalf("%s: recording sweep: memo %s, %v", label, route.Memo, err)
+		}
+		count := newCountdownCtx(1 << 40)
+		if _, route, err := Run(count, tr, cfgs, nil, memo); err != nil || route.Memo != MemoServed {
+			t.Fatalf("%s: served sweep: memo %s, %v", label, route.Memo, err)
+		}
+		if checks := 1<<40 - count.budget.Load(); checks != chunks {
+			t.Fatalf("%s: a served sweep checked its context %d times over %d chunks", label, checks, chunks)
+		}
+		baseline := runtime.NumGoroutine()
+		rs, route, err := Run(newCountdownCtx(3), tr, cfgs, nil, memo)
+		if !errors.Is(err, context.Canceled) || rs != nil || route.Memo != MemoServed {
+			t.Fatalf("%s: canceled served sweep: %d results, memo %s, %v; want context.Canceled", label, len(rs), route.Memo, err)
+		}
+		checkNoGoroutineLeak(t, baseline)
+	}
+
 	// A background context must not perturb results.
 	cfgs := predGrid(1024)
 	want, err := Sweep(tr, cfgs)

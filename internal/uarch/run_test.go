@@ -34,10 +34,10 @@ func TestRun(t *testing.T) {
 		cfgs []Config
 		want Route
 	}{
-		{"single config", sweepGrid(false)[1:2], Route{EngineMany, "one configuration"}},
-		{"icache grid", sweepGrid(false), Route{EngineSweep, ""}},
-		{"trace-cache grid", tcGrid, Route{EngineMany, reason(tcGrid)}},
-		{"mixed-dcache grid", dcGrid, Route{EngineMany, reason(dcGrid)}},
+		{"single config", sweepGrid(false)[1:2], Route{Engine: EngineMany, Reason: "one configuration"}},
+		{"icache grid", sweepGrid(false), Route{Engine: EngineSweep}},
+		{"trace-cache grid", tcGrid, Route{Engine: EngineMany, Reason: reason(tcGrid)}},
+		{"mixed-dcache grid", dcGrid, Route{Engine: EngineMany, Reason: reason(dcGrid)}},
 	} {
 		if got := RouteFor(tc.cfgs); got != tc.want {
 			t.Fatalf("%s: RouteFor = %+v, want %+v", tc.name, got, tc.want)
@@ -51,7 +51,7 @@ func TestRun(t *testing.T) {
 		}
 		pre := Predecode(tr.Program(), tc.cfgs[0].EffectiveIssueWidth())
 		for _, p := range []*Predecoded{nil, pre} {
-			got, route, err := Run(context.Background(), tr, tc.cfgs, p)
+			got, route, err := Run(context.Background(), tr, tc.cfgs, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -62,7 +62,7 @@ func TestRun(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if rs, _, err := Run(ctx, tr, tc.cfgs, nil); !errors.Is(err, context.Canceled) || rs != nil {
+		if rs, _, err := Run(ctx, tr, tc.cfgs, nil, nil); !errors.Is(err, context.Canceled) || rs != nil {
 			t.Fatalf("%s: canceled Run = %d results, %v; want context.Canceled", tc.name, len(rs), err)
 		}
 	}

@@ -59,6 +59,13 @@ import (
 // memory is bounded by the chunk, the levels and the classes, not by the
 // trace.
 //
+// Passes A and B are one of two producers of the chunk tables. The other is
+// the trace's outcome memo (memo.go): a sweep handed a memo that records
+// every one of its classes refills each chunk's tables from it and runs no
+// replay, dcache, Bank or profiler; a sweep handed a memo that lacks some
+// class runs passes A and B and records what the memo lacks. Either way the
+// lanes walk the same tables through the same fold worker.
+//
 // A lane runs the same kernel as a live Sim, so lane results are identical,
 // field for field, to ReplayTrace under the same configuration; sweep_test.go
 // checks the two outcome sources against each other over every backend,
@@ -82,12 +89,14 @@ type sweepClass struct {
 	mpAt []int32
 	mps  []sweepMp
 
-	// Icache outcomes at every profiled level. fetchMiss is the fetch
-	// probe's missing lines, transposed — [level*len(mpAt) + event] — so
-	// each lane walks one contiguous per-level run; wrongMiss is those of a
-	// fault misprediction's wrongly fetched variant, [mp*levels + level]
-	// (entries of other kinds are unused). Both are nil, with prof, when no
-	// lane of this class has a real icache.
+	// Icache outcomes at each of the levels profiled sizes. fetchMiss is
+	// the fetch probe's missing lines, transposed — [level*len(mpAt) +
+	// event] — so each lane walks one contiguous per-level run; wrongMiss
+	// is those of a fault misprediction's wrongly fetched variant,
+	// [mp*levels + level] (entries of other kinds are unused). levels is 0
+	// and both are nil when no lane of this class has a real icache. prof
+	// is pass B's profiler, nil when the memo serves the sweep.
+	levels    int
 	fetchMiss []int32
 	wrongMiss []int32
 	prof      *cache.StackDist
@@ -95,10 +104,12 @@ type sweepClass struct {
 	// accesses is the class's total icache line traffic (committed fetches
 	// plus this class's wrong-path pollution): what a perfect icache
 	// reports, since it counts accesses but never misses. Pass A counts
-	// the pollution as it goes and adds the fetches at the end.
+	// the pollution as it goes and adds the fetches at the end. bp is the
+	// class's predictor statistics and ic its icache statistics per level,
+	// both at the end of the trace.
 	accesses int64
-
-	bp bpred.Stats
+	bp       bpred.Stats
+	ic       []cache.Stats
 }
 
 // sweepMp is one misprediction of a class: its kind and the wrong-path
@@ -273,7 +284,7 @@ func (sw *sweepLane) wrongMiss(k int32) int {
 	if sw.level < 0 {
 		return 0
 	}
-	return int(sw.cls.wrongMiss[int(k)*sw.cls.prof.Levels()+sw.level])
+	return int(sw.cls.wrongMiss[int(k)*sw.cls.levels+sw.level])
 }
 
 // mispredictAt is the lane's misprediction outcome for the chunk's event i,
@@ -309,7 +320,7 @@ func (s *Sim) sweepFinish(dc cache.Stats) *Result {
 	s.res.Cycles = s.lastRetire
 	sw := s.sw
 	if sw.level >= 0 {
-		s.res.ICache = sw.cls.prof.StatsAt(sw.level)
+		s.res.ICache = sw.cls.ic[sw.level]
 	} else {
 		s.res.ICache = cache.Stats{Accesses: sw.cls.accesses}
 	}
@@ -318,14 +329,16 @@ func (s *Sim) sweepFinish(dc cache.Stats) *Result {
 	return &s.res
 }
 
-// normalizeSweepConfigs applies Config and cache-geometry defaults so
-// equality comparison is meaningful.
+// normalizeSweepConfigs applies Config, cache-geometry and predictor
+// defaults so equality comparison is meaningful: {} and {HistoryBits: 8}
+// are one predictor.
 func normalizeSweepConfigs(cfgs []Config) []Config {
 	norm := make([]Config, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
 		cfg.ICache = cfg.ICache.Normalize()
 		cfg.DCache = cfg.DCache.Normalize()
+		cfg.Predictor = cfg.Predictor.Normalize()
 		norm[i] = cfg
 	}
 	return norm
@@ -391,7 +404,8 @@ func CanSweep(cfgs []Config) (bool, string) {
 // configuration order and are identical, field for field, to SimulateMany
 // on the same inputs. The sweep runs on the calling goroutine.
 func Sweep(t *emu.Trace, cfgs []Config) ([]*Result, error) {
-	return sweep(context.Background(), t, cfgs, nil, nil)
+	rs, _, err := sweep(context.Background(), t, cfgs, nil, nil, nil)
+	return rs, err
 }
 
 // SweepPredecoded is Sweep with cooperative cancellation, reusing a prebuilt
@@ -401,15 +415,17 @@ func Sweep(t *emu.Trace, cfgs []Config) ([]*Result, error) {
 // returns an error satisfying errors.Is(err, ctx.Err()) once the context is
 // done. workers is ignored.
 func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers int, pre *Predecoded) ([]*Result, error) {
-	return sweep(ctx, t, cfgs, pre, nil)
+	rs, _, err := sweep(ctx, t, cfgs, pre, nil, nil)
+	return rs, err
 }
 
-// sweep is SweepPredecoded, also counting its folding into st when st is
-// non-nil.
-func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, st *foldStats) ([]*Result, error) {
+// sweep is SweepPredecoded with an outcome memo of the trace (nil for
+// none), also counting its folding into st when st is non-nil. It reports
+// what the memo did.
+func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, memo *OutcomeMemo, st *foldStats) ([]*Result, MemoUse, error) {
 	norm := normalizeSweepConfigs(cfgs)
 	if err := sweepCheck(norm); err != nil {
-		return nil, err
+		return nil, MemoAbsent, err
 	}
 	base := norm[0]
 	prog := t.Program()
@@ -418,48 +434,27 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, st
 	family := backend.PolicyFor(prog.Kind).Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
 	// The chunk tables span a whole chunk, or the whole trace when it is
-	// shorter.
+	// shorter. Every class with at least one real-icache lane is profiled
+	// over one level range (the grid's min/max swept sizes), so every
+	// lane's size maps to the same level index.
 	ids := t.BlockIDs()
 	chunkLen := min(sweepChunk, len(ids))
+	minSize, maxSize := icacheRange(norm)
 	classes := make([]*sweepClass, max(len(classCfgs), 1))
 	for c := range classes {
 		classes[c] = &sweepClass{mpAt: make([]int32, chunkLen)}
 	}
-
-	// Profile each class that has at least one real-icache lane. All
-	// profilers share one level range (the grid's min/max swept sizes), so
-	// every lane's size maps to the same level index.
-	minSize, maxSize := icacheRange(norm)
-	levels := 0
-	for i, cfg := range norm {
-		cls := classes[classOf[i]]
-		if cfg.ICache.SizeBytes == 0 || cls.prof != nil {
-			continue
-		}
-		prof, err := cache.NewStackDist(base.ICache, minSize, maxSize)
-		if err != nil {
-			return nil, fmt.Errorf("uarch: sweep: %w", err)
-		}
-		levels = prof.Levels()
-		cls.prof = prof
-		cls.fetchMiss = make([]int32, levels*chunkLen)
-	}
-
-	en, err := newSweepEnrich(prog, base, tabs[0].lp, family, classCfgs, classes)
-	if err != nil {
-		return nil, err
-	}
-
 	lanes := make([]laneSim, len(norm))
 	for i, cfg := range norm {
 		cls := classes[classOf[i]]
 		ls := &lanes[i]
 		ls.sw = sweepLane{cls: cls, lp: tabs[i].lp, mpAt: cls.mpAt, level: -1, idx: i}
-		if cfg.ICache.SizeBytes != 0 {
-			lvl, err := cls.prof.LevelOf(cfg.ICache.SizeBytes)
-			if err != nil {
-				return nil, fmt.Errorf("uarch: sweep: config %d: %w", i, err)
+		if sz := cfg.ICache.SizeBytes; sz != 0 {
+			if cls.levels == 0 {
+				cls.levels = bits.Len(uint(maxSize / minSize))
+				cls.fetchMiss = make([]int32, cls.levels*chunkLen)
 			}
+			lvl := bits.Len(uint(sz/minSize)) - 1
 			ls.sw.level = lvl
 			ls.sw.fm = cls.fetchMiss[lvl*chunkLen : (lvl+1)*chunkLen]
 		}
@@ -473,16 +468,73 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, st
 			sw:     &ls.sw,
 		}
 	}
-
-	// One replay drives all three phases, a chunk at a time: the shared
-	// enrichment fills the chunk's load outcomes and mispredictions, each
-	// profiled class walks its profiler over the chunk, then the lanes step
-	// through it in lockstep — every lane consumes each predecoded block
-	// back to back while it is hot in cache. Each phase stays a tight loop
-	// over the whole chunk: fusing the three per event ran icache sweeps
-	// about 10% slower. Lanes never interact except through folding, which
-	// is exact.
 	fw := newFoldWorker(foldGroups(norm, lanes), st != nil)
+
+	// The chunk tables have two producers. When the memo records every
+	// class and the committed loads, they are refilled from it; otherwise
+	// the enrichment replay fills them, and records for the memo what it
+	// lacks. A memo of another trace is ignored.
+	if memo != nil && memo.tr != t {
+		memo = nil
+	}
+	keys := memoKeys(base, classCfgs, classes, minSize, maxSize)
+	have, loads := memo.lookup(keys, base.DCache)
+	use := MemoAbsent
+	var dc cache.Stats
+	var err error
+	if loads != nil && !slices.Contains(have, nil) {
+		use = MemoServed
+		dc, err = replayMemo(ctx, prog, ids, classes, have, loads, &fw)
+	} else {
+		rec := memo.newMemoRecording(keys, have, base.DCache, loads)
+		dc, err = enrich(ctx, t, base, tabs[0].lp, family, classCfgs, classes, minSize, maxSize, &fw, rec)
+		if rec != nil && err == nil {
+			use = MemoMissed
+			if rec.publish(classes, dc) {
+				use = MemoRecorded
+			}
+		}
+	}
+	if st != nil {
+		*st = fw.stats
+	}
+	if err != nil {
+		return nil, use, err
+	}
+	results := make([]*Result, len(norm))
+	fw.finish(results, dc)
+	return results, use, nil
+}
+
+// enrich fills the chunk tables from one replay of the trace, and has the
+// fold worker walk each chunk: the shared enrichment (pass A) fills the
+// chunk's load outcomes and mispredictions, each profiled class walks its
+// profiler over the chunk (pass B), then the lanes step through it in
+// lockstep — every lane consumes each predecoded block back to back while
+// it is hot in cache. Each phase stays a tight loop over the whole chunk:
+// fusing the three per event ran icache sweeps about 10% slower. Lanes
+// never interact except through folding, which is exact. rec, when
+// non-nil, records each chunk's outcomes for the memo. enrich leaves each
+// class's end-of-trace numbers in it and returns the dcache's statistics.
+func enrich(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, family backend.PredictorSel, classCfgs []bpred.Config, classes []*sweepClass, minSize, maxSize int, fw *foldWorker, rec *memoRecording) (cache.Stats, error) {
+	prog := t.Program()
+	levels := 0
+	for _, cls := range classes {
+		if cls.levels == 0 {
+			continue
+		}
+		prof, err := cache.NewStackDist(base.ICache, minSize, maxSize)
+		if err != nil {
+			return cache.Stats{}, fmt.Errorf("uarch: sweep: %w", err)
+		}
+		cls.prof, levels = prof, cls.levels
+	}
+	en, err := newSweepEnrich(prog, base, lp, family, classCfgs, classes)
+	if err != nil {
+		return cache.Stats{}, err
+	}
+	ids := t.BlockIDs()
+	chunkLen := min(sweepChunk, len(ids))
 	scratch := make([]int, levels)
 	done, n := 0, 0
 	err = t.ReplayContext(ctx, func(ev *emu.BlockEvent) error {
@@ -496,34 +548,68 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, st
 				cls.profile(prog, chunk, scratch)
 			}
 		}
+		if rec != nil {
+			rec.add(prog, chunk, done, en.ldMiss, classes)
+		}
 		fw.walk(done, chunk, en.ldMiss, len(ids))
 		en.reset(n)
 		done, n = done+n, 0
 		return nil
 	})
-	if st != nil {
-		*st = fw.stats
-	}
 	if err != nil {
-		return nil, err
+		return cache.Stats{}, err
 	}
 	for c, cls := range classes {
 		cls.accesses += en.commitLines
 		if en.bank != nil {
 			cls.bp = en.bank.LaneStats(c)
 		}
+		if cls.prof != nil {
+			cls.ic = make([]cache.Stats, cls.levels)
+			for l := range cls.ic {
+				cls.ic[l] = cls.prof.StatsAt(l)
+			}
+		}
 	}
-	results := make([]*Result, len(norm))
-	fw.finish(results, en.dc.Stats())
-	return results, nil
+	return en.dc.Stats(), nil
+}
+
+// replayMemo fills the chunk tables from the memo's records — have, one
+// per class, and the load record loads — and has the fold worker walk each
+// chunk. It checks ctx once per chunk, the cadence Trace.ReplayContext
+// keeps on the enrichment's path. It leaves each class's end-of-trace
+// numbers in it and returns the dcache's statistics.
+func replayMemo(ctx context.Context, prog *isa.Program, ids []isa.BlockID, classes []*sweepClass, have []*memoClass, loads *memoLoads, fw *foldWorker) (cache.Stats, error) {
+	readers := make([]memoReader, len(classes))
+	for c, cls := range classes {
+		readers[c] = newMemoReader(have[c], cls)
+	}
+	ldMiss := make([]uint8, 0, loads.chunkLoads())
+	for c, done := 0, 0; done < len(ids); c++ {
+		if err := ctx.Err(); err != nil {
+			return cache.Stats{}, err
+		}
+		chunk := ids[done:min(done+sweepChunk, len(ids))]
+		ldMiss = loads.fillLoads(ldMiss, c)
+		for k, cls := range classes {
+			readers[k].fill(prog, chunk, done, cls)
+		}
+		fw.walk(done, chunk, ldMiss, len(ids))
+		done += len(chunk)
+	}
+	for c, cls := range classes {
+		cls.accesses, cls.bp, cls.ic = have[c].accesses, have[c].bp, have[c].ic
+	}
+	return loads.stats, nil
 }
 
 // predictorClasses assigns each normalized configuration its predictor
-// class: one Bank lane (and one pollution stream) per distinct Predictor
-// config, in first-appearance order, for the family the backend's policy
-// selects (as New does). Perfect prediction and a backend without a
-// predictor collapse to a single implicit class with no mispredictions,
-// however the grid varies the predictor tables; classCfgs is then nil.
+// class: one Bank lane (and one pollution stream) per distinct normalized
+// Predictor config, in first-appearance order, for the family the
+// backend's policy selects (as New does). Perfect prediction and a backend
+// without a predictor collapse to a single implicit class with no
+// mispredictions, however the grid varies the predictor tables; classCfgs
+// is then nil.
 func predictorClasses(norm []Config, family backend.PredictorSel) (classOf []int, classCfgs []bpred.Config) {
 	classOf = make([]int, len(norm))
 	if norm[0].PerfectBP || family == backend.PredNone {

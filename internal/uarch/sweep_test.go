@@ -445,7 +445,7 @@ func TestSweepFolding(t *testing.T) {
 			norm := normalizeSweepConfigs(g.cfgs)
 			label := fmt.Sprintf("%s %s", kind, g.name)
 			var st foldStats
-			got, err := sweep(context.Background(), tr, g.cfgs, nil, &st)
+			got, _, err := sweep(context.Background(), tr, g.cfgs, nil, nil, &st)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -473,13 +473,13 @@ func TestSweepFolding(t *testing.T) {
 		// already be following by then.
 		cfgs := sweepGrid(false)
 		count := newCountdownCtx(1 << 40)
-		if _, err := sweep(count, tr, cfgs, nil, nil); err != nil {
+		if _, _, err := sweep(count, tr, cfgs, nil, nil, nil); err != nil {
 			t.Fatalf("%s: counting run: %v", kind, err)
 		}
 		checks := 1<<40 - count.budget.Load()
 		var st foldStats
 		baseline := runtime.NumGoroutine()
-		got, err := sweep(newCountdownCtx(checks-1), tr, cfgs, nil, &st)
+		got, _, err := sweep(newCountdownCtx(checks-1), tr, cfgs, nil, nil, &st)
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("%s: canceled mid-fold: results %v, err %v; want context.Canceled", kind, got, err)
 		}
@@ -491,46 +491,110 @@ func TestSweepFolding(t *testing.T) {
 }
 
 // TestSweepAllocLedger is the sweep's allocation ledger: the bytes one Sweep
-// call allocates must not grow with the trace. It sweeps the serve-warm
-// 4×4 history×icache grid over li at two scales whose traces are at least
-// 4× apart in events, and lets the longer trace allocate at most 25% more
-// per call than the shorter one: the programs differ a little between
-// scales (and so do their predecoded tables and predictor warm-up), while
-// outcome tables sized by the trace would grow with the events instead.
-// Each side is measured as the runtime.MemStats.TotalAlloc delta over
-// several calls after a warm-up call has filled the lane-scratch pool.
+// call allocates must not grow with the trace, whether the enrichment fills
+// its chunk tables or an outcome memo does. It sweeps the serve-warm 4×4
+// history×icache grid over li at two scales whose traces are at least 4×
+// apart in events, and lets the longer trace allocate at most 25% more per
+// call than the shorter one: the programs differ a little between scales
+// (and so do their predecoded tables and predictor warm-up), while outcome
+// tables sized by the trace would grow with the events instead. A sweep
+// served from the memo builds no predictor or profiler, so it allocates at
+// least their table bytes less than a memo-less sweep. Each side is
+// measured as the runtime.MemStats.TotalAlloc delta over several calls
+// after a warm-up call has filled the lane-scratch pool (and the memo).
 func TestSweepAllocLedger(t *testing.T) {
 	cfgs := historyICacheGrid(false)
-	perCall := func(scale float64) (events int, bytes uint64) {
+	perCall := func(tr *emu.Trace, memo *OutcomeMemo) uint64 {
 		t.Helper()
-		tr, err := emu.Record(workloadProgram(t, "li", scale, isa.Conventional), emu.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Sweep(tr, cfgs); err != nil {
+		if _, _, err := sweep(context.Background(), tr, cfgs, nil, memo, nil); err != nil {
 			t.Fatal(err)
 		}
 		const calls = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range calls {
-			if _, err := Sweep(tr, cfgs); err != nil {
-				t.Fatal(err)
+			if _, use, err := sweep(context.Background(), tr, cfgs, nil, memo, nil); err != nil || memo != nil && use != MemoServed {
+				t.Fatalf("memo %s, %v", use, err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return tr.NumEvents(), (after.TotalAlloc - before.TotalAlloc) / calls
+		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
-	shortEv, short := perCall(0.01)
-	longEv, long := perCall(0.05)
-	t.Logf("li: %d events %d B/call, %d events %d B/call", shortEv, short, longEv, long)
-	if longEv < 4*shortEv {
-		t.Fatalf("traces of %d and %d events are less than 4× apart", shortEv, longEv)
+	// What building the grid's Bank and profilers allocates.
+	norm := normalizeSweepConfigs(cfgs)
+	_, classCfgs := predictorClasses(norm, backend.PredTwoLevel)
+	minSize, maxSize := icacheRange(norm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bank := bpred.NewBank(false, classCfgs)
+	for range classCfgs {
+		if _, err := cache.NewStackDist(norm[0].ICache, minSize, maxSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if long > short+short/4 {
-		t.Errorf("a sweep of %d events allocates %d B, over 125%% of the %d B at %d events: allocation grows with the trace",
-			longEv, long, short, shortEv)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(bank)
+	tables := after.TotalAlloc - before.TotalAlloc
+	var events [2]int
+	var plain, served [2]uint64
+	for i, scale := range []float64{0.01, 0.05} {
+		tr, err := emu.Record(workloadProgram(t, "li", scale, isa.Conventional), emu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events[i], plain[i], served[i] = tr.NumEvents(), perCall(tr, nil), perCall(tr, NewOutcomeMemo(tr))
+		t.Logf("li: %d events, %d B/call, %d B/call served from the memo", events[i], plain[i], served[i])
+		if served[i]+tables > plain[i] {
+			t.Errorf("a sweep of %d events served from the memo allocates %d B, against %d B without it: less than the %d B of its predictor and profiler tables apart",
+				events[i], served[i], plain[i], tables)
+		}
 	}
+	if events[1] < 4*events[0] {
+		t.Fatalf("traces of %d and %d events are less than 4× apart", events[0], events[1])
+	}
+	for _, side := range []struct {
+		name string
+		b    [2]uint64
+	}{{"without a memo", plain}, {"served from the memo", served}} {
+		if short, long := side.b[0], side.b[1]; long > short+short/4 {
+			t.Errorf("%s, a sweep of %d events allocates %d B, over 125%% of the %d B at %d events: allocation grows with the trace",
+				side.name, events[1], long, short, events[0])
+		}
+	}
+}
+
+// TestSweepOnePredictorOneClass sweeps a conventional grid that names one
+// predictor three ways — the defaults, the default history spelled out,
+// and the default history and PHT spelled out — as one predictor class,
+// with answers identical to SimulateMany. SweepTableBytes charges the grid
+// as it charges the same predictor written the same way three times.
+func TestSweepOnePredictorOneClass(t *testing.T) {
+	var cfgs, same []Config
+	for _, p := range []bpred.Config{{}, {HistoryBits: 8}, {HistoryBits: 8, PHTEntries: 32768}} {
+		for _, sz := range []int{0, 1024, 4096} {
+			cfgs = append(cfgs, Config{ICache: cache.Config{SizeBytes: sz, Ways: 4}, Predictor: p})
+			same = append(same, Config{ICache: cache.Config{SizeBytes: sz, Ways: 4}})
+		}
+	}
+	if _, classCfgs := predictorClasses(normalizeSweepConfigs(cfgs), backend.PredTwoLevel); len(classCfgs) != 1 {
+		t.Fatalf("one predictor written three ways makes %d classes, want 1", len(classCfgs))
+	}
+	if got, want := SweepTableBytes(isa.Conventional, cfgs), SweepTableBytes(isa.Conventional, same); got != want {
+		t.Errorf("SweepTableBytes charges %d B, against %d B for one spelling", got, want)
+	}
+	tr, err := emu.Record(workloadProgram(t, "li", 0.01, isa.Conventional), emu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SimulateMany(tr, cfgs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Sweep(tr, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "one predictor", cfgs, got, want)
 }
 
 // TestSweepTableBytes requires SweepTableBytes, by which the service
