@@ -102,18 +102,6 @@ func (sd *StackDist) SizeAt(level int) int {
 	return (1 << (sd.minBits + uint32(level))) * sd.ways * sd.lineBytes
 }
 
-// LevelOf maps a cache size to its level, or an error if the size is outside
-// the profiled range.
-func (sd *StackDist) LevelOf(sizeBytes int) (int, error) {
-	for lvl := 0; lvl < sd.levels; lvl++ {
-		if sd.SizeAt(lvl) == sizeBytes {
-			return lvl, nil
-		}
-	}
-	return 0, fmt.Errorf("stackdist: size %dB not in profiled range [%d, %d]",
-		sizeBytes, sd.SizeAt(0), sd.SizeAt(sd.levels-1))
-}
-
 // Access touches the line containing addr at every level at once. If misses
 // is non-nil it must have length Levels(); misses[l] is incremented when the
 // access misses the level-l cache.

@@ -47,9 +47,6 @@ func TestStackDistMatchesCaches(t *testing.T) {
 			if sd.SizeAt(lvl) != c.cfg.SizeBytes {
 				t.Fatalf("geom %d: SizeAt(%d) = %d, want %d", gi, lvl, sd.SizeAt(lvl), c.cfg.SizeBytes)
 			}
-			if got, err := sd.LevelOf(c.cfg.SizeBytes); err != nil || got != lvl {
-				t.Fatalf("geom %d: LevelOf(%d) = %d, %v", gi, c.cfg.SizeBytes, got, err)
-			}
 		}
 		r := rand.New(rand.NewSource(int64(100 + gi)))
 		misses := make([]int, sd.Levels())
@@ -160,13 +157,6 @@ func TestStackDistRejectsBadRanges(t *testing.T) {
 	}
 	if _, err := NewStackDist(Config{Ways: 3}, 8<<10, 8<<10); err == nil {
 		t.Error("bad associativity should be rejected")
-	}
-	sd, err := NewStackDist(cfg, 8<<10, 16<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sd.LevelOf(32 << 10); err == nil {
-		t.Error("LevelOf outside range should error")
 	}
 }
 

@@ -451,10 +451,10 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 		ls.sw = sweepLane{cls: cls, lp: tabs[i].lp, mpAt: cls.mpAt, level: -1, idx: i}
 		if sz := cfg.ICache.SizeBytes; sz != 0 {
 			if cls.levels == 0 {
-				cls.levels = bits.Len(uint(maxSize / minSize))
+				cls.levels = icacheLevels(minSize, maxSize)
 				cls.fetchMiss = make([]int32, cls.levels*chunkLen)
 			}
-			lvl := bits.Len(uint(sz/minSize)) - 1
+			lvl := icacheLevels(minSize, sz) - 1
 			ls.sw.level = lvl
 			ls.sw.fm = cls.fetchMiss[lvl*chunkLen : (lvl+1)*chunkLen]
 		}
@@ -643,6 +643,17 @@ func icacheRange(norm []Config) (minSize, maxSize int) {
 	return minSize, maxSize
 }
 
+// icacheLevels is the number of power-of-two icache sizes from minSize to
+// maxSize, the levels a class's profiler covers (0 when every icache is
+// perfect and minSize is 0). A profiled size's level is
+// icacheLevels(minSize, size) - 1, as cache.StackDist.SizeAt numbers them.
+func icacheLevels(minSize, maxSize int) int {
+	if minSize == 0 {
+		return 0
+	}
+	return bits.Len(uint(maxSize / minSize))
+}
+
 // SweepTableBytes bounds the bytes of the tables a sweep of cfgs over a
 // program of kind sizes from the configurations alone: per predictor class
 // its predictor (bpred.Config.TableBytes), its icache profiler
@@ -659,10 +670,7 @@ func SweepTableBytes(kind isa.Kind, cfgs []Config) int64 {
 	for i, cfg := range norm {
 		profiled[classOf[i]] = profiled[classOf[i]] || cfg.ICache.SizeBytes != 0
 	}
-	levels := 0
-	if minSize != 0 {
-		levels = bits.Len(uint(maxSize / minSize))
-	}
+	levels := icacheLevels(minSize, maxSize)
 	const i32 = int64(unsafe.Sizeof(int32(0)))
 	var total int64
 	for c, prof := range profiled {
