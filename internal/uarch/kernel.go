@@ -31,10 +31,9 @@ import (
 // low to high: r0, r1, r2, w1, w2, flags, lat, unused; lat fits a byte
 // because Table 1 latencies top out at 8 cycles). The register encoding
 // frees the loop of operand counts: unused read slots are padded with
-// isa.RegZero, whose
-// ready slot is never written, and unused write slots point at laneRegSink,
-// which is never read — so every op does exactly three ready-table reads and
-// two writes, no count checks.
+// isa.RegZero, whose ready slot is never written, and unused write slots
+// point at laneRegSink, which is never read — so every op does exactly three
+// ready-table reads and two writes, no count checks.
 type laneOp uint64
 
 func packLaneOp(r0, r1, r2, w1, w2, flags, lat uint8) laneOp {
