@@ -338,8 +338,8 @@ func BenchmarkXSweepFused(b *testing.B) {
 }
 
 // BenchmarkXSweepMemo times the same cross product served from the trace's
-// outcome memo, which one untimed sweep filled: the fold worker walks chunk
-// tables refilled from the memo, with no enrichment replay.
+// outcome memo, which one untimed sweep filled: the fold worker walks the
+// memo's outcome streams in place, with no enrichment replay.
 func BenchmarkXSweepMemo(b *testing.B) {
 	benchSweep(b, sweepBenchTrace(b), xsweepBenchGrid(), true)
 }

@@ -8,7 +8,7 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 headtohead mispredicts
 // ablate-size ablate-faults ablate-superblock ablate-history ablate-minbias
-// xsweep predsens tracestore summary all (default: the paper's tables and figures).
+// xsweep predsens summary all (default: the paper's tables and figures).
 //
 // -json additionally writes each experiment's results to BENCH_<name>.json
 // using the same versioned svc.SimResponse envelope the bsimd service
@@ -87,7 +87,7 @@ func main() {
 	extra := []string{"mispredicts", "ablate-size", "ablate-faults", "ablate-superblock",
 		"ablate-history", "ablate-minbias", "ablate-tracecache", "ablate-ifconvert",
 		"ablate-inline", "ablate-hotlayout", "ablate-multiblock",
-		"xsweep", "predsens", "tracestore", "summary"}
+		"xsweep", "predsens", "summary"}
 
 	var names []string
 	switch *exps {
@@ -232,12 +232,10 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 		return h.XSweepSpeed()
 	case "predsens":
 		return h.PredictorSensitivity()
-	case "tracestore":
-		return h.TraceStoreSpeed()
 	case "summary":
 		return h.Summary()
 	default:
-		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* xsweep predsens tracestore summary)")
+		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* xsweep predsens summary)")
 	}
 }
 

@@ -138,7 +138,7 @@ func (h *Harness) AblateHistory() (*stats.Table, error) {
 		Title:   "Ablation A4: branch predictor history length",
 		Columns: []string{"History Bits", "Mean Conv Cycles", "Mean BSA Cycles"},
 	}
-	histBits := []int{2, 4, 8, 12, 16}
+	grid := historyGrid()
 	convCyc := make([][]int64, len(h.Benches))
 	bsaCyc := make([][]int64, len(h.Benches))
 	err := h.forEachBench(func(i int) error {
@@ -148,15 +148,11 @@ func (h *Harness) AblateHistory() (*stats.Table, error) {
 			prog *isa.Program
 			out  *[]int64
 		}{{"conv", b.Conv, &convCyc[i]}, {"bsa", b.BSA, &bsaCyc[i]}} {
-			keys := make([]string, len(histBits))
-			cfgs := make([]uarch.Config, len(histBits))
-			for j, hb := range histBits {
-				cfg := baseConfig(LargeICache, false)
-				cfg.Predictor.HistoryBits = hb
-				keys[j] = fmt.Sprintf("%s/hist%d/%s", b.Profile.Name, hb, side.tag)
-				cfgs[j] = cfg
+			keys := make([]string, len(grid))
+			for j, cfg := range grid {
+				keys[j] = fmt.Sprintf("%s/hist%d/%s", b.Profile.Name, cfg.Predictor.HistoryBits, side.tag)
 			}
-			res, err := h.runMany(keys, side.prog, cfgs)
+			res, err := h.runMany(keys, side.prog, grid)
 			if err != nil {
 				return err
 			}
@@ -173,18 +169,30 @@ func (h *Harness) AblateHistory() (*stats.Table, error) {
 	}
 	// Reduce means in benchmark order so the table is identical at every
 	// worker count.
-	cc := make([]float64, len(histBits))
-	cb := make([]float64, len(histBits))
+	cc := make([]float64, len(grid))
+	cb := make([]float64, len(grid))
 	for i := range h.Benches {
-		for j := range histBits {
+		for j := range grid {
 			cc[j] += float64(convCyc[i][j]) / float64(len(h.Benches))
 			cb[j] += float64(bsaCyc[i][j]) / float64(len(h.Benches))
 		}
 	}
-	for j, hb := range histBits {
-		t.AddRow(hb, int64(cc[j]), int64(cb[j]))
+	for j, cfg := range grid {
+		t.AddRow(cfg.Predictor.HistoryBits, int64(cc[j]), int64(cb[j]))
 	}
 	return t, nil
+}
+
+// historyGrid is ablation A4's batch: the predictor's global history length
+// at the Figure 3 machine.
+func historyGrid() []uarch.Config {
+	var cfgs []uarch.Config
+	for _, hb := range []int{2, 4, 8, 12, 16} {
+		cfg := baseConfig(LargeICache, false)
+		cfg.Predictor.HistoryBits = hb
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
 }
 
 // AblateMinBias evaluates the paper's §6 proposal: skip forking unbiased

@@ -474,13 +474,11 @@ func (h *Harness) icacheSensitivity(title string, useBSA bool) (*stats.Table, er
 		// One batch per benchmark: the perfect-icache reference and every
 		// sweep point share one fused replay of the same trace.
 		keys := []string{fmt.Sprintf("%s/ic-perfect/%s", b.Profile.Name, kindTag)}
-		cfgs := []uarch.Config{baseConfig(0, false)}
 		for _, sz := range ICacheSizes {
 			h.Opts.progress("run %-8s icache %s (%s)", b.Profile.Name, PaperICacheLabel(sz), kindTag)
 			keys = append(keys, fmt.Sprintf("%s/ic-%d/%s", b.Profile.Name, sz, kindTag))
-			cfgs = append(cfgs, baseConfig(sz, false))
 		}
-		res, err := h.runMany(keys, prog, cfgs)
+		res, err := h.runMany(keys, prog, icacheGrid())
 		if err != nil {
 			return err
 		}
@@ -511,6 +509,16 @@ func (h *Harness) icacheSensitivity(title string, useBSA bool) (*stats.Table, er
 	}
 	t.AddRow(meanRow...)
 	return t, nil
+}
+
+// icacheGrid is the Figure 6/7 batch: the perfect-icache reference, then
+// every paper icache size, at the Figure 3 machine.
+func icacheGrid() []uarch.Config {
+	cfgs := []uarch.Config{baseConfig(0, false)}
+	for _, sz := range ICacheSizes {
+		cfgs = append(cfgs, baseConfig(sz, false))
+	}
+	return cfgs
 }
 
 // Figure6 is the conventional-ISA icache sensitivity sweep.

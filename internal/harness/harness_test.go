@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"bsisa/internal/uarch"
 )
 
 // newTestHarness builds a tiny-scale harness shared by the tests in this
@@ -191,5 +193,22 @@ func TestMispredictBreakdown(t *testing.T) {
 	}
 	if !foundFault {
 		t.Errorf("no fault mispredictions recorded:\n%s", tbl.Render())
+	}
+}
+
+// TestHarnessGridsSweep requires every multi-configuration batch the
+// harness sends to runMany, and xsweep's grid, to take the sweep engine: a
+// grid that drifted out of uarch.CanSweep would fall back to one replay per
+// configuration, with the same tables, only slower.
+func TestHarnessGridsSweep(t *testing.T) {
+	for name, grid := range map[string][]uarch.Config{
+		"Figure 6/7 icache":     icacheGrid(),
+		"predictor sensitivity": predSensGrid(),
+		"A4 history":            historyGrid(),
+		"xsweep":                xsweepGrid(),
+	} {
+		if r := uarch.RouteFor(grid); r.Engine != uarch.EngineSweep {
+			t.Errorf("the %s grid takes %s: %s", name, r.Engine, r.Reason)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"bsisa/internal/bpred"
 	"bsisa/internal/isa"
 	"bsisa/internal/stats"
 	"bsisa/internal/uarch"
@@ -15,13 +14,7 @@ import (
 // is one runMany batch, which routes through the fused predictor-sweep
 // engine (bsbench experiment `predsens`).
 func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
-	type point struct{ hist, pht int }
-	var grid []point
-	for _, hist := range []int{4, 8, 16} {
-		for _, pht := range []int{4096, 32768} {
-			grid = append(grid, point{hist, pht})
-		}
-	}
+	grid := predSensGrid()
 	t := &stats.Table{
 		Title: "Predictor sensitivity: history length x PHT size (Figure 3 machine)",
 		Columns: []string{"History Bits", "PHT Entries", "Mean Conv Cycles", "Conv MP/1Kops",
@@ -38,16 +31,11 @@ func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
 			out  *[]*uarch.Result
 		}{{"conv", b.Conv, &convRes[i]}, {"bsa", b.BSA, &bsaRes[i]}} {
 			keys := make([]string, len(grid))
-			cfgs := make([]uarch.Config, len(grid))
-			for j, p := range grid {
-				cfg := baseConfig(LargeICache, false)
-				cfg.Predictor.HistoryBits = p.hist
-				cfg.Predictor.PHTEntries = p.pht
-				keys[j] = fmt.Sprintf("%s/predsens-h%d-p%d/%s", b.Profile.Name, p.hist, p.pht, side.tag)
-				cfgs[j] = cfg
+			for j, cfg := range grid {
+				keys[j] = fmt.Sprintf("%s/predsens-h%d-p%d/%s", b.Profile.Name, cfg.Predictor.HistoryBits, cfg.Predictor.PHTEntries, side.tag)
 			}
 			h.Opts.progress("predsens %-8s %s", b.Profile.Name, side.tag)
-			res, err := h.runMany(keys, side.prog, cfgs)
+			res, err := h.runMany(keys, side.prog, grid)
 			if err != nil {
 				return err
 			}
@@ -61,7 +49,7 @@ func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
 	// Reduce means in benchmark order so the table is identical at every
 	// worker count.
 	nb := float64(len(h.Benches))
-	for j, p := range grid {
+	for j, cfg := range grid {
 		var cc, cm, bc, bm float64
 		for i := range h.Benches {
 			c, bb := convRes[i][j], bsaRes[i][j]
@@ -70,27 +58,22 @@ func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
 			bc += float64(bb.Cycles) / nb
 			bm += 1000 * float64(bb.Mispredicts()) / float64(bb.Ops) / nb
 		}
-		t.AddRow(p.hist, p.pht, int64(cc), fmt.Sprintf("%.2f", cm), int64(bc), fmt.Sprintf("%.2f", bm))
+		t.AddRow(cfg.Predictor.HistoryBits, cfg.Predictor.PHTEntries, int64(cc), fmt.Sprintf("%.2f", cm), int64(bc), fmt.Sprintf("%.2f", bm))
 	}
 	return t, nil
 }
 
-// The init-time assertion that the harness's predictor grids satisfy the
-// unified engine's gate — a grid drifting out of CanSweep would silently
-// fall back to per-config replay.
-var _ = func() bool {
-	// The A4 grid: baseConfig differing only in HistoryBits.
-	var a4 []uarch.Config
-	for _, hb := range []int{2, 16} {
-		cfg := baseConfig(LargeICache, false)
-		cfg.Predictor = bpred.Config{HistoryBits: hb}
-		a4 = append(a4, cfg)
+// predSensGrid is the predictor-sensitivity batch: history length × PHT
+// size at the Figure 3 machine.
+func predSensGrid() []uarch.Config {
+	var cfgs []uarch.Config
+	for _, hist := range []int{4, 8, 16} {
+		for _, pht := range []int{4096, 32768} {
+			cfg := baseConfig(LargeICache, false)
+			cfg.Predictor.HistoryBits = hist
+			cfg.Predictor.PHTEntries = pht
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	if ok, reason := uarch.CanSweep(a4); !ok {
-		panic("harness: AblateHistory grid is not sweepable: " + reason)
-	}
-	if ok, reason := uarch.CanSweep(xsweepGrid()); !ok {
-		panic("harness: xsweepGrid is not sweepable: " + reason)
-	}
-	return true
-}()
+	return cfgs
+}

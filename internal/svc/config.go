@@ -201,7 +201,7 @@ const maxSweepConfigs = 1024
 // tables, but a sweep builds them once per class, and a grid may name up
 // to maxSweepConfigs classes. The paper's 4×4 history × icache grid needs
 // about 1 MiB, and a 64-class grid (history 1–16 × PHT {1, 4, 16, 32} Ki
-// entries) swept over icache {256 B, 1 MiB} 44 MiB.
+// entries) swept over icache {256 B, 1 MiB} 26 MiB.
 const maxSweepTableBytes = 256 << 20
 
 // buildSweep expands a SweepSpec into the plan's configuration grid: the

@@ -17,8 +17,8 @@ import (
 // misprediction), and serializes fetch behind unresolved control. Where the
 // outcomes come from is not its business. A live Sim (uarch.go) feeds it from
 // its own icache, dcache and predictor; a sweep lane (sweep.go) feeds it from
-// the shared enrichment tables. Both yield the same per-event values — the
-// fetch probe's misses, one miss byte per committed load, the misprediction
+// its class's outcome streams. Both yield the same per-event values — the
+// fetch probe's misses, one miss bit per committed load, the misprediction
 // kind, the wrongly fetched variant and its icache misses — so the kernel
 // takes them as arguments.
 //
@@ -115,8 +115,12 @@ func flatten(prog *isa.Program, issueWidth int) *Predecoded {
 		lb.ops = arena[start:len(arena):len(arena)]
 		maxOps = max(maxOps, len(lb.ops))
 	}
-	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp, noMiss: make([]uint8, maxOps+1)}
+	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp, noMiss: noMissBits(maxOps)}
 }
+
+// noMissBits returns a zeroed load bitset with a bit for every operation of
+// a block of at most maxOps table operations.
+func noMissBits(maxOps int) []uint64 { return make([]uint64, maxOps/64+1) }
 
 // packOp predecodes one window operation: a alone, or the fused pair a, b.
 // A pair issues as one macro-op: it reads a's sources plus b's sources other
@@ -435,7 +439,7 @@ type schedTimes struct {
 // folding these updates into per-op masked arithmetic) measurably slows the
 // scheduler down.
 type laneFlagState struct {
-	ldMiss     []uint8
+	ldMiss     []uint64
 	ldOff      int
 	l2         int64
 	term       int64
@@ -444,13 +448,13 @@ type laneFlagState struct {
 
 // flagged applies a flagged op's extra scheduling: L2 latency on a missing
 // load, terminator and first-fault completion times. Shadow passes wire the
-// zeroed miss table in, so wrong-path loads assume L1 hits (wrong-path
+// zeroed miss bitset in, so wrong-path loads assume L1 hits (wrong-path
 // addresses are not architectural).
 //
 //go:noinline
 func (fs *laneFlagState) flagged(flags uint8, done int64) int64 {
 	if flags&laneLD != 0 {
-		if fs.ldMiss[fs.ldOff] != 0 {
+		if fs.ldMiss[fs.ldOff>>6]&(1<<(fs.ldOff&63)) != 0 {
 			done += fs.l2
 		}
 		fs.ldOff++

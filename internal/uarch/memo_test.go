@@ -1,8 +1,10 @@
 package uarch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -216,4 +218,120 @@ func TestSweepMemoFitsServeWarm(t *testing.T) {
 		t.Fatalf("memo keeps %d classes and %d load records, want 4 and 1", len(memo.classes), len(memo.loads))
 	}
 	equalResults(t, "served", cfgs, runMemo(t, "served", tr, cfgs, memo, MemoServed), want)
+}
+
+// TestOutcomeStreams drives the outcome streams' writer and cursor directly.
+// A hand-built sequence of outcomes — every misprediction kind, faults with
+// and without wrong-path misses, per-level counts that need each of
+// appendLevels' codes, counts of 128 and more, and event deltas of 128 and
+// more and of 2¹⁴ and more — is written three ways: cut after each of two
+// chunks, as a memo-less sweep writes it; kept whole across them, as a
+// recording sweep does; and whole before any read, as a served sweep finds
+// it. Each reads back field for field at every event, and the cut chunks'
+// bytes put together are the whole streams'. A class without a profiler
+// writes and reads its mispredictions alone.
+func TestOutcomeStreams(t *testing.T) {
+	b := &isa.Block{Succs: []isa.BlockID{4, 5, 6}}
+	prog := &isa.Program{Blocks: []*isa.Block{b}}
+	type outcome struct {
+		ev        int
+		kind      uint8       // 0 where the class predicted right
+		wrong     isa.BlockID // a fault's wrongly fetched block
+		wrongMiss []int       // a fault's wrong-path misses per level; nil for none
+		fetch     []int       // the fetch probe's misses per level; nil for none
+	}
+	profiled := []outcome{
+		{ev: 0, kind: mpMisfetch, fetch: []int{3, 3, 2, 0, 0, 0}},
+		{ev: 1, kind: mpTrap},
+		{ev: 130, kind: mpFault, wrong: 6, wrongMiss: []int{200, 150, 149, 149, 0, 0}, fetch: []int{1, 1, 1, 1, 1, 1}},
+		{ev: 131, fetch: []int{300, 7, 7, 6, 0, 0}},
+		{ev: 4095, kind: mpTrap, fetch: []int{2, 1, 1, 1, 1, 1}},
+		// The second chunk starts at event 4096.
+		{ev: 4100, kind: mpFault, wrong: 4},
+		{ev: 24100, kind: mpFaultNoBlock, fetch: []int{5, 4, 3, 2, 1, 0}},
+		{ev: 24200, fetch: []int{1, 0, 0, 0, 0, 0}},
+		{ev: 24201, kind: mpFault, wrong: 5, wrongMiss: []int{9, 9, 2, 0, 0, 0}},
+	}
+	chunks := [][2]int{{0, 4096}, {4096, 24300}}
+	run := func(label string, levels int, outs []outcome) {
+		write := func(s *outcomeStreams, from, to int) {
+			for _, o := range outs {
+				if o.ev < from || o.ev >= to {
+					continue
+				}
+				if o.fetch != nil {
+					s.appendMiss(o.ev, o.fetch)
+				}
+				if o.kind != 0 {
+					misses := o.wrongMiss
+					if misses == nil && levels > 0 {
+						misses = make([]int, levels)
+					}
+					s.appendMp(o.ev, o.kind, b, o.wrong, misses)
+				}
+			}
+		}
+		zeros := make([]int, levels)
+		read := func(mode string, s *outcomeStreams, from, to int) {
+			next := slices.IndexFunc(outs, func(o outcome) bool { return o.ev >= from })
+			for ev := from; ev < to; ev++ {
+				s.at(ev, prog, 0)
+				var want outcome
+				if next >= 0 && next < len(outs) && outs[next].ev == ev {
+					want = outs[next]
+					next++
+				}
+				at := fmt.Sprintf("%s %s: event %d", label, mode, ev)
+				wantFetch := want.fetch
+				if wantFetch == nil {
+					wantFetch = zeros
+				}
+				if !slices.Equal(s.fetch[:levels], wantFetch) || s.fetch[levels] != 0 {
+					t.Fatalf("%s: fetch misses %v, want %v and a last slot of 0", at, s.fetch, wantFetch)
+				}
+				if s.mp != (want.kind != 0) || s.mp && s.kind != want.kind {
+					t.Fatalf("%s: misprediction %v of kind %d, want kind %d", at, s.mp, s.kind, want.kind)
+				}
+				if want.kind != mpFault {
+					continue
+				}
+				wantWrong := want.wrongMiss
+				if wantWrong == nil {
+					wantWrong = zeros
+				}
+				if s.wrongBlock != want.wrong || !slices.Equal(s.wrongLevels[:levels], wantWrong) || s.wrongLevels[levels] != 0 {
+					t.Fatalf("%s: fault fetching B%d with misses %v, want B%d with %v", at, s.wrongBlock, s.wrongLevels, want.wrong, wantWrong)
+				}
+			}
+		}
+		cut, kept, whole := newOutcomeStreams(levels), newOutcomeStreams(levels), newOutcomeStreams(levels)
+		var mps, misses []byte
+		for _, ch := range chunks {
+			write(&cut, ch[0], ch[1])
+			mps, misses = append(mps, cut.mps...), append(misses, cut.misses...)
+			cut.sync()
+			read("cut", &cut, ch[0], ch[1])
+			cut.cut()
+			write(&kept, ch[0], ch[1])
+			kept.sync()
+			read("kept", &kept, ch[0], ch[1])
+		}
+		write(&whole, 0, chunks[len(chunks)-1][1])
+		whole.sync()
+		read("whole", &whole, 0, chunks[len(chunks)-1][1])
+		for _, s := range []*outcomeStreams{&kept, &whole} {
+			if !bytes.Equal(s.mps, mps) || !bytes.Equal(s.misses, misses) {
+				t.Fatalf("%s: whole streams of %d and %d B differ from the cut chunks' %d and %d B",
+					label, len(s.mps), len(s.misses), len(mps), len(misses))
+			}
+		}
+	}
+	run("profiled", 6, profiled)
+	var alone []outcome
+	for _, o := range profiled {
+		if o.kind != 0 {
+			alone = append(alone, outcome{ev: o.ev, kind: o.kind, wrong: o.wrong})
+		}
+	}
+	run("unprofiled", 0, alone)
 }

@@ -15,10 +15,10 @@ type Predecoded struct {
 	prog       *isa.Program
 	issueWidth int
 	lp         []laneBlock
-	// noMiss is an all-zero load-outcome table, longer than any block's op
-	// table, for shadow (wrong-path) scheduling passes: wrong-path loads
-	// assume L1 hits.
-	noMiss []uint8
+	// noMiss is an all-zero load-outcome bitset, a bit for each op of the
+	// longest block's table, for shadow (wrong-path) scheduling passes:
+	// wrong-path loads assume L1 hits.
+	noMiss []uint64
 }
 
 // EffectiveIssueWidth resolves the issue width a configuration will actually
@@ -43,7 +43,7 @@ func (p *Predecoded) IssueWidth() int { return p.issueWidth }
 // Footprint returns the approximate in-memory size of the tables in bytes,
 // for cache accounting.
 func (p *Predecoded) Footprint() int64 {
-	n := int64(len(p.lp))*48 + int64(len(p.noMiss))
+	n := int64(len(p.lp))*48 + 8*int64(len(p.noMiss))
 	for i := range p.lp {
 		n += int64(len(p.lp[i].ops)) * 8
 	}

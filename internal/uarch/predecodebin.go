@@ -187,5 +187,5 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 	if pos != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPredecode, len(data)-pos)
 	}
-	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp, noMiss: make([]uint8, maxOps+1)}, nil
+	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: lp, noMiss: noMissBits(maxOps)}, nil
 }

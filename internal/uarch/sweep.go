@@ -37,69 +37,62 @@ import (
 //     config-independent) and a bpred.Bank holding one lane per *distinct*
 //     predictor config — the grid's predictor classes (one class with no
 //     mispredictions under perfect prediction or a backend without a
-//     predictor). It fills the chunk's load-outcome stream and, per class,
-//     each event's misprediction kind and wrong-path block, and accumulates
-//     the committed and wrong-path line counts for perfect-icache
-//     accounting.
+//     predictor). It appends the chunk's committed-load outcomes to the load
+//     bitset, lists each class's mispredictions in the chunk (event, kind,
+//     wrong-path block), and accumulates the committed and wrong-path line
+//     counts for perfect-icache accounting.
 //   - Pass B advances each class's cache.StackDist profiler over the same
 //     chunk, fed with that class's pollution, yielding exact per-event fetch
-//     miss counts for every swept icache size simultaneously. Classes
-//     profile independently (pollution alters LRU state), but every class
-//     shares pass A and the block tables.
+//     miss counts for every swept icache size simultaneously, and writes the
+//     class's mispredictions and fetch misses to its outcome streams
+//     (memo.go). Classes profile independently (pollution alters LRU
+//     state), but every class shares pass A and the block tables.
 //   - Each lane then runs only the timing kernel — window, FU scoreboard,
-//     rename ready times, retire, recovery, serialization — against the
-//     chunk's outcomes for its (class, icache level) pair. Core-geometry
-//     axes need no shared state at all: they are plain per-lane knobs of the
-//     kernel. Lanes of one predictor class that differ only in icache size
-//     fold: while their timing states coincide up to a cycle shift, one
-//     follows another and does no kernel work (see foldWorker).
+//     rename ready times, retire, recovery, serialization — against its
+//     class's outcomes at its icache level, which the walk decodes from the
+//     class's streams once per event. Core-geometry axes need no shared
+//     state at all: they are plain per-lane knobs of the kernel. Lanes of
+//     one predictor class that differ only in icache size fold: while their
+//     timing states coincide up to a cycle shift, one follows another and
+//     does no kernel work (see foldWorker).
 //
-// The chunk tables are then reused; the dcache, Bank, profilers, lane timing
-// state and fold groups carry across chunk boundaries, so a sweep's outcome
-// memory is bounded by the chunk, the levels and the classes, not by the
-// trace.
-//
-// Passes A and B are one of two producers of the chunk tables. The other is
-// the trace's outcome memo (memo.go): a sweep handed a memo that records
-// every one of its classes refills each chunk's tables from it and runs no
-// replay, dcache, Bank or profiler; a sweep handed a memo that lacks some
-// class runs passes A and B and records what the memo lacks. Either way the
-// lanes walk the same tables through the same fold worker.
+// A memo-less sweep then cuts the streams and the load bitset, so its
+// outcome memory is bounded by the chunk, the levels and the classes, not
+// by the trace; the dcache, Bank, profilers, lane timing state and fold
+// groups carry across chunk boundaries. A sweep handed the trace's outcome
+// memo keeps whole what the memo lacks and publishes it once the sweep
+// completes; a sweep whose every class and whose loads the memo records
+// runs no replay, dcache, Bank or profiler, and walks the records in place.
+// Either way the lanes read one format through the same fold worker.
 //
 // A lane runs the same kernel as a live Sim, so lane results are identical,
 // field for field, to ReplayTrace under the same configuration; sweep_test.go
 // checks the two outcome sources against each other over every backend,
 // including cross-axis grids and per-axis marginals.
 
-// sweepChunk is the sweep's unit of work: the enrichment fills its outcome
-// tables for this many events, the profilers and lanes consume them, and the
-// tables are reused for the next chunk, so a sweep's outcome memory does not
-// grow with the trace. A power of two and a multiple of foldCadence.
+// sweepChunk is the sweep's unit of work: the enrichment writes this many
+// events' outcomes, the lanes walk them, and a memo-less sweep then cuts
+// them, so its outcome memory does not grow with the trace. A power of two
+// and a multiple of foldCadence.
 const sweepChunk = 4096
 
-// sweepClass holds one predictor class's outcomes for the current chunk —
-// one distinct Predictor config in the grid (or the single implicit class
-// when nothing predicts) — and the state that carries across chunks. Lanes
-// read it and never write it. Every table is indexed by the event's offset
-// in the chunk.
+// sweepClass is one predictor class — one distinct Predictor config in the
+// grid, or the single implicit class when nothing predicts — with its
+// outcome streams and the state that carries across chunks. Lanes read it
+// and never write it.
 type sweepClass struct {
-	// mpAt holds, per event, 1 + the index in mps of the class's
-	// misprediction there, or 0 where it predicted right. Mispredictions
-	// are a few percent of events, so mps stays short.
-	mpAt []int32
-	mps  []sweepMp
+	outcomeStreams
 
-	// Icache outcomes at each of the levels profiled sizes. fetchMiss is
-	// the fetch probe's missing lines, transposed — [level*len(mpAt) +
-	// event] — so each lane walks one contiguous per-level run; wrongMiss
-	// is those of a fault misprediction's wrongly fetched variant,
-	// [mp*levels + level] (entries of other kinds are unused). levels is 0
-	// and both are nil when no lane of this class has a real icache. prof
-	// is pass B's profiler, nil when the memo serves the sweep.
-	levels    int
-	fetchMiss []int32
-	wrongMiss []int32
-	prof      *cache.StackDist
+	// pend is pass A's list of the class's mispredictions in the chunk, for
+	// pass B. Mispredictions are a few percent of events, so it stays short.
+	pend []sweepMp
+
+	// prof is pass B's profiler, nil when the class is not profiled (no
+	// lane of it has a real icache) or the memo serves the sweep. keep says
+	// the streams are kept whole for the memo instead of cut after each
+	// chunk.
+	prof *cache.StackDist
+	keep bool
 
 	// accesses is the class's total icache line traffic (committed fetches
 	// plus this class's wrong-path pollution): what a perfect icache
@@ -112,33 +105,42 @@ type sweepClass struct {
 	ic       []cache.Stats
 }
 
-// sweepMp is one misprediction of a class: its kind and the wrong-path
-// block the class fetches (NoBlock when nothing is fetched: misfetches,
-// nonexistent targets).
+// sweepMp is one misprediction pass A lists for pass B: the event's offset
+// in the chunk, its kind, and the wrong-path block the class fetches
+// (NoBlock when nothing is fetched: misfetches, nonexistent targets).
 type sweepMp struct {
+	off   int32
 	kind  uint8
 	block isa.BlockID
 }
 
-// profile walks one chunk of the committed block stream through the class's
-// stack-distance profiler, interleaving the class's wrong-path fetches at
-// its mispredictions, and fills the chunk's fetch and wrong-path miss
-// tables. scratch has one slot per level.
-func (cls *sweepClass) profile(prog *isa.Program, ids []isa.BlockID, scratch []int) {
-	prof, levels, stride := cls.prof, len(scratch), len(cls.mpAt)
-	cls.wrongMiss = slices.Grow(cls.wrongMiss[:0], len(cls.mps)*levels)[:len(cls.mps)*levels]
+// write appends the chunk's outcomes, the events ids from base on, to the
+// class's streams: every misprediction pass A listed and, when the class is
+// profiled, every event whose fetch misses, walking the profiler over the
+// chunk with the class's wrong-path fetches interleaved at its
+// mispredictions. scratch has one slot per level.
+func (cls *sweepClass) write(prog *isa.Program, ids []isa.BlockID, base int, scratch []int) {
+	pend, prof := cls.pend, cls.prof
+	cls.pend = cls.pend[:0]
+	if prof == nil {
+		for _, mp := range pend {
+			cls.appendMp(base+int(mp.off), mp.kind, prog.Blocks[ids[mp.off]], mp.block, nil)
+		}
+		return
+	}
 	for i, id := range ids {
 		b := prog.Blocks[id]
 		clear(scratch)
 		prof.AccessRange(b.Addr, b.Size, scratch)
-		for l, m := range scratch {
-			cls.fetchMiss[l*stride+i] = int32(m)
+		if scratch[0] != 0 {
+			cls.appendMiss(base+i, scratch)
 		}
-		k := cls.mpAt[i] - 1
-		if k < 0 {
+		if len(pend) == 0 || int(pend[0].off) != i {
 			continue
 		}
-		switch mp := cls.mps[k]; mp.kind {
+		mp := pend[0]
+		pend = pend[1:]
+		switch mp.kind {
 		case mpTrap:
 			if mp.block != isa.NoBlock {
 				pb := prog.Blocks[mp.block]
@@ -148,18 +150,17 @@ func (cls *sweepClass) profile(prog *isa.Program, ids []isa.BlockID, scratch []i
 			pb := prog.Blocks[mp.block]
 			clear(scratch)
 			prof.AccessRange(pb.Addr, pb.Size, scratch)
-			for l, m := range scratch {
-				cls.wrongMiss[int(k)*levels+l] = int32(m)
-			}
 		}
+		cls.appendMp(base+i, mp.kind, b, mp.block, scratch)
 	}
 }
 
 // sweepEnrich is the shared enrichment replay's state, carried across
 // chunks: the dcache (load outcomes are config-independent), the Bank
-// holding one lane per predictor class (nil when nothing predicts), and the
-// line traffic behind perfect-icache accounting. It drives the dcache and
-// classifies mispredictions exactly as a live Sim's resolve does.
+// holding one lane per predictor class (nil when nothing predicts), the
+// load bitset, and the line traffic behind perfect-icache accounting. It
+// drives the dcache and classifies mispredictions exactly as a live Sim's
+// resolve does.
 type sweepEnrich struct {
 	prog    *isa.Program
 	lp      []laneBlock // the program's table, for its memory flags
@@ -174,9 +175,9 @@ type sweepEnrich struct {
 	lineCnt     []int64
 	commitLines int64
 
-	// ldMiss is the chunk's committed-load outcome stream, shared by every
-	// lane: 1 per load that misses the dcache, 0 on a hit.
-	ldMiss []uint8
+	// ld is the committed-load outcome stream every lane reads: the
+	// chunk's, or the whole trace's so far when kept for the memo.
+	ld loadBits
 }
 
 // newSweepEnrich sets up the enrichment for the grid's predictor classes
@@ -214,7 +215,7 @@ func (en *sweepEnrich) step(ev *emu.BlockEvent, i int) {
 	b := ev.Block
 	en.commitLines += en.lineCnt[b.ID]
 	if en.lp[b.ID].mem {
-		en.ldMiss = loadOutcomes(en.ldMiss, en.dc, b, ev.MemAddrs)
+		en.ld.w, en.ld.n = loadOutcomes(en.ld.w, en.ld.n, en.dc, b, ev.MemAddrs)
 	}
 	if ev.Next == isa.NoBlock || en.bank == nil {
 		return
@@ -229,30 +230,17 @@ func (en *sweepEnrich) step(ev *emu.BlockEvent, i int) {
 		if wb != isa.NoBlock {
 			cls.accesses += en.lineCnt[wb]
 		}
-		cls.mps = append(cls.mps, sweepMp{kind: kind, block: wb})
-		cls.mpAt[i] = int32(len(cls.mps))
+		cls.pend = append(cls.pend, sweepMp{off: int32(i), kind: kind, block: wb})
 	}
 }
 
-// reset readies the chunk tables for the next chunk of n events.
-func (en *sweepEnrich) reset(n int) {
-	en.ldMiss = en.ldMiss[:0]
-	for _, cls := range en.classes {
-		clear(cls.mpAt[:n])
-		cls.mps = cls.mps[:0]
-	}
-}
-
-// sweepLane is one configuration's view of its class's chunk tables: the
-// outcome source of a Sim that runs as a sweep lane. mpAt is the class's,
-// and fm this lane's level run of the class's fetchMiss (nil for a perfect
-// icache); stepping the chunk's event i reads entry i of each.
+// sweepLane is one configuration's view of its class's outcomes: the
+// outcome source of a Sim that runs as a sweep lane. It reads the entries
+// the walk decoded from its class's streams at the current event.
 type sweepLane struct {
 	cls   *sweepClass
 	lp    []laneBlock // the lane's table, for wrongly fetched variants
-	mpAt  []int32
-	fm    []int32
-	level int // profiler level of this config's icache size; -1 = perfect
+	level int         // profiler level of this config's icache size; cls.levels() = perfect
 	mp    mispredict
 
 	idx   int // the lane's configuration index
@@ -269,45 +257,33 @@ type sweepLane struct {
 	followers int // lanes following this one
 }
 
-// fetchMiss is the lane's outcome for the fetch probe of the chunk's event
-// i; a perfect icache has no run and never misses.
-func (sw *sweepLane) fetchMiss(i int) int {
-	if sw.fm == nil {
-		return 0
-	}
-	return int(sw.fm[i])
-}
+// fetchMiss is the lane's outcome for the fetch probe of the current
+// event; a perfect icache never misses.
+func (sw *sweepLane) fetchMiss() int { return sw.cls.fetch[sw.level] }
 
 // wrongMiss is the lane's outcome for the wrong-path fetch of its class's
-// k-th misprediction in the chunk, a fault.
-func (sw *sweepLane) wrongMiss(k int32) int {
-	if sw.level < 0 {
-		return 0
-	}
-	return int(sw.cls.wrongMiss[int(k)*sw.cls.levels+sw.level])
-}
+// fault misprediction at the current event.
+func (sw *sweepLane) wrongMiss() int { return sw.cls.wrongLevels[sw.level] }
 
-// mispredictAt is the lane's misprediction outcome for the chunk's event i,
+// mispredictAt is the lane's misprediction outcome for the current event,
 // nil when its class predicted right. The check inlines into the lockstep
 // loop and leaves the rare mispredicting event to take.
-func (sw *sweepLane) mispredictAt(i int) *mispredict {
-	k := sw.mpAt[i] - 1
-	if k < 0 {
+func (sw *sweepLane) mispredictAt() *mispredict {
+	if !sw.cls.mp {
 		return nil
 	}
-	return sw.take(k)
+	return sw.take()
 }
 
-// take builds the lane's copy of its class's k-th misprediction in the
-// chunk. Kept out of line so that mispredictAt inlines.
+// take builds the lane's copy of its class's misprediction at the current
+// event. Kept out of line so that mispredictAt inlines.
 //
 //go:noinline
-func (sw *sweepLane) take(k int32) *mispredict {
-	mp := sw.cls.mps[k]
-	sw.mp = mispredict{kind: mp.kind}
-	if mp.kind == mpFault {
-		sw.mp.wrong = &sw.lp[mp.block]
-		sw.mp.wrongMiss = sw.wrongMiss(k)
+func (sw *sweepLane) take() *mispredict {
+	sw.mp = mispredict{kind: sw.cls.kind}
+	if sw.mp.kind == mpFault {
+		sw.mp.wrong = &sw.lp[sw.cls.wrongBlock]
+		sw.mp.wrongMiss = sw.wrongMiss()
 	}
 	return &sw.mp
 }
@@ -319,7 +295,7 @@ func (sw *sweepLane) take(k int32) *mispredict {
 func (s *Sim) sweepFinish(dc cache.Stats) *Result {
 	s.res.Cycles = s.lastRetire
 	sw := s.sw
-	if sw.level >= 0 {
+	if sw.level < sw.cls.levels() {
 		s.res.ICache = sw.cls.ic[sw.level]
 	} else {
 		s.res.ICache = cache.Stats{Accesses: sw.cls.accesses}
@@ -433,30 +409,18 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 
 	family := backend.PolicyFor(prog.Kind).Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
-	// The chunk tables span a whole chunk, or the whole trace when it is
-	// shorter. Every class with at least one real-icache lane is profiled
-	// over one level range (the grid's min/max swept sizes), so every
-	// lane's size maps to the same level index.
-	ids := t.BlockIDs()
-	chunkLen := min(sweepChunk, len(ids))
 	minSize, maxSize := icacheRange(norm)
 	classes := make([]*sweepClass, max(len(classCfgs), 1))
-	for c := range classes {
-		classes[c] = &sweepClass{mpAt: make([]int32, chunkLen)}
+	for c, lv := range classLevels(norm, classOf, len(classes)) {
+		classes[c] = &sweepClass{outcomeStreams: newOutcomeStreams(lv)}
 	}
 	lanes := make([]laneSim, len(norm))
 	for i, cfg := range norm {
-		cls := classes[classOf[i]]
 		ls := &lanes[i]
-		ls.sw = sweepLane{cls: cls, lp: tabs[i].lp, mpAt: cls.mpAt, level: -1, idx: i}
+		cls := classes[classOf[i]]
+		ls.sw = sweepLane{cls: cls, lp: tabs[i].lp, level: cls.levels(), idx: i}
 		if sz := cfg.ICache.SizeBytes; sz != 0 {
-			if cls.levels == 0 {
-				cls.levels = icacheLevels(minSize, maxSize)
-				cls.fetchMiss = make([]int32, cls.levels*chunkLen)
-			}
-			lvl := icacheLevels(minSize, sz) - 1
-			ls.sw.level = lvl
-			ls.sw.fm = cls.fetchMiss[lvl*chunkLen : (lvl+1)*chunkLen]
+			ls.sw.level = icacheLevels(minSize, sz) - 1
 		}
 		scr := getLaneScratch(cfg.WindowBlocks)
 		ls.sim = Sim{
@@ -468,12 +432,12 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 			sw:     &ls.sw,
 		}
 	}
-	fw := newFoldWorker(foldGroups(norm, lanes), st != nil)
+	fw := newFoldWorker(prog, classes, foldGroups(norm, lanes), st != nil)
 
-	// The chunk tables have two producers. When the memo records every
-	// class and the committed loads, they are refilled from it; otherwise
-	// the enrichment replay fills them, and records for the memo what it
-	// lacks. A memo of another trace is ignored.
+	// When the memo records every class and the committed loads, the lanes
+	// walk its records; otherwise the enrichment replay writes the
+	// outcomes, keeping whole for the memo what it lacks. A memo of another
+	// trace is ignored.
 	if memo != nil && memo.tr != t {
 		memo = nil
 	}
@@ -484,14 +448,18 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	var err error
 	if loads != nil && !slices.Contains(have, nil) {
 		use = MemoServed
-		dc, err = replayMemo(ctx, prog, ids, classes, have, loads, &fw)
+		dc, err = walkMemo(ctx, t.BlockIDs(), classes, have, loads, &fw)
 	} else {
-		rec := memo.newMemoRecording(keys, have, base.DCache, loads)
-		dc, err = enrich(ctx, t, base, tabs[0].lp, family, classCfgs, classes, minSize, maxSize, &fw, rec)
-		if rec != nil && err == nil {
-			use = MemoMissed
-			if rec.publish(classes, dc) {
-				use = MemoRecorded
+		rec := memo.newMemoRecording(keys, have, base.DCache, loads, classes)
+		var en *sweepEnrich
+		en, err = enrich(ctx, t, base, tabs[0].lp, family, classCfgs, classes, minSize, maxSize, &fw, rec)
+		if err == nil {
+			dc = en.dc.Stats()
+			if rec != nil {
+				use = MemoMissed
+				if rec.publish(&en.ld, classes, dc) {
+					use = MemoRecorded
+				}
 			}
 		}
 	}
@@ -506,37 +474,39 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	return results, use, nil
 }
 
-// enrich fills the chunk tables from one replay of the trace, and has the
-// fold worker walk each chunk: the shared enrichment (pass A) fills the
-// chunk's load outcomes and mispredictions, each profiled class walks its
-// profiler over the chunk (pass B), then the lanes step through it in
-// lockstep — every lane consumes each predecoded block back to back while
-// it is hot in cache. Each phase stays a tight loop over the whole chunk:
-// fusing the three per event ran icache sweeps about 10% slower. Lanes
-// never interact except through folding, which is exact. rec, when
-// non-nil, records each chunk's outcomes for the memo. enrich leaves each
-// class's end-of-trace numbers in it and returns the dcache's statistics.
-func enrich(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, family backend.PredictorSel, classCfgs []bpred.Config, classes []*sweepClass, minSize, maxSize int, fw *foldWorker, rec *memoRecording) (cache.Stats, error) {
+// enrich writes every class's outcomes from one replay of the trace, and
+// has the fold worker walk each chunk: the shared enrichment (pass A)
+// writes the chunk's load outcomes and lists each class's mispredictions,
+// each class writes its streams (pass B, walking its profiler over the
+// chunk when it has one), then the lanes step through the chunk in lockstep
+// — every lane consumes each predecoded block back to back while it is hot
+// in cache. Each phase stays a tight loop over the whole chunk: fusing the
+// three per event ran icache sweeps about 10% slower. Lanes never interact
+// except through folding, which is exact. After the walk the chunk's
+// outcomes are cut, except what rec, when non-nil, keeps for the memo.
+// enrich leaves each class's end-of-trace numbers in it and returns the
+// enrichment, whose dcache and load bitset the caller reads.
+func enrich(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, family backend.PredictorSel, classCfgs []bpred.Config, classes []*sweepClass, minSize, maxSize int, fw *foldWorker, rec *memoRecording) (*sweepEnrich, error) {
 	prog := t.Program()
 	levels := 0
 	for _, cls := range classes {
-		if cls.levels == 0 {
+		if cls.levels() == 0 {
 			continue
 		}
 		prof, err := cache.NewStackDist(base.ICache, minSize, maxSize)
 		if err != nil {
-			return cache.Stats{}, fmt.Errorf("uarch: sweep: %w", err)
+			return nil, fmt.Errorf("uarch: sweep: %w", err)
 		}
-		cls.prof, levels = prof, cls.levels
+		cls.prof, levels = prof, cls.levels()
 	}
 	en, err := newSweepEnrich(prog, base, lp, family, classCfgs, classes)
 	if err != nil {
-		return cache.Stats{}, err
+		return nil, err
 	}
 	ids := t.BlockIDs()
 	chunkLen := min(sweepChunk, len(ids))
 	scratch := make([]int, levels)
-	done, n := 0, 0
+	done, n, first := 0, 0, 0 // first: the bit at which the chunk's loads start
 	err = t.ReplayContext(ctx, func(ev *emu.BlockEvent) error {
 		en.step(ev, n)
 		if n++; n < chunkLen && done+n < len(ids) {
@@ -544,20 +514,25 @@ func enrich(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, fami
 		}
 		chunk := ids[done : done+n]
 		for _, cls := range classes {
-			if cls.prof != nil {
-				cls.profile(prog, chunk, scratch)
-			}
+			cls.write(prog, chunk, done, scratch)
 		}
 		if rec != nil {
-			rec.add(prog, chunk, done, en.ldMiss, classes)
+			rec.add(first, &en.ld, classes)
 		}
-		fw.walk(done, chunk, en.ldMiss, len(ids))
-		en.reset(n)
-		done, n = done+n, 0
+		fw.walk(done, chunk, en.ld.w, first, len(ids))
+		if rec == nil || !rec.loads {
+			en.ld.cut()
+		}
+		for _, cls := range classes {
+			if !cls.keep {
+				cls.cut()
+			}
+		}
+		done, n, first = done+n, 0, en.ld.n
 		return nil
 	})
 	if err != nil {
-		return cache.Stats{}, err
+		return nil, err
 	}
 	for c, cls := range classes {
 		cls.accesses += en.commitLines
@@ -565,40 +540,33 @@ func enrich(ctx context.Context, t *emu.Trace, base Config, lp []laneBlock, fami
 			cls.bp = en.bank.LaneStats(c)
 		}
 		if cls.prof != nil {
-			cls.ic = make([]cache.Stats, cls.levels)
+			cls.ic = make([]cache.Stats, levels)
 			for l := range cls.ic {
 				cls.ic[l] = cls.prof.StatsAt(l)
 			}
 		}
 	}
-	return en.dc.Stats(), nil
+	return en, nil
 }
 
-// replayMemo fills the chunk tables from the memo's records — have, one
-// per class, and the load record loads — and has the fold worker walk each
-// chunk. It checks ctx once per chunk, the cadence Trace.ReplayContext
-// keeps on the enrichment's path. It leaves each class's end-of-trace
-// numbers in it and returns the dcache's statistics.
-func replayMemo(ctx context.Context, prog *isa.Program, ids []isa.BlockID, classes []*sweepClass, have []*memoClass, loads *memoLoads, fw *foldWorker) (cache.Stats, error) {
-	readers := make([]memoReader, len(classes))
+// walkMemo has the fold worker walk each chunk over the memo's records —
+// have, one per class, and the load record loads — in place. It checks ctx
+// once per chunk, the cadence Trace.ReplayContext keeps on the
+// enrichment's path. It leaves each class's end-of-trace numbers in it and
+// returns the dcache's statistics.
+func walkMemo(ctx context.Context, ids []isa.BlockID, classes []*sweepClass, have []*memoClass, loads *memoLoads, fw *foldWorker) (cache.Stats, error) {
 	for c, cls := range classes {
-		readers[c] = newMemoReader(have[c], cls)
+		rec := have[c]
+		cls.mps, cls.misses = rec.mps, rec.misses
+		cls.accesses, cls.bp, cls.ic = rec.accesses, rec.bp, rec.ic
 	}
-	ldMiss := make([]uint8, 0, loads.chunkLoads())
 	for c, done := 0, 0; done < len(ids); c++ {
 		if err := ctx.Err(); err != nil {
 			return cache.Stats{}, err
 		}
 		chunk := ids[done:min(done+sweepChunk, len(ids))]
-		ldMiss = loads.fillLoads(ldMiss, c)
-		for k, cls := range classes {
-			readers[k].fill(prog, chunk, done, cls)
-		}
-		fw.walk(done, chunk, ldMiss, len(ids))
+		fw.walk(done, chunk, loads.miss, int(loads.at[c]), len(ids))
 		done += len(chunk)
-	}
-	for c, cls := range classes {
-		cls.accesses, cls.bp, cls.ic = have[c].accesses, have[c].bp, have[c].ic
 	}
 	return loads.stats, nil
 }
@@ -643,6 +611,21 @@ func icacheRange(norm []Config) (minSize, maxSize int) {
 	return minSize, maxSize
 }
 
+// classLevels returns the icache levels each of n predictor classes is
+// profiled at: the grid's, for a class with a real-icache lane, and 0 for
+// one without. Every profiled class covers one level range (the grid's
+// min/max swept sizes), so every lane's size maps to the same level index.
+func classLevels(norm []Config, classOf []int, n int) []int {
+	minSize, maxSize := icacheRange(norm)
+	levels := make([]int, n)
+	for i, cfg := range norm {
+		if cfg.ICache.SizeBytes != 0 {
+			levels[classOf[i]] = icacheLevels(minSize, maxSize)
+		}
+	}
+	return levels
+}
+
 // icacheLevels is the number of power-of-two icache sizes from minSize to
 // maxSize, the levels a class's profiler covers (0 when every icache is
 // perfect and minSize is 0). A profiled size's level is
@@ -657,32 +640,24 @@ func icacheLevels(minSize, maxSize int) int {
 // SweepTableBytes bounds the bytes of the tables a sweep of cfgs over a
 // program of kind sizes from the configurations alone: per predictor class
 // its predictor (bpred.Config.TableBytes), its icache profiler
-// (cache.StackDistBytes) and its chunk tables, and per configuration its
-// lane and pooled scratch. It excludes what the program and the trace size:
-// the block tables, the chunk's load outcomes, and the span of each lane's
-// FU ring, which follows the latencies in flight. cfgs must pass CanSweep.
+// (cache.StackDistBytes), and a chunk's pending mispredictions and stream
+// entries at one of each an event; and per configuration its lane and
+// pooled scratch. It excludes what the program and the trace size: the
+// block tables, the chunk's load outcomes, and the span of each lane's FU
+// ring, which follows the latencies in flight. cfgs must pass CanSweep.
 func SweepTableBytes(kind isa.Kind, cfgs []Config) int64 {
 	norm := normalizeSweepConfigs(cfgs)
 	family := backend.PolicyFor(kind).Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
 	minSize, maxSize := icacheRange(norm)
-	profiled := make([]bool, max(len(classCfgs), 1))
-	for i, cfg := range norm {
-		profiled[classOf[i]] = profiled[classOf[i]] || cfg.ICache.SizeBytes != 0
-	}
-	levels := icacheLevels(minSize, maxSize)
-	const i32 = int64(unsafe.Sizeof(int32(0)))
 	var total int64
-	for c, prof := range profiled {
-		// mpAt, and at most one misprediction an event.
-		total += sweepChunk * (i32 + int64(unsafe.Sizeof(sweepMp{})))
+	for c, lv := range classLevels(norm, classOf, max(len(classCfgs), 1)) {
+		total += sweepChunk * (int64(unsafe.Sizeof(sweepMp{})) + entryBytes(lv))
 		if c < len(classCfgs) {
 			total += int64(classCfgs[c].TableBytes(family == backend.PredBSA))
 		}
-		if prof {
-			// The profiler, fetchMiss, and wrongMiss at one misprediction
-			// an event.
-			total += int64(cache.StackDistBytes(norm[0].ICache, minSize, maxSize)) + 2*sweepChunk*int64(levels)*i32
+		if lv > 0 {
+			total += int64(cache.StackDistBytes(norm[0].ICache, minSize, maxSize))
 		}
 	}
 	for _, cfg := range norm {
@@ -772,7 +747,9 @@ func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
 // live lane without followers folds, so a leader is never itself a
 // follower.
 type foldWorker struct {
-	groups [][]*Sim
+	prog    *isa.Program
+	classes []*sweepClass
+	groups  [][]*Sim
 	// lanes holds every lane: the live ones in [0, nLive), the followers
 	// after them. A lane's sweepLane.pos is its slot.
 	lanes  []*Sim
@@ -782,8 +759,8 @@ type foldWorker struct {
 	stats  foldStats
 }
 
-func newFoldWorker(groups [][]*Sim, record bool) foldWorker {
-	fw := foldWorker{groups: groups, record: record}
+func newFoldWorker(prog *isa.Program, classes []*sweepClass, groups [][]*Sim, record bool) foldWorker {
+	fw := foldWorker{prog: prog, classes: classes, groups: groups, record: record}
 	for _, grp := range groups {
 		fw.lanes = append(fw.lanes, grp...)
 	}
@@ -795,20 +772,27 @@ func newFoldWorker(groups [][]*Sim, record bool) foldWorker {
 	return fw
 }
 
-// walk steps the lanes through one chunk of the ne-event trace, the
-// events from base on, whose committed loads have the outcomes ldMiss:
-// followers split off before an event, live lanes step it, and lanes fold
-// after it at the cadence.
-func (fw *foldWorker) walk(base int, ids []isa.BlockID, ldMiss []uint8, ne int) {
+// walk steps the lanes through one chunk of the ne-event trace, the events
+// ids from base on, whose committed loads' outcomes start at bit first of
+// ldMiss. Before each event every class decodes its entries there; then
+// followers split off, live lanes step the event, and lanes fold after it
+// at the cadence.
+func (fw *foldWorker) walk(base int, ids []isa.BlockID, ldMiss []uint64, first, ne int) {
 	for _, s := range fw.lanes {
-		s.ldMiss, s.ldOff = ldMiss, 0
+		s.ldMiss, s.ldOff = ldMiss, first
+	}
+	for _, c := range fw.classes {
+		c.sync()
 	}
 	for i, id := range ids {
-		fw.split(i)
-		ei := base + i
-		last := ei == ne-1
-		fw.step(i, id, last)
-		if ei%foldCadence == foldCadence-1 && !last {
+		ev := base + i
+		for _, c := range fw.classes {
+			c.at(ev, fw.prog, id)
+		}
+		fw.split()
+		last := ev == ne-1
+		fw.step(id, last)
+		if ev%foldCadence == foldCadence-1 && !last {
 			fw.fold()
 		}
 	}
@@ -820,23 +804,19 @@ func (fw *foldWorker) swap(p, q int) {
 	fw.lanes[p].sw.pos, fw.lanes[q].sw.pos = p, q
 }
 
-// diverges reports whether a follower's outcome at the chunk's event i
+// diverges reports whether a follower's outcome at the current event
 // differs from its leader's: the fetch probe's misses, or at a fault
 // misprediction the wrongly fetched variant's. The two share a class.
-func (sw *sweepLane) diverges(ld *sweepLane, i int) bool {
-	if sw.fetchMiss(i) != ld.fetchMiss(i) {
-		return true
-	}
-	k := sw.mpAt[i] - 1
-	return k >= 0 && sw.cls.mps[k].kind == mpFault && sw.wrongMiss(k) != ld.wrongMiss(k)
+func (sw *sweepLane) diverges(ld *sweepLane) bool {
+	return sw.fetchMiss() != ld.fetchMiss() || sw.cls.mp && sw.cls.kind == mpFault && sw.wrongMiss() != ld.wrongMiss()
 }
 
-// split materializes, before the chunk's event i steps, every follower
-// whose outcome at i differs from its leader's.
-func (fw *foldWorker) split(i int) {
+// split materializes, before the current event steps, every follower whose
+// outcome there differs from its leader's.
+func (fw *foldWorker) split() {
 	for p := fw.nLive; p < len(fw.lanes); p++ {
 		s := fw.lanes[p]
-		if s.sw.diverges(s.sw.leader.sw, i) {
+		if s.sw.diverges(s.sw.leader.sw) {
 			fw.unfold(s)
 			fw.swap(p, fw.nLive)
 			fw.nLive++
@@ -862,14 +842,14 @@ func (fw *foldWorker) unfold(s *Sim) {
 	sw.leader = nil
 }
 
-// step runs the chunk's event i, block id, through the kernel on every live
+// step runs the current event, block id, through the kernel on every live
 // lane.
-func (fw *foldWorker) step(i int, id isa.BlockID, last bool) {
+func (fw *foldWorker) step(id isa.BlockID, last bool) {
 	for _, s := range fw.lanes[:fw.nLive] {
 		lb := &s.lp[id]
-		issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss(i)))
+		issue := s.issueAt(s.drain(len(lb.ops)) + s.icacheStall(s.sw.fetchMiss()))
 		st := s.laneSchedule(lb, issue, &s.scr.regs, true)
-		s.post(lb, issue, st, int64(lb.fetchCycles), s.sw.mispredictAt(i), last)
+		s.post(lb, issue, st, int64(lb.fetchCycles), s.sw.mispredictAt(), last)
 	}
 }
 

@@ -92,7 +92,7 @@ func equalResults(t *testing.T, label string, cfgs []Config, got, want []*Result
 
 // TestSweepMatchesSimulateMany checks the timing kernel's two outcome
 // sources against each other: over randomized programs for every registered
-// backend, the sweep's enrichment tables must drive the kernel to results
+// backend, the sweep's outcome streams must drive the kernel to results
 // bitwise-identical to live Sims under SimulateMany on the same trace —
 // every field, including cache statistics, misprediction counts and stall
 // breakdowns — over icache-only, predictor-only and cross-product grids,
@@ -491,17 +491,18 @@ func TestSweepFolding(t *testing.T) {
 }
 
 // TestSweepAllocLedger is the sweep's allocation ledger: the bytes one Sweep
-// call allocates must not grow with the trace, whether the enrichment fills
-// its chunk tables or an outcome memo does. It sweeps the serve-warm 4×4
-// history×icache grid over li at two scales whose traces are at least 4×
-// apart in events, and lets the longer trace allocate at most 25% more per
-// call than the shorter one: the programs differ a little between scales
-// (and so do their predecoded tables and predictor warm-up), while outcome
-// tables sized by the trace would grow with the events instead. A sweep
-// served from the memo builds no predictor or profiler, so it allocates at
-// least their table bytes less than a memo-less sweep. Each side is
-// measured as the runtime.MemStats.TotalAlloc delta over several calls
-// after a warm-up call has filled the lane-scratch pool (and the memo).
+// call allocates must not grow with the trace, whether the enrichment writes
+// its outcome streams or the lanes walk an outcome memo's. It sweeps the
+// serve-warm 4×4 history×icache grid over li at two scales whose traces are
+// at least 4× apart in events, and lets the longer trace allocate at most
+// 25% more per call than the shorter one: the programs differ a little
+// between scales (and so do their predecoded tables and predictor warm-up),
+// while outcome tables sized by the trace would grow with the events
+// instead. A sweep served from the memo builds no predictor or profiler, so
+// it allocates at least their table bytes less than a memo-less sweep. Each
+// side is measured as the runtime.MemStats.TotalAlloc delta over several
+// calls after a warm-up call has filled the lane-scratch pool (and the
+// memo).
 func TestSweepAllocLedger(t *testing.T) {
 	cfgs := historyICacheGrid(false)
 	perCall := func(tr *emu.Trace, memo *OutcomeMemo) uint64 {

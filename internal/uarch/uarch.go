@@ -219,7 +219,7 @@ type Sim struct {
 	prog   *isa.Program
 	policy backend.Policy
 	lp     []laneBlock // predecoded table at this Sim's issue width (shared, read-only)
-	noMiss []uint8     // zeroed load outcomes for shadow passes (shared, read-only)
+	noMiss []uint64    // zeroed load outcomes for shadow passes (shared, read-only)
 
 	// Live outcome source; unused on sweep lanes.
 	pred bpred.Predictor
@@ -235,9 +235,9 @@ type Sim struct {
 	win        []windowEntry // scr.win: ring buffer of in-flight blocks
 	winHead    int
 	winLen     int
-	winOps     int     // running in-flight (window) operation count
-	ldMiss     []uint8 // committed load outcomes: 1 = dcache miss
-	ldOff      int     // cursor into ldMiss
+	winOps     int      // running in-flight (window) operation count
+	ldMiss     []uint64 // committed load outcomes: a bit per load, set on a dcache miss
+	ldOff      int      // cursor into ldMiss: the next load's bit
 	mp         mispredict
 	res        Result
 
@@ -390,7 +390,7 @@ func (s *Sim) resolve(ev *emu.BlockEvent) *mispredict {
 	b := ev.Block
 	s.ldMiss, s.ldOff = s.ldMiss[:0], 0
 	if s.lp[b.ID].mem {
-		s.ldMiss = loadOutcomes(s.ldMiss, s.dc, b, ev.MemAddrs)
+		s.ldMiss, _ = loadOutcomes(s.ldMiss, 0, s.dc, b, ev.MemAddrs)
 	}
 	if ev.Next == isa.NoBlock || s.pred == nil {
 		return nil
@@ -415,8 +415,9 @@ func (s *Sim) resolve(ev *emu.BlockEvent) *mispredict {
 // loadOutcomes drives block b's committed memory accesses through dc in
 // operation order (every committed block executes all of its static loads
 // and stores, so memAddrs is exactly the access sequence) and appends one
-// byte per load to dst: 1 when it missed, 0 on a hit.
-func loadOutcomes(dst []uint8, dc *cache.Cache, b *isa.Block, memAddrs []uint32) []uint8 {
+// bit per load to the n-bit bitset dst, set when the load missed. It
+// returns the bitset and its new length.
+func loadOutcomes(dst []uint64, n int, dc *cache.Cache, b *isa.Block, memAddrs []uint32) ([]uint64, int) {
 	memIdx := 0
 	for i := range b.Ops {
 		switch b.Ops[i].Opcode {
@@ -426,11 +427,13 @@ func loadOutcomes(dst []uint8, dc *cache.Cache, b *isa.Block, memAddrs []uint32)
 				hit = dc.Access(memAddrs[memIdx])
 				memIdx++
 			}
-			var m uint8
-			if !hit {
-				m = 1
+			if n&63 == 0 {
+				dst = append(dst, 0)
 			}
-			dst = append(dst, m)
+			if !hit {
+				dst[n>>6] |= 1 << (n & 63)
+			}
+			n++
 		case isa.ST:
 			if memIdx < len(memAddrs) {
 				dc.Access(memAddrs[memIdx])
@@ -438,7 +441,7 @@ func loadOutcomes(dst []uint8, dc *cache.Cache, b *isa.Block, memAddrs []uint32)
 			}
 		}
 	}
-	return dst
+	return dst, n
 }
 
 // Window reports the in-flight occupancy — blocks and operations the window

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -54,7 +55,9 @@ func collectEvents(t *testing.T, tr *emu.Trace) []traceEvent {
 // property: for random (backend, workload, scale) draws, record a trace,
 // write it to a file and map it back, and require the mapped trace to replay
 // the recording's event stream and produce its timing result under a random
-// configuration. The seed is fixed so a failure reproduces.
+// configuration, and to re-encode to the bytes an independent second
+// recording of the program encodes to. The seed is fixed so a failure
+// reproduces.
 func TestMappedV3MatchesRecordedAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	benchNames := []string{"compress", "gcc", "go", "ijpeg", "li", "m88ksim", "perl", "vortex"}
@@ -91,6 +94,13 @@ func TestMappedV3MatchesRecordedAcrossBackends(t *testing.T) {
 			m, err := emu.OpenTraceFile(path, prog)
 			if err != nil {
 				t.Fatalf("%s/%s: open v3: %v", beName, name, err)
+			}
+			fresh, err := emu.Record(prog, emu.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(m.Trace().EncodeBytes(nil), fresh.EncodeBytes(nil)) {
+				t.Fatalf("%s/%s: the mapped trace re-encodes to other bytes than an independent fresh recording", beName, name)
 			}
 
 			want := collectEvents(t, tr)
