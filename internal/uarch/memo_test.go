@@ -251,6 +251,7 @@ func TestOutcomeStreams(t *testing.T) {
 		{ev: 24100, kind: mpFaultNoBlock, fetch: []int{5, 4, 3, 2, 1, 0}},
 		{ev: 24200, fetch: []int{1, 0, 0, 0, 0, 0}},
 		{ev: 24201, kind: mpFault, wrong: 5, wrongMiss: []int{9, 9, 2, 0, 0, 0}},
+		{ev: 24250, kind: mpFault, wrong: 4, wrongMiss: []int{1, 0, 0, 0, 0, 0}},
 	}
 	chunks := [][2]int{{0, 4096}, {4096, 24300}}
 	run := func(label string, levels int, outs []outcome) {
