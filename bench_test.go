@@ -243,12 +243,14 @@ func BenchmarkEmulator(b *testing.B) {
 }
 
 // BenchmarkTraceRecord measures committed-block trace capture: one
-// functional emulation plus the flat-slice event encoding.
+// functional emulation plus the flat-slice event encoding, with what it
+// allocates against the trace-bytes it keeps.
 func BenchmarkTraceRecord(b *testing.B) {
 	prog, err := compile.Compile(benchSource("li"), "li", compile.DefaultOptions(isa.Conventional))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var bytes int64
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -12,7 +13,9 @@ import (
 	"bsisa/internal/backend"
 	"bsisa/internal/compile"
 	"bsisa/internal/core"
+	"bsisa/internal/emu"
 	"bsisa/internal/isa"
+	"bsisa/internal/svc"
 	"bsisa/internal/workload"
 )
 
@@ -64,30 +67,8 @@ func imageLine(src, name string, be backend.Backend) (string, error) {
 // Static code does not depend on the workload scale, so this runs in -short
 // mode at the reference scale.
 func TestProgramImages(t *testing.T) {
-	f, err := os.Open(imagePins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			t.Fatalf("%s: malformed line %q", imagePins, line)
-		}
-		want[fields[0]+" "+fields[1]] = line
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	profiles := workload.Profiles(1.0)
-	if n := len(profiles) * len(backend.All()); len(want) != n {
-		t.Fatalf("%s pins %d images, want %d (benchmarks × backends)", imagePins, len(want), n)
-	}
-	for _, prof := range profiles {
+	want := readPins(t, imagePins)
+	for _, prof := range workload.Profiles(1.0) {
 		src, err := workload.Source(prof)
 		if err != nil {
 			t.Fatal(err)
@@ -99,6 +80,110 @@ func TestProgramImages(t *testing.T) {
 			}
 			if w := want[prof.Name+" "+be.Name()]; got != w {
 				t.Errorf("%s/%s image changed:\n got  %s\n want %s", prof.Name, be.Name(), got, w)
+			}
+		}
+	}
+}
+
+// readPins reads a pin file into a map from "benchmark backend" to its
+// line, and requires one line per Table-2 benchmark × registered backend.
+func readPins(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		fields := strings.Fields(line)
+		if len(fields) < 4 {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		want[fields[0]+" "+fields[1]] = line
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(workload.Profiles(1.0)) * len(backend.All()); len(want) != n {
+		t.Fatalf("%s pins %d lines, want %d (benchmarks × backends)", path, len(want), n)
+	}
+	return want
+}
+
+// tracePins holds one line per Table-2 benchmark × registered backend at
+// traceImageScale: the benchmark, the backend name, the recorded trace's
+// event count and Footprint, and the SHA-256 of its trace file without aux
+// sections ("bare") and with the program section ("stored"), which is the
+// file Store.SaveTrace writes. Like imagePins it is never rewritten by a
+// test: the file format, and so these bytes, change only by hand.
+const tracePins = "testdata/trace_images.txt"
+
+// traceImageScale is small enough that the 32 recordings take about a
+// second, and large enough that every column spans several recording chunks.
+const traceImageScale = 0.05
+
+// TestTraceImages is the byte-level guard for recording and the trace
+// encoder: every benchmark's trace under every backend must hash to its
+// pinned values, and Trace.Encode and Store.SaveTrace must write exactly
+// the bytes EncodeBytes returns.
+func TestTraceImages(t *testing.T) {
+	want := readPins(t, tracePins)
+	st, err := svc.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prof := range workload.Profiles(traceImageScale) {
+		src, err := workload.Source(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range backend.All() {
+			name := prof.Name + "/" + be.Name()
+			prog, err := compile.Compile(src, prof.Name, compile.DefaultOptions(be.Kind()))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if _, err := be.Shape(prog, core.Params{}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tr, err := emu.Record(prog, emu.Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sec, err := emu.ProgramSection(prog)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			bare, stored := tr.EncodeBytes(nil), tr.EncodeBytes([]emu.AuxSection{sec})
+			got := fmt.Sprintf("%s %s events=%d footprint=%d bare=%x stored=%x",
+				prof.Name, be.Name(), tr.NumEvents(), tr.Footprint(), sha256.Sum256(bare), sha256.Sum256(stored))
+			if w := want[prof.Name+" "+be.Name()]; got != w {
+				t.Errorf("%s trace image changed:\n got  %s\n want %s", name, got, w)
+			}
+
+			for _, c := range []struct {
+				aux  []emu.AuxSection
+				want []byte
+			}{{nil, bare}, {[]emu.AuxSection{sec}, stored}} {
+				var buf bytes.Buffer
+				n, err := tr.Encode(&buf, c.aux)
+				if err != nil || n != int64(buf.Len()) || !bytes.Equal(buf.Bytes(), c.want) {
+					t.Errorf("%s: Encode with %d aux sections wrote %d bytes (reported %d, err %v) that differ from EncodeBytes's %d",
+						name, len(c.aux), buf.Len(), n, err, len(c.want))
+				}
+			}
+			if err := st.SaveTrace(name, tr, nil); err != nil {
+				t.Fatal(err)
+			}
+			file, err := os.ReadFile(st.FilePath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, stored) {
+				t.Errorf("%s: SaveTrace wrote a %d-byte file that differs from EncodeBytes's %d bytes", name, len(file), len(stored))
 			}
 		}
 	}

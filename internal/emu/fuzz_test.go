@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -15,9 +16,10 @@ import (
 // program it was recorded from, and with no program, so the decoder reads
 // one from the program section. In both modes it must never panic, every
 // failure must wrap ErrBadTrace, a decoded trace must replay, and a borrowed
-// (zero-copy) trace's every column must lie inside the buffer it was handed
-// — the decoder builds those columns with unsafe and nothing else bounds
-// them. Inputs are decoded from an 8-byte-aligned copy, as a mapping is, so
+// (zero-copy) trace's every column and every aux section must lie inside
+// the buffer it was handed — the decoder builds those columns with unsafe
+// and nothing else bounds them, and a section that strayed outside would
+// outlive the mapping it claims to alias. Inputs are decoded from an 8-byte-aligned copy, as a mapping is, so
 // the aliasing path runs.
 func FuzzDecodeTrace(f *testing.F) {
 	prog, err := compile.Compile(testgen.Program(9021), "fuzz", compile.DefaultOptions(isa.Conventional))
@@ -54,7 +56,7 @@ func FuzzDecodeTrace(f *testing.F) {
 // requireSafeDecode decodes buf against prog (nil: the program section) and
 // holds the result to FuzzDecodeTrace's contract.
 func requireSafeDecode(t *testing.T, buf []byte, prog *isa.Program) {
-	got, _, err := DecodeTrace(buf, prog)
+	got, aux, err := DecodeTrace(buf, prog)
 	if err != nil {
 		if !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("decode failure does not wrap ErrBadTrace (program given: %v): %v", prog != nil, err)
@@ -62,25 +64,30 @@ func requireSafeDecode(t *testing.T, buf []byte, prog *isa.Program) {
 		return
 	}
 	if got.Borrowed() {
-		for _, col := range []struct {
+		type span struct {
 			name string
 			p    unsafe.Pointer
 			size uintptr
-		}{
-			{"blocks", unsafe.Pointer(unsafe.SliceData(got.blocks)), uintptr(len(got.blocks)) * unsafe.Sizeof(got.blocks[0])},
-			{"succIdx", unsafe.Pointer(unsafe.SliceData(got.succIdx)), uintptr(len(got.succIdx)) * unsafe.Sizeof(got.succIdx[0])},
-			{"taken", unsafe.Pointer(unsafe.SliceData(got.taken)), uintptr(len(got.taken)) * unsafe.Sizeof(got.taken[0])},
-			{"mem", unsafe.Pointer(unsafe.SliceData(got.mem)), uintptr(len(got.mem)) * unsafe.Sizeof(got.mem[0])},
-			{"memCnt", unsafe.Pointer(unsafe.SliceData(got.memCnt)), uintptr(len(got.memCnt)) * unsafe.Sizeof(got.memCnt[0])},
-		} {
-			if col.size == 0 {
+		}
+		spans := []span{
+			{"column blocks", unsafe.Pointer(unsafe.SliceData(got.blocks)), uintptr(len(got.blocks)) * unsafe.Sizeof(got.blocks[0])},
+			{"column succIdx", unsafe.Pointer(unsafe.SliceData(got.succIdx)), uintptr(len(got.succIdx)) * unsafe.Sizeof(got.succIdx[0])},
+			{"column taken", unsafe.Pointer(unsafe.SliceData(got.taken)), uintptr(len(got.taken)) * unsafe.Sizeof(got.taken[0])},
+			{"column mem", unsafe.Pointer(unsafe.SliceData(got.mem)), uintptr(len(got.mem)) * unsafe.Sizeof(got.mem[0])},
+			{"column memCnt", unsafe.Pointer(unsafe.SliceData(got.memCnt)), uintptr(len(got.memCnt)) * unsafe.Sizeof(got.memCnt[0])},
+		}
+		for _, s := range aux {
+			spans = append(spans, span{fmt.Sprintf("aux section %d", s.Tag), unsafe.Pointer(unsafe.SliceData(s.Data)), uintptr(len(s.Data))})
+		}
+		for _, s := range spans {
+			if s.size == 0 {
 				continue
 			}
 			lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
-			start := uintptr(col.p)
-			if start < lo || start+col.size > lo+uintptr(len(buf)) {
-				t.Fatalf("borrowed column %s [%#x, %#x) lies outside the %d-byte input at %#x",
-					col.name, start, start+col.size, len(buf), lo)
+			start := uintptr(s.p)
+			if start < lo || start+s.size > lo+uintptr(len(buf)) {
+				t.Fatalf("borrowed %s [%#x, %#x) lies outside the %d-byte input at %#x",
+					s.name, start, start+s.size, len(buf), lo)
 			}
 		}
 	}

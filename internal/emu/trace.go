@@ -54,14 +54,26 @@ func Record(prog *isa.Program, cfg Config) (*Trace, error) {
 
 // RecordContext is Record with cooperative cancellation: every replayChunk
 // events it checks ctx and stops with ctx.Err() once the context is done.
+//
+// The events are appended to chunked columns (column) and, once the run
+// ends, copied into one exact-size slice per column, so a recording
+// allocates each column about twice: its chunks and the final copy
+// (TestRecordAllocLedger).
 func RecordContext(ctx context.Context, prog *isa.Program, cfg Config) (*Trace, error) {
 	t := &Trace{prog: prog, cfg: cfg}
 	t.memCnt = make([]int32, len(prog.Blocks))
 	for id, b := range prog.Blocks {
 		t.memCnt[id] = staticMemCount(b)
 	}
+	var (
+		blocks  column[isa.BlockID]
+		succIdx column[int16]
+		taken   column[bool]
+		mem     column[uint32]
+		events  int
+	)
 	res, err := New(prog, cfg).Run(func(ev *BlockEvent) error {
-		if len(t.blocks)&(replayChunk-1) == 0 {
+		if events&(replayChunk-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -73,17 +85,74 @@ func RecordContext(ctx context.Context, prog *isa.Program, cfg Config) (*Trace, 
 		if ev.SuccIdx < math.MinInt16 || ev.SuccIdx > math.MaxInt16 {
 			return fmt.Errorf("emu: trace: B%d successor index %d overflows", ev.Block.ID, ev.SuccIdx)
 		}
-		t.blocks = append(t.blocks, ev.Block.ID)
-		t.succIdx = append(t.succIdx, int16(ev.SuccIdx))
-		t.taken = append(t.taken, ev.Taken)
-		t.mem = append(t.mem, ev.MemAddrs...)
+		blocks.push(ev.Block.ID)
+		succIdx.push(int16(ev.SuccIdx))
+		taken.push(ev.Taken)
+		mem.pushAll(ev.MemAddrs)
+		events++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	t.blocks, t.succIdx, t.taken, t.mem = blocks.slice(), succIdx.slice(), taken.slice(), mem.slice()
 	t.result = res
 	return t, nil
+}
+
+// A column's first chunk holds minChunk entries, so a ten-event recording
+// stays small, and each later chunk a quarter of the entries recorded
+// before it, between minChunk and maxChunk. The last chunk's unused tail is
+// then at most the larger of minChunk entries and a quarter of the column,
+// and at most maxChunk entries; doubling chunks could leave as many entries
+// unused as the column holds.
+const (
+	minChunk = 1 << 10
+	maxChunk = 1 << 16
+)
+
+// column accumulates one recorded column in chunks. A filled chunk is never
+// copied again until slice copies every chunk, once, into the final column.
+type column[T any] struct {
+	done [][]T // filled chunks, in order
+	n    int   // entries in done
+	cur  []T   // the chunk being filled
+}
+
+// grow retires the filled current chunk and starts the next.
+func (c *column[T]) grow() {
+	if c.cur != nil {
+		c.done = append(c.done, c.cur)
+		c.n += len(c.cur)
+	}
+	c.cur = make([]T, 0, min(maxChunk, max(minChunk, c.n/4)))
+}
+
+func (c *column[T]) push(v T) {
+	if len(c.cur) == cap(c.cur) {
+		c.grow()
+	}
+	c.cur = append(c.cur, v)
+}
+
+func (c *column[T]) pushAll(vs []T) {
+	for len(vs) > 0 {
+		if len(c.cur) == cap(c.cur) {
+			c.grow()
+		}
+		k := copy(c.cur[len(c.cur):cap(c.cur)], vs)
+		c.cur = c.cur[:len(c.cur)+k]
+		vs = vs[k:]
+	}
+}
+
+// slice copies the column into one slice whose length is its capacity.
+func (c *column[T]) slice() []T {
+	out := make([]T, 0, c.n+len(c.cur))
+	for _, ch := range c.done {
+		out = append(out, ch...)
+	}
+	return append(out, c.cur...)
 }
 
 // Replay delivers the recorded committed stream to handler, reconstructing
@@ -175,8 +244,9 @@ func (t *Trace) EmuResult() *Result { return t.result }
 // NumEvents returns the number of committed blocks in the trace.
 func (t *Trace) NumEvents() int { return len(t.blocks) }
 
-// Footprint returns the approximate in-memory size of the trace in bytes,
-// for capacity planning and progress reporting.
+// Footprint returns the size of the trace's columns in bytes, for capacity
+// planning and progress reporting. It is exact: a recorded trace's columns
+// are exact-size slices, and a decoded trace's are its file's columns.
 func (t *Trace) Footprint() int64 {
 	return int64(len(t.blocks))*7 + int64(len(t.mem))*4 + int64(len(t.memCnt))*4
 }

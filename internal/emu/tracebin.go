@@ -112,18 +112,6 @@ func appendTraceResult(buf []byte, res *Result) []byte {
 	return binary.AppendVarint(buf, res.ReturnValue)
 }
 
-// appendTraceAux appends the tail's aux-section encoding: a section count,
-// then per section tag · length · bytes.
-func appendTraceAux(buf []byte, aux []AuxSection) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(aux)))
-	for _, s := range aux {
-		buf = binary.AppendUvarint(buf, s.Tag)
-		buf = binary.AppendUvarint(buf, uint64(len(s.Data)))
-		buf = append(buf, s.Data...)
-	}
-	return buf
-}
-
 // traceReader walks an encoded tail with bounds-checked varint reads.
 type traceReader struct {
 	data []byte
@@ -157,9 +145,8 @@ func (r *traceReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// readResult parses the result encoding. Aux data is always copied out of
-// the input buffer, never aliased, so results and aux sections stay valid
-// after a mapped buffer is unmapped.
+// readResult parses the result encoding. The result is built on the heap,
+// so it stays valid after a mapped buffer is unmapped.
 func (r *traceReader) readResult() (*Result, error) {
 	present, err := r.uvarint()
 	if err != nil {
@@ -200,7 +187,8 @@ func (r *traceReader) readResult() (*Result, error) {
 }
 
 // readAux parses the aux-section encoding (canonical form: a nonzero
-// count, strictly increasing tags). Section data is copied, never aliased.
+// count, strictly increasing tags). Section data aliases the input buffer,
+// as a borrowed trace's columns do.
 func (r *traceReader) readAux() ([]AuxSection, error) {
 	cnt, err := r.uvarint()
 	if err != nil {
@@ -231,7 +219,7 @@ func (r *traceReader) readAux() ([]AuxSection, error) {
 		if err != nil {
 			return nil, err
 		}
-		aux = append(aux, AuxSection{Tag: tag, Data: append([]byte(nil), raw...)})
+		aux = append(aux, AuxSection{Tag: tag, Data: raw})
 	}
 	return aux, nil
 }
@@ -251,9 +239,10 @@ func (r *traceReader) readAux() ([]AuxSection, error) {
 // undecoded.
 //
 // On a little-endian host with an 8-byte-aligned buffer the trace decodes by
-// aliasing: its event columns point into data (Borrowed reports true), so
-// data must stay immutable and mapped for the trace's lifetime. Misaligned
-// buffers and big-endian hosts decode into fresh heap slices.
+// aliasing: its event columns and the aux sections' data point into data
+// (Borrowed reports true), so data must stay immutable and mapped for as
+// long as either is used. Misaligned buffers and big-endian hosts decode
+// into fresh heap slices.
 func DecodeTrace(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	if len(data) < v3HeaderLen {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrBadTrace, len(data))

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math/bits"
 	"unsafe"
 
 	"bsisa/internal/isa"
@@ -93,70 +95,229 @@ func (l v3Layout) columns(data []byte) [v3NumCols][]byte {
 	}
 }
 
-// EncodeBytes serializes the trace (and any aux sections) into a fresh
-// checksummed buffer in the fixed-stride layout. Section tags must be
+// Encode writes the trace (and any aux sections) to w in the fixed-stride
+// layout and returns the number of bytes written. It streams the file from
+// the trace's columns through a staging buffer of at most encodeStage
+// bytes, so no image of the file is built in memory. Section tags must be
 // strictly increasing — the canonical form DecodeTrace enforces;
 // Store.AttachAux maintains it.
+func (t *Trace) Encode(w io.Writer, aux []AuxSection) (int64, error) {
+	l, result, size := t.encodedLayout(aux)
+	e := &v3Encoder{w: w, stage: make([]byte, 0, min(size, encodeStage)), open: -1}
+	t.encode(e, l, result, aux)
+	e.flush()
+	return e.written, e.err
+}
+
+// EncodeBytes is Encode into one fresh buffer of exactly the file's size.
 func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
+	l, result, size := t.encodedLayout(aux)
+	e := &v3Encoder{stage: make([]byte, 0, size), open: -1}
+	t.encode(e, l, result, aux)
+	return e.stage
+}
+
+// encodeStage caps Encode's staging buffer.
+const encodeStage = 64 << 10
+
+// encodedLayout returns the trace's column layout, its result's tail
+// encoding, and the size of the whole file with the given aux sections.
+func (t *Trace) encodedLayout(aux []AuxSection) (v3Layout, []byte, int) {
 	l, err := v3LayoutFor(uint64(len(t.blocks)), uint64(len(t.memCnt)), uint64(len(t.mem)), 1<<62)
 	if err != nil {
 		// Unreachable for any trace that fits in memory.
 		panic(err)
 	}
-	auxLen := 0
-	for _, s := range aux {
-		auxLen += len(s.Data) + 2*binary.MaxVarintLen64
-	}
-	buf := make([]byte, l.tailOff, l.tailOff+v3MinTailLen+64+auxLen)
-	le := binary.LittleEndian
-
-	copy(buf, traceMagic)
-	buf[4] = traceVersion3
+	result := appendTraceResult(nil, t.result)
+	size := l.tailOff + len(result) + 4*v3NumCols + traceTrailerLen
 	if len(aux) > 0 {
-		buf[5] = flagAux
-	}
-	le.PutUint64(buf[8:], uint64(t.cfg.MaxOps))
-	le.PutUint64(buf[16:], uint64(len(t.blocks)))
-	le.PutUint64(buf[24:], uint64(len(t.memCnt)))
-	le.PutUint64(buf[32:], uint64(len(t.mem)))
-	le.PutUint64(buf[40:], v3BodyOff)
-	le.PutUint64(buf[48:], uint64(l.tailOff))
-	le.PutUint32(buf[60:], crc32.Checksum(buf[:60], crcTable))
-
-	for i, id := range t.blocks {
-		le.PutUint32(buf[l.blocksOff+4*i:], uint32(id))
-	}
-	for i, s := range t.succIdx {
-		le.PutUint16(buf[l.succOff+2*i:], uint16(s))
-	}
-	for i, tk := range t.taken {
-		if tk {
-			buf[l.takenOff+i] = 1
+		size += uvarintLen(uint64(len(aux)))
+		for _, s := range aux {
+			size += uvarintLen(s.Tag) + uvarintLen(uint64(len(s.Data))) + len(s.Data)
 		}
 	}
-	for i, a := range t.mem {
-		le.PutUint32(buf[l.memOff+4*i:], a)
-	}
-	for i, n := range t.memCnt {
-		le.PutUint32(buf[l.memCntOff+4*i:], uint32(n))
-	}
+	return l, result, size
+}
 
-	buf = appendTraceResult(buf, t.result)
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// encode emits the file: header, the five columns with their zero
+// padding, then the tail.
+func (t *Trace) encode(e *v3Encoder, l v3Layout, result []byte, aux []AuxSection) {
+	le := binary.LittleEndian
+	h := e.next(v3HeaderLen)
+	clear(h)
+	copy(h, traceMagic)
+	h[4] = traceVersion3
 	if len(aux) > 0 {
-		buf = appendTraceAux(buf, aux)
+		h[5] = flagAux
 	}
-	for _, col := range l.columns(buf) {
-		buf = le.AppendUint32(buf, crc32.Checksum(col, crcTable))
+	le.PutUint64(h[8:], uint64(t.cfg.MaxOps))
+	le.PutUint64(h[16:], uint64(len(t.blocks)))
+	le.PutUint64(h[24:], uint64(len(t.memCnt)))
+	le.PutUint64(h[32:], uint64(len(t.mem)))
+	le.PutUint64(h[40:], v3BodyOff)
+	le.PutUint64(h[48:], uint64(l.tailOff))
+	le.PutUint32(h[60:], crc32.Checksum(h[:60], crcTable))
+
+	var crcs [v3NumCols]uint32
+	e.begin(l.blocksOff)
+	putColumn(e, t.blocks)
+	crcs[0] = e.end()
+	e.begin(l.succOff)
+	putColumn(e, t.succIdx)
+	crcs[1] = e.end()
+	e.begin(l.takenOff)
+	// A bool is one byte holding 0 or 1, which is the taken column's
+	// encoding; the decoder aliases the column the same way.
+	e.raw(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t.taken))), len(t.taken)))
+	crcs[2] = e.end()
+	e.begin(l.memOff)
+	putColumn(e, t.mem)
+	crcs[3] = e.end()
+	e.begin(l.memCntOff)
+	putColumn(e, t.memCnt)
+	crcs[4] = e.end()
+
+	// The tail: result, aux sections, the column CRCs, and the CRC of all
+	// three.
+	e.begin(l.tailOff)
+	e.raw(result)
+	if len(aux) > 0 {
+		e.uvarint(uint64(len(aux)))
+		for _, s := range aux {
+			e.uvarint(s.Tag)
+			e.uvarint(uint64(len(s.Data)))
+			e.raw(s.Data)
+		}
 	}
-	return le.AppendUint32(buf, crc32.Checksum(buf[l.tailOff:], crcTable))
+	for _, c := range crcs {
+		le.PutUint32(e.next(4), c)
+	}
+	tail := e.end()
+	le.PutUint32(e.next(4), tail)
+}
+
+// v3Encoder stages the bytes of one file and writes them to w whenever the
+// stage fills. Without a w, the stage is the whole file: EncodeBytes sizes
+// it exactly, so it never fills. CRC-32Cs are folded over the staged bytes
+// of one section at a time — a column, or the tail — between begin and
+// end.
+type v3Encoder struct {
+	w       io.Writer
+	stage   []byte
+	written int64 // bytes handed to w
+	err     error // first error from w
+
+	crc  uint32 // running CRC-32C of the open section
+	open int    // stage offset the CRC has folded up to; -1 with no section open
+}
+
+// pos is the file offset of the next byte.
+func (e *v3Encoder) pos() int { return int(e.written) + len(e.stage) }
+
+// fold adds the open section's staged bytes to its CRC.
+func (e *v3Encoder) fold() {
+	if e.open >= 0 {
+		e.crc = crc32.Update(e.crc, crcTable, e.stage[e.open:])
+		e.open = len(e.stage)
+	}
+}
+
+// zeroPad is the longest padding a file holds, between header and body.
+var zeroPad [v3BodyOff - v3HeaderLen]byte
+
+// begin stages zero padding up to file offset off and opens a section there.
+func (e *v3Encoder) begin(off int) {
+	e.raw(zeroPad[:off-e.pos()])
+	e.crc, e.open = 0, len(e.stage)
+}
+
+// end closes the open section and returns its CRC-32C.
+func (e *v3Encoder) end() uint32 {
+	e.fold()
+	e.open = -1
+	return e.crc
+}
+
+// flush writes the stage to w and empties it. After a write error the
+// stage is dropped unwritten; Encode returns that error.
+func (e *v3Encoder) flush() {
+	if e.w == nil {
+		panic("emu: trace encoding outgrew its exact-size buffer")
+	}
+	e.fold()
+	if e.err == nil && len(e.stage) > 0 {
+		n, err := e.w.Write(e.stage)
+		if err == nil && n < len(e.stage) {
+			err = io.ErrShortWrite
+		}
+		e.written += int64(n)
+		e.err = err
+	}
+	e.stage = e.stage[:0]
+	if e.open >= 0 {
+		e.open = 0
+	}
+}
+
+// putColumn stages col's little-endian encoding, a stage-full at a time.
+func putColumn[T isa.BlockID | int16 | int32 | uint32](e *v3Encoder, col []T) {
+	width := int(unsafe.Sizeof(T(0)))
+	for len(col) > 0 {
+		if cap(e.stage)-len(e.stage) < width {
+			e.flush()
+		}
+		free := e.stage[len(e.stage):cap(e.stage)]
+		n := min(len(col), len(free)/width)
+		if width == 2 {
+			for i, v := range col[:n] {
+				binary.LittleEndian.PutUint16(free[2*i:], uint16(v))
+			}
+		} else {
+			for i, v := range col[:n] {
+				binary.LittleEndian.PutUint32(free[4*i:], uint32(v))
+			}
+		}
+		e.stage = e.stage[:len(e.stage)+width*n]
+		col = col[n:]
+	}
+}
+
+// next returns the stage space for the next k bytes, k ≤ encodeStage. The
+// caller writes every one of them.
+func (e *v3Encoder) next(k int) []byte {
+	if len(e.stage)+k > cap(e.stage) {
+		e.flush()
+	}
+	n := len(e.stage)
+	e.stage = e.stage[:n+k]
+	return e.stage[n:]
+}
+
+// raw stages p.
+func (e *v3Encoder) raw(p []byte) {
+	for len(p) > 0 {
+		if len(e.stage) == cap(e.stage) {
+			e.flush()
+		}
+		n := copy(e.stage[len(e.stage):cap(e.stage)], p)
+		e.stage = e.stage[:len(e.stage)+n]
+		p = p[n:]
+	}
+}
+
+func (e *v3Encoder) uvarint(x uint64) {
+	var b [binary.MaxVarintLen64]byte
+	e.raw(b[:binary.PutUvarint(b[:], x)])
 }
 
 // decodeTraceV3 validates a fixed-stride buffer whose magic and version
 // DecodeTrace has checked, and builds a Trace over it (reading the program
 // from its section when prog is nil). On a little-endian host with an
-// 8-byte-aligned buffer the trace's columns alias data directly (the
-// zero-copy path every mmap hits — mappings are page-aligned); otherwise the
-// columns are copied out.
+// 8-byte-aligned buffer the trace's columns and the aux sections' data
+// alias data directly (the zero-copy path every mmap hits — mappings are
+// page-aligned); otherwise both are copied out.
 func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	le := binary.LittleEndian
 	if got, want := crc32.Checksum(data[:60], crcTable), le.Uint32(data[60:]); got != want {
@@ -212,7 +373,8 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 		}
 	}
 
-	// Tail payload: result and aux sections (both copied, never aliased).
+	// Tail payload: the result (built on the heap) and the aux sections
+	// (aliasing data until the copying fallback below).
 	r := &traceReader{data: data[:crcOff], pos: l.tailOff}
 	result, err := r.readResult()
 	if err != nil {
@@ -253,6 +415,9 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 		t.mem = aliasSlice[uint32](cols[3], l.memTotal)
 		t.memCnt = aliasSlice[int32](cols[4], l.numBlocks)
 	} else {
+		for i := range aux {
+			aux[i].Data = append([]byte(nil), aux[i].Data...)
+		}
 		t.blocks = make([]isa.BlockID, l.numEvents)
 		t.succIdx = make([]int16, l.numEvents)
 		t.taken = make([]bool, l.numEvents)

@@ -82,8 +82,9 @@ func OpenTraceFile(path string, prog *isa.Program) (*TraceMapping, error) {
 // true, so it must only be used while the caller holds a reference.
 func (m *TraceMapping) Trace() *Trace { return m.tr }
 
-// Aux returns the file's aux sections. Section data is always copied at
-// decode time, never aliased, so it stays valid after the mapping closes.
+// Aux returns the file's aux sections. Their data aliases the mapping when
+// ZeroCopy is true, so, like Trace, it is valid only while the caller holds
+// a reference, not after the mapping closes.
 func (m *TraceMapping) Aux() []AuxSection { return m.aux }
 
 // ZeroCopy reports whether the trace aliases mapped pages (true) or was

@@ -22,10 +22,10 @@ import (
 // — the predecode write-through updates the file, not this struct, so
 // readers never race.
 //
-// A store-served trace (mapped != nil) aliases read-only mmapped pages; the
-// refcounted hooks forward to the mapping so the artifact cache and every
-// in-flight job each hold a reference, and the file is unmapped only after
-// the last of them releases.
+// A store-served trace (mapped != nil) and its aux sections alias read-only
+// mmapped pages; the refcounted hooks forward to the mapping so the artifact
+// cache and every in-flight job each hold a reference, and the file is
+// unmapped only after the last of them releases.
 //
 // memo is the trace's outcome memo, which sweeps of the cached trace read
 // and fill (it synchronizes itself). It lives and is evicted with the

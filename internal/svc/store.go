@@ -164,7 +164,9 @@ type MappedTrace = emu.TraceMapping
 //
 // The program's isa.Encode image (emu.ProgramSection) is written in the same
 // file as the recording. When aux already starts with that section (AttachAux
-// passes the file's own sections back), it is kept as it is.
+// passes the file's own sections back), it is kept as it is. The file is
+// streamed into the temp file (emu.Trace.Encode), so no image of it is held
+// in memory.
 func (s *Store) SaveTrace(key string, tr *emu.Trace, aux []emu.AuxSection) error {
 	if len(aux) == 0 || aux[0].Tag != emu.ProgramTag {
 		sec, err := emu.ProgramSection(tr.Program())
@@ -173,12 +175,11 @@ func (s *Store) SaveTrace(key string, tr *emu.Trace, aux []emu.AuxSection) error
 		}
 		aux = append([]emu.AuxSection{sec}, aux...)
 	}
-	blob := tr.EncodeBytes(aux)
 	tmp, err := os.CreateTemp(s.dir, ".bstr-tmp-*")
 	if err != nil {
 		return fmt.Errorf("svc: store: %w", err)
 	}
-	_, werr := tmp.Write(blob)
+	n, werr := tr.Encode(tmp, aux)
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -195,7 +196,7 @@ func (s *Store) SaveTrace(key string, tr *emu.Trace, aux []emu.AuxSection) error
 	}
 	syncDir(s.dir)
 	s.writes.Add(1)
-	s.bytesWritten.Add(int64(len(blob)))
+	s.bytesWritten.Add(n)
 	s.maybeGC()
 	return nil
 }
@@ -303,16 +304,16 @@ func (s *Store) isLive(path string) bool {
 // one file serves the predecode table of every issue width swept against it.
 //
 // The current sections are read through a private mapping of the file, never
-// a heap copy of it (section data is copied at decode), and the mapping is
-// released before the write. The read bypasses the store's tiers, so it moves
-// none of the hit or map counters.
+// a heap copy of it: their data aliases the mapping, so the mapping is
+// released only after the rewrite has read them. The read bypasses the
+// store's tiers, so it moves none of the hit or map counters.
 func (s *Store) AttachAux(key string, tr *emu.Trace, sec emu.AuxSection) error {
 	var sections []emu.AuxSection
 	if m, err := emu.OpenTraceFile(s.path(key), tr.Program()); err == nil {
+		defer m.Release()
 		if m.Trace().EmuConfig() == tr.EmuConfig() {
 			sections = m.Aux()
 		}
-		m.Release()
 	}
 	merged := make([]emu.AuxSection, 0, len(sections)+1)
 	inserted := false

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"bsisa/internal/emu"
 	"bsisa/internal/isa"
 	"bsisa/internal/testgen"
+	"bsisa/internal/workload"
 )
 
 // storeTrace records a small deterministic trace for store tests.
@@ -264,6 +266,46 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatal("attach-to-missing-file trace not served")
 	}
 	requireSame(t, tr, got, []emu.AuxSection{{Tag: 8, Data: []byte("solo")}}, gotAux)
+}
+
+// TestSaveTraceAllocs holds SaveTrace to streaming its file: writing li's
+// trace allocates less than half the file it writes, chiefly the program
+// section's image and one staging buffer. Building the file in memory
+// first allocated more than the whole file.
+func TestSaveTraceAllocs(t *testing.T) {
+	prof, ok := workload.ProfileByName("li", 0.05)
+	if !ok {
+		t.Fatal("no li profile")
+	}
+	src, err := workload.Source(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compile.Compile(src, "li", compile.DefaultOptions(isa.Conventional))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := emu.Record(prog, emu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := traceKey("li", 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = st.SaveTrace(key, tr, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, size := int64(after.TotalAlloc-before.TotalAlloc), fileSize(t, st, key)
+	t.Logf("SaveTrace allocated %d B to write a %d B file", alloc, size)
+	if 2*alloc >= size {
+		t.Errorf("SaveTrace allocated %d B to write a %d B file, want less than half", alloc, size)
+	}
 }
 
 // TestStoreRejectsMismatchedContent covers the two "right checksum, wrong
