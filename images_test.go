@@ -32,7 +32,7 @@ const imagePins = "testdata/program_images.txt"
 // renders its pin line. It also requires the image, decoded and laid out,
 // to be the program field for field: that is how a restarted bsimd gets the
 // program out of a trace store file.
-func imageLine(src, name string, be backend.Backend) (string, error) {
+func imageLine(src, name string, be *backend.Backend) (string, error) {
 	prog, err := compile.Compile(src, name, compile.DefaultOptions(be.Kind()))
 	if err != nil {
 		return "", err

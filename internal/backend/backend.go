@@ -1,6 +1,6 @@
-// Package backend is the registry of ISA backends. A backend bundles the
-// three per-ISA decisions every layer asks it for instead of switching on an
-// isa.Kind:
+// Package backend is the table of ISA backends, one entry per isa.Kind. A
+// backend bundles the three per-ISA decisions the layers above the shared
+// middle end look up by kind:
 //
 //   - compile-side block shaping: the pass that runs after code generation
 //     (the paper's block enlarger for the block-structured ISA, the
@@ -8,22 +8,19 @@
 //     together with the provenance trail internal/check audits;
 //
 //   - the uarch fetch policy: which branch predictor the front end uses,
-//     whether fetch may speculate past unresolved control transfers, whether
-//     decode fuses adjacent dependent pairs, and the per-block header bytes
-//     the icache footprint pays;
+//     whether fetch may speculate past unresolved control transfers, and
+//     whether decode fuses adjacent dependent pairs;
 //
 //   - the service/CLI surface: the canonical name and aliases `-isa`,
 //     `bsc -target` and svc.ProgramSpec.ISA accept.
 //
 // conv and bsa are the paper's pair. basicblocker (Thoma et al.) and fused
-// (Celio et al.'s macro-op fusion) are the third and fourth backends; the
-// next ones (decoupled front end, variable fetch rate) plug into the same
-// interface.
+// (Celio et al.'s macro-op fusion) are the third and fourth backends.
 package backend
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"bsisa/internal/core"
@@ -55,7 +52,9 @@ func (p PredictorSel) String() string {
 }
 
 // Policy is a backend's uarch fetch contract. It is pure data: the timing
-// model consumes it, backends never see timing state.
+// model consumes it, backends never see timing state. Block headers are not
+// part of it: they reach the icache through the block sizes isa's layout
+// derives from isa.Kind.HeaderBytes.
 type Policy struct {
 	// Predictor selects the branch-predictor family.
 	Predictor PredictorSel
@@ -68,125 +67,124 @@ type Policy struct {
 	// dependent pairs matching Celio's patterns occupy one FU slot and one
 	// window slot. Retired operation counts stay architectural.
 	FuseMacroOps bool
-	// HeaderBytes echoes the kind's per-block encoded header cost (isa's
-	// EncodedSize is the layout authority; this lets audits and reports see
-	// it without switching on the kind).
-	HeaderBytes uint32
 }
 
 // Backend is one ISA target: everything outside the shared middle end that
 // distinguishes how programs are shaped, fetched and audited.
-type Backend interface {
-	// Name is the canonical identifier (svc.ProgramSpec.ISA, bsc -target).
-	// It equals Kind().String().
-	Name() string
-	// Aliases are additional accepted spellings.
-	Aliases() []string
-	// Kind is the isa-level program kind the backend compiles to.
-	Kind() isa.Kind
-	// Description is a one-line summary for docs and CLI listings.
-	Description() string
-	// Shape runs the backend's compile-side block shaping pass in place on
-	// a freshly generated program of this backend's kind, returning the
-	// pass statistics and provenance for auditing (nil stats when the
-	// backend has no shaping pass). Shape lays out and validates the
-	// program before returning.
-	Shape(p *isa.Program, params core.Params) (*core.Stats, error)
-	// AcceptsParams reports whether Shape honors core.Params (the service's
-	// enlarge spec is only legal for such backends).
-	AcceptsParams() bool
-	// Policy is the backend's uarch fetch contract.
-	Policy() Policy
+type Backend struct {
+	kind    isa.Kind
+	tag     string
+	aliases []string
+	params  bool
+	policy  Policy
+	shape   func(p *isa.Program, params core.Params) (*core.Stats, error)
 }
 
-// registry holds backends in registration order; name/alias lookup is
-// case-sensitive, matching the service's historical behavior.
-var (
-	order  []Backend
-	byName = map[string]Backend{}
-	byKind = map[isa.Kind]Backend{}
-)
+// backends holds every backend at its kind's index. conv and bsa re-express
+// the repo's original hardcoded binary: conv has no shaping pass and the
+// speculative two-level front end; bsa's shaping pass is the paper's block
+// enlarger and its front end uses the modified multi-successor predictor.
+var backends = [isa.NumKinds]Backend{
+	isa.Conventional: {
+		kind:    isa.Conventional,
+		tag:     "conv",
+		aliases: []string{"conv"},
+		policy:  Policy{Predictor: PredTwoLevel},
+	},
+	isa.BlockStructured: {
+		kind:    isa.BlockStructured,
+		tag:     "bsa",
+		aliases: []string{"bsa"},
+		params:  true,
+		policy:  Policy{Predictor: PredBSA},
+		shape:   core.Enlarge,
+	},
+	isa.BasicBlocker: {
+		kind:    isa.BasicBlocker,
+		tag:     "bb",
+		aliases: []string{"bb"},
+		policy:  Policy{Predictor: PredNone, SerializeControl: true},
+		shape: func(p *isa.Program, params core.Params) (*core.Stats, error) {
+			return core.ReshapeLinear(p, params.MaxOps)
+		},
+	},
+	isa.MacroFused: {
+		kind:    isa.MacroFused,
+		tag:     "fused",
+		aliases: []string{"mof", "macro-op-fusion"},
+		policy:  Policy{Predictor: PredTwoLevel, FuseMacroOps: true},
+	},
+}
 
-// Register adds a backend. It panics on duplicate names, aliases or kinds —
-// registration is an init-time, programmer-controlled act.
-func Register(b Backend) {
-	if b.Name() != b.Kind().String() {
-		panic(fmt.Sprintf("backend: %q does not match its kind string %q", b.Name(), b.Kind()))
-	}
-	names := append([]string{b.Name()}, b.Aliases()...)
-	for _, n := range names {
-		if _, dup := byName[n]; dup {
-			panic(fmt.Sprintf("backend: duplicate name/alias %q", n))
+// For returns the backend of a program kind. Every kind below isa.NumKinds
+// has one, and isa.Decode rejects the rest.
+func For(k isa.Kind) *Backend { return &backends[k] }
+
+// Get resolves a canonical name or alias, case-sensitively. The error lists
+// every backend with its aliases, so an unknown-ISA failure is
+// self-describing.
+func Get(name string) (*Backend, error) {
+	for i := range backends {
+		if b := &backends[i]; name == b.Name() || slices.Contains(b.aliases, name) {
+			return b, nil
 		}
-	}
-	if _, dup := byKind[b.Kind()]; dup {
-		panic(fmt.Sprintf("backend: duplicate kind %v", b.Kind()))
-	}
-	for _, n := range names {
-		byName[n] = b
-	}
-	byKind[b.Kind()] = b
-	order = append(order, b)
-}
-
-// Get resolves a canonical name or alias. The error lists every registered
-// backend with its aliases, so an unknown-ISA failure is self-describing.
-func Get(name string) (Backend, error) {
-	if b, ok := byName[name]; ok {
-		return b, nil
 	}
 	return nil, fmt.Errorf("unknown ISA %q (registered backends: %s)", name, Describe())
 }
 
-// ForKind returns the backend registered for an isa.Kind, if any.
-func ForKind(k isa.Kind) (Backend, bool) {
-	b, ok := byKind[k]
-	return b, ok
-}
-
-// PolicyFor returns the fetch policy for a program kind. Unregistered kinds
-// get the conventional policy (speculative two-level prediction), which is
-// the repo's historical default for anything not block-structured.
-func PolicyFor(k isa.Kind) Policy {
-	if b, ok := byKind[k]; ok {
-		return b.Policy()
+// All returns every backend in kind order.
+func All() []*Backend {
+	all := make([]*Backend, len(backends))
+	for i := range backends {
+		all[i] = &backends[i]
 	}
-	return Policy{Predictor: PredTwoLevel}
+	return all
 }
 
-// Tag returns a backend's compact display tag — conv, bsa, bb, fused — used
-// in table columns and diagnostic stage names, where the canonical names are
-// too wide. The conv/bsa spellings predate the registry and are load-bearing
-// in stage-name classifiers.
-func Tag(b Backend) string {
-	switch b.Kind() {
-	case isa.Conventional:
-		return "conv"
-	case isa.BlockStructured:
-		return "bsa"
-	case isa.BasicBlocker:
-		return "bb"
-	}
-	return b.Name()
-}
-
-// All returns the registered backends in registration order.
-func All() []Backend {
-	return append([]Backend(nil), order...)
-}
-
-// Describe renders the registry as `name (alias a, b)` entries in
-// registration order, for error messages and CLI usage strings.
+// Describe renders the table as `name (alias a, b)` entries in kind order,
+// for error messages and CLI usage strings.
 func Describe() string {
-	var parts []string
-	for _, b := range order {
-		s := b.Name()
-		if al := b.Aliases(); len(al) > 0 {
-			sorted := append([]string(nil), al...)
-			sort.Strings(sorted)
-			s += " (alias " + strings.Join(sorted, ", ") + ")"
+	parts := make([]string, len(backends))
+	for i, b := range All() {
+		parts[i] = b.Name()
+		if len(b.aliases) > 0 {
+			parts[i] += " (alias " + strings.Join(slices.Sorted(slices.Values(b.aliases)), ", ") + ")"
 		}
-		parts = append(parts, s)
 	}
 	return strings.Join(parts, ", ")
+}
+
+// Kind is the isa-level program kind the backend compiles to.
+func (b *Backend) Kind() isa.Kind { return b.kind }
+
+// Name is the canonical identifier (svc.ProgramSpec.ISA, bsc -target).
+func (b *Backend) Name() string { return b.kind.String() }
+
+// Tag is the compact display tag — conv, bsa, bb, fused — used in table
+// columns and diagnostic stage names, where the canonical names are too
+// wide. The conv/bsa spellings are load-bearing: check.Differential's
+// stage names carry them, and the head-to-head shares the Figure 3 runs'
+// memo keys through them.
+func (b *Backend) Tag() string { return b.tag }
+
+// Aliases returns a copy of the additional accepted spellings.
+func (b *Backend) Aliases() []string { return slices.Clone(b.aliases) }
+
+// AcceptsParams reports whether Shape honors core.Params (the service's
+// enlarge spec is only legal for such backends).
+func (b *Backend) AcceptsParams() bool { return b.params }
+
+// Policy is the backend's uarch fetch contract.
+func (b *Backend) Policy() Policy { return b.policy }
+
+// Shape runs the backend's compile-side block shaping pass in place on a
+// freshly generated program of this backend's kind, returning the pass
+// statistics and provenance for auditing (nil stats when the backend has no
+// shaping pass). A shaping pass lays out and validates the program before
+// returning.
+func (b *Backend) Shape(p *isa.Program, params core.Params) (*core.Stats, error) {
+	if b.shape == nil {
+		return nil, nil
+	}
+	return b.shape(p, params)
 }

@@ -7,14 +7,21 @@ import (
 	"bsisa/internal/isa"
 )
 
-// TestRegistryContents pins the built-in registrations: four backends, in
-// registration order, each resolvable by canonical name and by every alias,
-// with Name matching the kind string (the service stores canonical names).
+// TestRegistryContents pins the table: four backends in kind order, each at
+// its kind's index (a keyed array literal zero-fills a kind without an
+// entry, which this catches), each resolvable by canonical name and by every
+// alias to the entry For returns, with no spelling naming two backends.
 func TestRegistryContents(t *testing.T) {
 	wantNames := []string{"conventional", "block-structured", "basicblocker", "fused"}
 	var got []string
-	for _, be := range All() {
+	for k, be := range All() {
 		got = append(got, be.Name())
+		if be.Kind() != isa.Kind(k) {
+			t.Errorf("All()[%d].Kind() = %d (%v)", k, be.Kind(), be.Kind())
+		}
+		if For(isa.Kind(k)) != be {
+			t.Errorf("For(%v) is not All()[%d]", isa.Kind(k), k)
+		}
 	}
 	if strings.Join(got, ",") != strings.Join(wantNames, ",") {
 		t.Fatalf("All() names = %v, want %v", got, wantNames)
@@ -40,11 +47,17 @@ func TestRegistryContents(t *testing.T) {
 		if be.Kind() != spelling.kind {
 			t.Errorf("Get(%q).Kind() = %v, want %v", spelling.in, be.Kind(), spelling.kind)
 		}
-		if be.Name() != be.Kind().String() {
-			t.Errorf("%q: Name() %q != Kind().String() %q", spelling.in, be.Name(), be.Kind())
+		if For(spelling.kind) != be {
+			t.Errorf("For(%v) is not Get(%q)", spelling.kind, spelling.in)
 		}
-		if byKind, ok := ForKind(spelling.kind); !ok || byKind != be {
-			t.Errorf("ForKind(%v) = %v, %v; want the %q backend", spelling.kind, byKind, ok, be.Name())
+	}
+	owner := map[string]isa.Kind{}
+	for _, be := range All() {
+		for _, s := range append([]string{be.Name()}, be.Aliases()...) {
+			if k, dup := owner[s]; dup {
+				t.Errorf("%q names both %v and %v", s, k, be.Kind())
+			}
+			owner[s] = be.Kind()
 		}
 	}
 }
@@ -74,8 +87,8 @@ func TestPolicies(t *testing.T) {
 		want Policy
 	}{
 		{"conv", Policy{Predictor: PredTwoLevel}},
-		{"bsa", Policy{Predictor: PredBSA, HeaderBytes: isa.HeaderBytes}},
-		{"bb", Policy{Predictor: PredNone, SerializeControl: true, HeaderBytes: isa.HeaderBytes}},
+		{"bsa", Policy{Predictor: PredBSA}},
+		{"bb", Policy{Predictor: PredNone, SerializeControl: true}},
 		{"mof", Policy{Predictor: PredTwoLevel, FuseMacroOps: true}},
 	}
 	for _, tc := range cases {
@@ -86,17 +99,6 @@ func TestPolicies(t *testing.T) {
 		if be.Policy() != tc.want {
 			t.Errorf("%s policy %+v, want %+v", tc.name, be.Policy(), tc.want)
 		}
-		if got := PolicyFor(be.Kind()); got != tc.want {
-			t.Errorf("PolicyFor(%v) = %+v, want %+v", be.Kind(), got, tc.want)
-		}
-		if be.Policy().HeaderBytes != be.Kind().HeaderBytes() {
-			t.Errorf("%s: policy header bytes %d, kind pays %d",
-				tc.name, be.Policy().HeaderBytes, be.Kind().HeaderBytes())
-		}
-	}
-	// Unregistered kinds fall back to the conventional policy.
-	if got := PolicyFor(isa.Kind(250)); got != (Policy{Predictor: PredTwoLevel}) {
-		t.Errorf("PolicyFor(unregistered) = %+v", got)
 	}
 }
 
@@ -120,38 +122,14 @@ func TestShapeContract(t *testing.T) {
 		if be.AcceptsParams() != tc.params {
 			t.Errorf("%s: AcceptsParams %v, want %v", tc.name, be.AcceptsParams(), tc.params)
 		}
-		if Tag(be) != tc.tag {
-			t.Errorf("%s: Tag %q, want %q", tc.name, Tag(be), tc.tag)
+		if be.Tag() != tc.tag {
+			t.Errorf("%s: Tag %q, want %q", tc.name, be.Tag(), tc.tag)
 		}
 	}
 }
 
-// TestRegisterPanics: duplicate names, duplicate aliases, and name/kind
-// mismatches are programmer errors caught at init time. Runs against a
-// scratch registry so the real registrations are untouched.
-func TestRegisterPanics(t *testing.T) {
-	saveOrder, saveByName, saveByKind := order, byName, byKind
-	defer func() { order, byName, byKind = saveOrder, saveByName, saveByKind }()
-	order, byName, byKind = nil, map[string]Backend{}, map[isa.Kind]Backend{}
-	Register(&def{name: "conventional", aliases: []string{"conv"}, kind: isa.Conventional})
-	Register(&def{name: "block-structured", aliases: []string{"bsa"}, kind: isa.BlockStructured})
-
-	mustPanic := func(name string, b Backend) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", name)
-			}
-		}()
-		Register(b)
-	}
-	mustPanic("duplicate name", &def{name: "conventional", kind: isa.Conventional})
-	mustPanic("duplicate alias", &def{name: "basicblocker", aliases: []string{"bsa"}, kind: isa.BasicBlocker})
-	mustPanic("name/kind mismatch", &def{name: "something-else", kind: isa.MacroFused})
-}
-
-// TestDescribe pins the registry listing format used in error messages and
-// CLI usage strings.
+// TestDescribe pins the table listing format used in error messages and CLI
+// usage strings.
 func TestDescribe(t *testing.T) {
 	got := Describe()
 	want := "conventional (alias conv), block-structured (alias bsa), " +

@@ -93,7 +93,7 @@ type Cache struct {
 	// has been touched since), so the probe is skipped entirely. Sequential
 	// fetch makes consecutive blocks share a line constantly, so this elides
 	// the set scan for the bulk of instruction fetch traffic. One sentineled
-	// word rather than a value+valid pair keeps AccessLines inlinable.
+	// word rather than a value+valid pair keeps the check to one compare.
 	lastLine uint32
 }
 
@@ -179,25 +179,23 @@ func (c *Cache) accessLine(lineAddr uint32) bool {
 	return false
 }
 
+// LineSpan returns the first and last line addresses, at lines of
+// 1<<lineShift bytes, that a block of size bytes at addr touches. A
+// zero-size block still touches its first line.
+func LineSpan(addr, size, lineShift uint32) (first, last uint32) {
+	return addr >> lineShift, (addr + max(size, 1) - 1) >> lineShift
+}
+
 // AccessRange touches every line overlapping [addr, addr+size), returning
 // the number of missing lines. The fetch path uses this for multi-line
 // blocks (consecutive lines; the block-structured ISA's point is precisely
 // that it never needs non-consecutive lines in one cycle). Line, set and
 // tag are derived incrementally from the running line address rather than
-// re-split per byte address.
+// re-split per byte address. The single-line case on the memoized line — a
+// guaranteed hit that cannot move any LRU state, see accessLine — returns
+// without a call.
 func (c *Cache) AccessRange(addr, size uint32) int {
-	if size == 0 {
-		size = 1
-	}
-	return c.AccessLines(addr>>c.lineShift, (addr+size-1)>>c.lineShift)
-}
-
-// AccessLines is AccessRange over an already-split line range [first, last]:
-// callers that fetch the same blocks repeatedly (the sweep engines'
-// predecoded tables) precompute the split once. The single-line case on the
-// memoized line — a guaranteed hit that cannot move any LRU state, see
-// accessLine — is handled here so it inlines at the call site.
-func (c *Cache) AccessLines(first, last uint32) int {
+	first, last := LineSpan(addr, size, c.lineShift)
 	if first == c.lastLine && first == last {
 		c.stats.Accesses++
 		return 0

@@ -113,11 +113,7 @@ func (sd *StackDist) Access(addr uint32, misses []int) {
 // Cache.AccessRange. If misses is non-nil it must have length Levels();
 // misses[l] accumulates the number of missing lines at level l.
 func (sd *StackDist) AccessRange(addr, size uint32, misses []int) {
-	if size == 0 {
-		size = 1
-	}
-	first := addr >> sd.lineShift
-	last := (addr + size - 1) >> sd.lineShift
+	first, last := LineSpan(addr, size, sd.lineShift)
 	for l := first; l <= last; l++ {
 		sd.accessLine(l, misses)
 	}

@@ -78,11 +78,6 @@ func (r *Report) failf(stage, format string, args ...any) {
 	r.Divergences = append(r.Divergences, Divergence{Stage: stage, Detail: fmt.Sprintf(format, args...)})
 }
 
-// diffTag is the short stage-name tag for a backend. The historical conv/bsa
-// stage names are load-bearing — cmd/bsfuzz classifies divergences by stage
-// prefix.
-func diffTag(be backend.Backend) string { return backend.Tag(be) }
-
 // Differential compiles one MiniC source for every registered backend and
 // cross-checks every execution path the repo has:
 //
@@ -111,7 +106,7 @@ func Differential(src string, cfg DiffConfig) *Report {
 	}
 
 	for _, be := range backend.All() {
-		tag := diffTag(be)
+		tag := be.Tag()
 		prog, err := compile.Compile(src, rep.Name, compile.DefaultOptions(be.Kind()))
 		if err != nil {
 			rep.failf("compile-"+tag, "%v", err)

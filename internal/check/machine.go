@@ -48,6 +48,3 @@ func (m *SimMonitor) OnBlock(ev *emu.BlockEvent) error {
 	}
 	return nil
 }
-
-// Events returns the number of committed blocks observed.
-func (m *SimMonitor) Events() int64 { return m.events }

@@ -13,7 +13,7 @@ import (
 // programFor returns the bench executable targeting a backend, reusing the
 // prepared conventional and block-structured builds and compiling + shaping
 // any other backend's executable on demand from the same MiniC source.
-func (b *Bench) programFor(be backend.Backend) (*isa.Program, error) {
+func (b *Bench) programFor(be *backend.Backend) (*isa.Program, error) {
 	switch be.Kind() {
 	case isa.Conventional:
 		return b.Conv, nil
@@ -42,10 +42,10 @@ func (h *Harness) HeadToHead() (*stats.Table, error) {
 	backends := backend.All()
 	cols := []string{"Benchmark"}
 	for _, be := range backends {
-		cols = append(cols, backend.Tag(be)+" IPC")
+		cols = append(cols, be.Tag()+" IPC")
 	}
 	for _, be := range backends {
-		cols = append(cols, backend.Tag(be)+" Blk")
+		cols = append(cols, be.Tag()+" Blk")
 	}
 	t := &stats.Table{
 		Title: fmt.Sprintf("Head-to-head: IPC and fetch rate across ISA backends (%s, real front end)",
@@ -65,7 +65,7 @@ func (h *Harness) HeadToHead() (*stats.Table, error) {
 			if err != nil {
 				return fmt.Errorf("%s: %w", b.Profile.Name, err)
 			}
-			tag := backend.Tag(be)
+			tag := be.Tag()
 			key := fmt.Sprintf("%s/h2h/%s", b.Profile.Name, tag)
 			if tag == "conv" || tag == "bsa" {
 				// Identical program and config to the Figure 3 runs: share

@@ -43,7 +43,7 @@ type Plan struct {
 	Timeout time.Duration
 }
 
-// Kind returns the plan's target ISA kind via the backend registry (the
+// Kind returns the plan's target ISA kind via backend.Get (the
 // plan's ISA is already the canonical backend name).
 func (p *Plan) Kind() isa.Kind {
 	if be, err := backend.Get(p.Program.ISA); err == nil {
@@ -61,14 +61,6 @@ func (p *Plan) EnlargeParams() core.Params {
 	e := p.Program.Enlarge
 	return core.Params{MaxOps: e.MaxOps, MaxFaults: e.MaxFaults, MaxSuccs: e.MaxSuccs}
 }
-
-// Canonical names of the two original ISAs, kept for tests and call sites
-// that predate the backend registry (normalizeProgram resolves every
-// registered name and alias through backend.Get).
-const (
-	isaConventional    = "conventional"
-	isaBlockStructured = "block-structured"
-)
 
 // maxEmuOps caps the operations one request may record, and is the budget
 // of a request that sets none. li, the largest Table-2 profile at maxScale,

@@ -64,8 +64,8 @@ type ProgramSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// ISA names a registered backend: "conventional", "block-structured",
 	// "basicblocker", or "fused" (aliases "conv", "bsa", "bb", "mof",
-	// "macro-op-fusion" are accepted). Validation is registry-driven — an
-	// unknown name's error lists every registered backend.
+	// "macro-op-fusion" are accepted). Validation goes through backend.Get —
+	// an unknown name's error lists every registered backend.
 	ISA string `json:"isa"`
 	// Enlarge overrides block-enlargement parameters (block-structured
 	// only; nil means the paper's defaults).

@@ -192,7 +192,7 @@ func TestBuildConfigNormalization(t *testing.T) {
 	if p.Configs[1].ICache.SizeBytes != 8192 || p.Configs[1].ICache.Ways != 4 {
 		t.Fatalf("sweep base geometry not applied: %+v", p.Configs[1].ICache)
 	}
-	if p.Program.ISA != isaBlockStructured {
+	if p.Program.ISA != "block-structured" {
 		t.Fatalf("ISA alias not normalized: %q", p.Program.ISA)
 	}
 }

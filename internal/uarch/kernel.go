@@ -80,7 +80,7 @@ type laneBlock struct {
 // tables of all blocks live in one arena allocation so walks stream through
 // contiguous memory instead of chasing per-block slices.
 func flatten(prog *isa.Program, issueWidth int) *Predecoded {
-	pol := backend.PolicyFor(prog.Kind)
+	pol := backend.For(prog.Kind).Policy()
 	lp := make([]laneBlock, len(prog.Blocks))
 	total := 0
 	for _, b := range prog.Blocks {

@@ -26,19 +26,14 @@ type MultiBlockConfig struct {
 	Blocks int
 	// Banks is the icache interleave factor (default 8).
 	Banks int
-	// MaxOps bounds a fetch group (default: the issue width).
-	MaxOps int
 }
 
 // Enabled reports whether multi-block fetch is configured.
 func (c MultiBlockConfig) Enabled() bool { return c.Blocks > 1 }
 
-func (c MultiBlockConfig) withDefaults(issueWidth int) MultiBlockConfig {
+func (c MultiBlockConfig) withDefaults() MultiBlockConfig {
 	if c.Banks == 0 {
 		c.Banks = 8
-	}
-	if c.MaxOps == 0 {
-		c.MaxOps = issueWidth
 	}
 	return c
 }
@@ -59,8 +54,9 @@ func (s MultiBlockStats) AvgGroupSize() float64 {
 }
 
 type multiBlock struct {
-	cfg   MultiBlockConfig
-	stats MultiBlockStats
+	cfg    MultiBlockConfig
+	maxOps int // a fetch group's operation budget: the issue width
+	stats  MultiBlockStats
 
 	groupCycle  int64
 	groupBlocks int
@@ -72,7 +68,7 @@ type multiBlock struct {
 }
 
 func newMultiBlock(cfg MultiBlockConfig, issueWidth int) *multiBlock {
-	return &multiBlock{cfg: cfg.withDefaults(issueWidth), banksUsed: map[uint32]bool{}}
+	return &multiBlock{cfg: cfg.withDefaults(), maxOps: issueWidth, banksUsed: map[uint32]bool{}}
 }
 
 func (mb *multiBlock) bankOf(b *isa.Block, lineBytes int) uint32 {
@@ -88,7 +84,7 @@ func (mb *multiBlock) onFetch(b *isa.Block, proposed int64, lineBytes int) (int6
 	bank := mb.bankOf(b, lineBytes)
 	if mb.extendable &&
 		mb.groupBlocks < mb.cfg.Blocks &&
-		mb.groupOps+len(b.Ops) <= mb.cfg.MaxOps {
+		mb.groupOps+len(b.Ops) <= mb.maxOps {
 		if mb.banksUsed[bank] {
 			// Bank conflict: this block waits for the next cycle and opens
 			// a fresh group there.

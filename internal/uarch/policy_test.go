@@ -130,11 +130,7 @@ func policyProgram(t *testing.T, seed int64, kind isa.Kind) *isa.Program {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	be, ok := backend.ForKind(kind)
-	if !ok {
-		t.Fatalf("no backend for %v", kind)
-	}
-	if _, err := be.Shape(prog, core.Params{}); err != nil {
+	if _, err := backend.For(kind).Shape(prog, core.Params{}); err != nil {
 		t.Fatalf("seed %d: shape: %v", seed, err)
 	}
 	return prog
@@ -160,7 +156,7 @@ func TestPolicyPredictorSelection(t *testing.T) {
 		if (s.pred != nil) != tc.wantPred {
 			t.Errorf("%v: predictor present = %v, want %v", tc.kind, s.pred != nil, tc.wantPred)
 		}
-		if s.policy != backend.PolicyFor(tc.kind) {
+		if s.policy != backend.For(tc.kind).Policy() {
 			t.Errorf("%v: sim policy %+v, want backend policy", tc.kind, s.policy)
 		}
 	}

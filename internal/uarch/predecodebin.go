@@ -102,7 +102,7 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 	if numBlocks != uint64(len(prog.Blocks)) {
 		return nil, fmt.Errorf("%w: tables cover %d blocks, program has %d", ErrBadPredecode, numBlocks, len(prog.Blocks))
 	}
-	pol := backend.PolicyFor(prog.Kind)
+	pol := backend.For(prog.Kind).Policy()
 	lp := make([]laneBlock, len(prog.Blocks))
 	var pairs []int
 	maxOps := 0

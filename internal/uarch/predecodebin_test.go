@@ -18,8 +18,7 @@ func codecProg(t testing.TB, seed int64, kind isa.Kind) *isa.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, _ := backend.ForKind(kind)
-	if _, err := be.Shape(prog, core.Params{}); err != nil {
+	if _, err := backend.For(kind).Shape(prog, core.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	prog.Layout()

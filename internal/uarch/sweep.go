@@ -169,9 +169,8 @@ type sweepEnrich struct {
 	preds   []isa.BlockID // Bank.Step's per-class predictions
 	classes []*sweepClass
 
-	// lineCnt is each block's line count at the shared icache line size;
-	// it mirrors Cache.AccessRange (a zero-size block still touches its
-	// first line).
+	// lineCnt is each block's line count at the shared icache line size
+	// (cache.LineSpan, as Cache.AccessRange fetches it).
 	lineCnt     []int64
 	commitLines int64
 
@@ -203,8 +202,8 @@ func newSweepEnrich(prog *isa.Program, base Config, lp []laneBlock, family backe
 		if b == nil {
 			continue
 		}
-		sz := max(b.Size, 1)
-		en.lineCnt[id] = int64((b.Addr+sz-1)>>shift - b.Addr>>shift + 1)
+		first, last := cache.LineSpan(b.Addr, b.Size, shift)
+		en.lineCnt[id] = int64(last - first + 1)
 	}
 	return en, nil
 }
@@ -407,7 +406,7 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	prog := t.Program()
 	tabs := tablesFor(prog, norm, pre)
 
-	family := backend.PolicyFor(prog.Kind).Predictor
+	family := backend.For(prog.Kind).Policy().Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
 	minSize, maxSize := icacheRange(norm)
 	classes := make([]*sweepClass, max(len(classCfgs), 1))
@@ -647,7 +646,7 @@ func icacheLevels(minSize, maxSize int) int {
 // ring, which follows the latencies in flight. cfgs must pass CanSweep.
 func SweepTableBytes(kind isa.Kind, cfgs []Config) int64 {
 	norm := normalizeSweepConfigs(cfgs)
-	family := backend.PolicyFor(kind).Predictor
+	family := backend.For(kind).Policy().Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
 	minSize, maxSize := icacheRange(norm)
 	var total int64

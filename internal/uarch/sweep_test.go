@@ -159,8 +159,7 @@ func workloadProgram(t *testing.T, name string, scale float64, kind isa.Kind) *i
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, _ := backend.ForKind(kind)
-	if _, err := be.Shape(prog, core.Params{}); err != nil {
+	if _, err := backend.For(kind).Shape(prog, core.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	return prog

@@ -32,13 +32,16 @@ type TraceCacheConfig struct {
 	// Sets and Ways size the cache (defaults 64 sets, 4 ways when enabled).
 	Sets int
 	Ways int
-	// MaxBlocks and MaxOps bound a trace (defaults 4 blocks, 16 ops — one
-	// issue width, mirroring the atomic block cap). MaxBranches bounds the
-	// conditional branches inside a trace (default 3).
-	MaxBlocks   int
-	MaxOps      int
-	MaxBranches int
 }
+
+// A trace holds at most traceMaxBlocks blocks and traceMaxOps operations
+// (one default issue width, mirroring the atomic block cap), with at most
+// traceMaxBranches conditional branches inside it.
+const (
+	traceMaxBlocks   = 4
+	traceMaxOps      = 16
+	traceMaxBranches = 3
+)
 
 // Enabled reports whether a trace cache is configured.
 func (c TraceCacheConfig) Enabled() bool { return c.Sets != 0 || c.Ways != 0 }
@@ -49,15 +52,6 @@ func (c TraceCacheConfig) withDefaults() TraceCacheConfig {
 	}
 	if c.Ways == 0 {
 		c.Ways = 4
-	}
-	if c.MaxBlocks == 0 {
-		c.MaxBlocks = 4
-	}
-	if c.MaxOps == 0 {
-		c.MaxOps = 16
-	}
-	if c.MaxBranches == 0 {
-		c.MaxBranches = 3
 	}
 	return c
 }
@@ -172,13 +166,13 @@ func (tc *traceCache) retire(b *isa.Block) {
 	if t := b.Terminator(); t != nil && (t.Opcode == isa.BR || t.Opcode == isa.TRAP) {
 		nbr = 1
 	}
-	if tc.fillOps+len(b.Ops) > tc.cfg.MaxOps || len(tc.fill) >= tc.cfg.MaxBlocks {
+	if tc.fillOps+len(b.Ops) > traceMaxOps || len(tc.fill) >= traceMaxBlocks {
 		tc.flushFill()
 	}
 	tc.fill = append(tc.fill, b.ID)
 	tc.fillOps += len(b.Ops)
 	tc.fillBranches += nbr
-	if tc.fillBranches >= tc.cfg.MaxBranches || endsTrace(b) || len(tc.fill) >= tc.cfg.MaxBlocks {
+	if tc.fillBranches >= traceMaxBranches || endsTrace(b) || len(tc.fill) >= traceMaxBlocks {
 		tc.flushFill()
 	}
 }

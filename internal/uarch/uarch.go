@@ -152,12 +152,9 @@ func (c Config) Validate() error {
 		}
 	}
 	if mb := d.MultiBlock; mb.Enabled() {
-		mb = mb.withDefaults(d.IssueWidth)
+		mb = mb.withDefaults()
 		if mb.Banks < 1 {
 			return fmt.Errorf("%w: multi-block banks %d < 1", ErrBadConfig, mb.Banks)
-		}
-		if mb.MaxOps < 1 {
-			return fmt.Errorf("%w: multi-block fetch group of %d operations < 1", ErrBadConfig, mb.MaxOps)
 		}
 	}
 	return nil
@@ -247,7 +244,7 @@ type Sim struct {
 
 // New builds a live timing simulator for the program, with its own
 // predecoded table. The fetch policy — predictor family, serialization,
-// fusion — follows the backend registered for the program's ISA kind.
+// fusion — follows the program kind's backend (backend.For).
 func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	return newSim(prog, cfg, nil)
 }
@@ -276,7 +273,7 @@ func newSim(prog *isa.Program, cfg Config, tab *Predecoded) (*Sim, error) {
 	s := &Sim{
 		cfg:    cfg,
 		prog:   prog,
-		policy: backend.PolicyFor(prog.Kind),
+		policy: backend.For(prog.Kind).Policy(),
 		lp:     tab.lp,
 		noMiss: tab.noMiss,
 		ic:     ic,
