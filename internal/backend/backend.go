@@ -163,8 +163,7 @@ func (b *Backend) Name() string { return b.kind.String() }
 // Tag is the compact display tag — conv, bsa, bb, fused — used in table
 // columns and diagnostic stage names, where the canonical names are too
 // wide. The conv/bsa spellings are load-bearing: check.Differential's
-// stage names carry them, and the head-to-head shares the Figure 3 runs'
-// memo keys through them.
+// stage names carry them.
 func (b *Backend) Tag() string { return b.tag }
 
 // Aliases returns a copy of the additional accepted spellings.

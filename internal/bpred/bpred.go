@@ -49,7 +49,6 @@ type Stats struct {
 	Correct    int64
 	BTBMisses  int64 // predictions that could not name a fetch target
 	RASReturns int64
-	RASWrong   int64
 }
 
 // Config sizes the predictor tables. Zero fields take scaled defaults chosen

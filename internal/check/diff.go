@@ -143,7 +143,6 @@ func Differential(src string, cfg DiffConfig) *Report {
 			if err := Enlargement(prog, stats.Provenance, lim); err != nil {
 				rep.failf("provenance", "%v", err)
 			}
-			prog.Layout()
 		case isa.BasicBlocker:
 			stats, err := be.Shape(prog, core.Params{MaxOps: lim.MaxOps})
 			if err != nil {
@@ -154,7 +153,6 @@ func Differential(src string, cfg DiffConfig) *Report {
 			if err := Reshape(prog, stats.Provenance, lim); err != nil {
 				rep.failf("provenance-bb", "%v", err)
 			}
-			prog.Layout()
 		}
 
 		trace, err := emu.Record(prog, emuCfg)

@@ -79,27 +79,3 @@ func CompileModule(mod *ir.Module, opts Options) (*isa.Program, error) {
 	}
 	return Generate(mod, opts.Kind, opts.MaxBlockOps)
 }
-
-// Frontend parses and checks source, returning the IR module without
-// generating code (used by tools that want the IR).
-func Frontend(src, name string, optimize bool) (*ir.Module, error) {
-	file, err := lang.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := lang.Check(file)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := Lower(file, info, name)
-	if err != nil {
-		return nil, err
-	}
-	if optimize {
-		Optimize(mod)
-		if err := mod.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return mod, nil
-}

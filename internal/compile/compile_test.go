@@ -6,13 +6,30 @@ import (
 
 	"bsisa/internal/ir"
 	"bsisa/internal/isa"
+	"bsisa/internal/lang"
 )
 
+// frontend parses, checks and lowers src, optimizing the module when asked:
+// Compile's front half, stopping at the IR.
 func frontend(t *testing.T, src string, optimize bool) *ir.Module {
 	t.Helper()
-	m, err := Frontend(src, "test", optimize)
+	file, err := lang.Parse(src)
 	if err != nil {
-		t.Fatalf("frontend: %v", err)
+		t.Fatalf("parse: %v", err)
+	}
+	info, err := lang.Check(file)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	m, err := Lower(file, info, "test")
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	if optimize {
+		Optimize(m)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("optimize: %v", err)
+		}
 	}
 	return m
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bsisa/internal/emu"
-	"bsisa/internal/ir"
 	"bsisa/internal/isa"
 	"bsisa/internal/testgen"
 )
@@ -158,14 +157,9 @@ func main() {
 	if (a) { b = b + 1; } else { b = b - 1; }
 	out(b);
 }`
-	file, err := Frontend(src, "n", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := IfConvert(file, 0); n != 1 {
+	if n := IfConvert(frontend(t, src, false), 0); n != 1 {
 		t.Errorf("converted %d, want 1", n)
 	}
-	_ = ir.NoReg
 }
 
 func TestIfConvertDeterministic(t *testing.T) {

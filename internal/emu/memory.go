@@ -53,6 +53,3 @@ func (m *Memory) StoreWord(addr uint32, v int64) error {
 	p[addr>>3&(pageWords-1)] = v
 	return nil
 }
-
-// Footprint returns the number of touched pages (diagnostics).
-func (m *Memory) Footprint() int { return len(m.pages) }

@@ -17,14 +17,14 @@ import (
 
 // meanCyclesWithParams averages BSA cycles and code growth across
 // benchmarks for an enlargement parameterization.
-func (h *Harness) meanCyclesWithParams(tag string, params core.Params) (float64, float64, error) {
+func (h *Harness) meanCyclesWithParams(params core.Params) (float64, float64, error) {
 	var cyc, growth float64
 	for _, b := range h.Benches {
 		prog, st, err := b.CompileBSA(params)
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s: %w", b.Profile.Name, err)
 		}
-		res, err := h.Run(fmt.Sprintf("%s/%s", b.Profile.Name, tag), prog, baseConfig(LargeICache, false))
+		res, err := h.Run(prog, baseConfig(LargeICache, false))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -45,8 +45,7 @@ func (h *Harness) AblateBlockSize() (*stats.Table, error) {
 	cycles := make([]float64, len(sizes))
 	base := 0.0
 	for i, maxOps := range sizes {
-		cyc, growth, err := h.meanCyclesWithParams(fmt.Sprintf("ablate-size-%d", maxOps),
-			core.Params{MaxOps: maxOps})
+		cyc, growth, err := h.meanCyclesWithParams(core.Params{MaxOps: maxOps})
 		if err != nil {
 			return nil, err
 		}
@@ -74,8 +73,7 @@ func (h *Harness) AblateFaults() (*stats.Table, error) {
 		if mf == -1 {
 			label = 0
 		}
-		cyc, growth, err := h.meanCyclesWithParams(fmt.Sprintf("ablate-faults-%d", mf),
-			core.Params{MaxFaults: mf})
+		cyc, growth, err := h.meanCyclesWithParams(core.Params{MaxFaults: mf})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +98,7 @@ func (h *Harness) AblateSuperblock() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rRaw, err := h.Run(b.Profile.Name+"/ablate-none", raw, baseConfig(LargeICache, false))
+		rRaw, err := h.Run(raw, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +113,11 @@ func (h *Harness) AblateSuperblock() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rSuper, err := h.Run(b.Profile.Name+"/ablate-super", super, baseConfig(LargeICache, false))
+		rSuper, err := h.Run(super, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
-		rFull, err := h.Run(b.Profile.Name+"/fig3/bsa", b.BSA, baseConfig(LargeICache, false))
+		rFull, err := h.Run(b.BSA, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -144,15 +142,10 @@ func (h *Harness) AblateHistory() (*stats.Table, error) {
 	err := h.forEachBench(func(i int) error {
 		b := h.Benches[i]
 		for _, side := range []struct {
-			tag  string
 			prog *isa.Program
 			out  *[]int64
-		}{{"conv", b.Conv, &convCyc[i]}, {"bsa", b.BSA, &bsaCyc[i]}} {
-			keys := make([]string, len(grid))
-			for j, cfg := range grid {
-				keys[j] = fmt.Sprintf("%s/hist%d/%s", b.Profile.Name, cfg.Predictor.HistoryBits, side.tag)
-			}
-			res, err := h.runMany(keys, side.prog, grid)
+		}{{b.Conv, &convCyc[i]}, {b.BSA, &bsaCyc[i]}} {
+			res, err := h.runMany(side.prog, grid)
 			if err != nil {
 				return err
 			}
@@ -222,8 +215,7 @@ func (h *Harness) AblateMinBias() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := h.Run(fmt.Sprintf("%s/minbias-%.2f", b.Profile.Name, mb),
-				prog, baseConfig(ICacheSizes[0], false))
+			res, err := h.Run(prog, baseConfig(ICacheSizes[0], false))
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +230,7 @@ func (h *Harness) AblateMinBias() (*stats.Table, error) {
 // Mispredicts summarizes misprediction behavior (supporting data for the
 // Figure 3 vs 4 discussion: fault mispredictions cost more).
 func (h *Harness) Mispredicts() (*stats.Table, error) {
-	conv, bsa, err := h.pairResults("fig3", LargeICache, false)
+	conv, bsa, err := h.pairResults(LargeICache, false)
 	if err != nil {
 		return nil, err
 	}
@@ -268,17 +260,17 @@ func (h *Harness) AblateTraceCache() (*stats.Table, error) {
 		Note: "Cycles; the trace cache is 64 sets x 4 ways, 4 blocks / 16 ops / 3 branches per trace.",
 	}
 	for _, b := range h.Benches {
-		rConv, err := h.Run(b.Profile.Name+"/fig3/conv", b.Conv, baseConfig(LargeICache, false))
+		rConv, err := h.Run(b.Conv, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
 		cfg := baseConfig(LargeICache, false)
 		cfg.TraceCache = uarch.TraceCacheConfig{Sets: 64, Ways: 4}
-		rTC, err := h.Run(b.Profile.Name+"/ablate-tc", b.Conv, cfg)
+		rTC, err := h.Run(b.Conv, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rBSA, err := h.Run(b.Profile.Name+"/fig3/bsa", b.BSA, baseConfig(LargeICache, false))
+		rBSA, err := h.Run(b.BSA, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -302,11 +294,11 @@ func (h *Harness) AblateIfConvert() (*stats.Table, error) {
 		Note: "Cycles at the Figure-3 configuration; block sizes are retired ops/block.",
 	}
 	for _, b := range h.Benches {
-		rConv, err := h.Run(b.Profile.Name+"/fig3/conv", b.Conv, baseConfig(LargeICache, false))
+		rConv, err := h.Run(b.Conv, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
-		rBSA, err := h.Run(b.Profile.Name+"/fig3/bsa", b.BSA, baseConfig(LargeICache, false))
+		rBSA, err := h.Run(b.BSA, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +307,7 @@ func (h *Harness) AblateIfConvert() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rConvIfc, err := h.Run(b.Profile.Name+"/ifc/conv", convIfc, baseConfig(LargeICache, false))
+		rConvIfc, err := h.Run(convIfc, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +319,7 @@ func (h *Harness) AblateIfConvert() (*stats.Table, error) {
 		if _, err := core.Enlarge(bsaIfc, core.Params{}); err != nil {
 			return nil, err
 		}
-		rBSAIfc, err := h.Run(b.Profile.Name+"/ifc/bsa", bsaIfc, baseConfig(LargeICache, false))
+		rBSAIfc, err := h.Run(bsaIfc, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +340,7 @@ func (h *Harness) AblateInline() (*stats.Table, error) {
 		Note: "Cycles at the Figure-3 configuration.",
 	}
 	for _, b := range h.Benches {
-		rBSA, err := h.Run(b.Profile.Name+"/fig3/bsa", b.BSA, baseConfig(LargeICache, false))
+		rBSA, err := h.Run(b.BSA, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +352,7 @@ func (h *Harness) AblateInline() (*stats.Table, error) {
 		if _, err := core.Enlarge(inl, core.Params{}); err != nil {
 			return nil, err
 		}
-		rInl, err := h.Run(b.Profile.Name+"/inline/bsa", inl, baseConfig(LargeICache, false))
+		rInl, err := h.Run(inl, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
@@ -382,8 +374,7 @@ func (h *Harness) AblateProfileLayout() (*stats.Table, error) {
 		Note:    fmt.Sprintf("Cycles at the smallest icache (%s).", PaperICacheLabel(ICacheSizes[0])),
 	}
 	for _, b := range h.Benches {
-		base, err := h.Run(fmt.Sprintf("%s/ic-%d/bsa", b.Profile.Name, ICacheSizes[0]),
-			b.BSA, baseConfig(ICacheSizes[0], false))
+		base, err := h.Run(b.BSA, baseConfig(ICacheSizes[0], false))
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +389,7 @@ func (h *Harness) AblateProfileLayout() (*stats.Table, error) {
 			return nil, err
 		}
 		core.ProfileLayout(prog, counts)
-		laid, err := h.Run(b.Profile.Name+"/hotlayout/bsa", prog, baseConfig(ICacheSizes[0], false))
+		laid, err := h.Run(prog, baseConfig(ICacheSizes[0], false))
 		if err != nil {
 			return nil, err
 		}
@@ -422,14 +413,14 @@ func (h *Harness) AblateMultiBlock() (*stats.Table, error) {
 		Note: "Cycles at the Figure-3 configuration. MBF pays one extra front-end stage and icache bank conflicts (8 banks).",
 	}
 	for _, b := range h.Benches {
-		rConv, err := h.Run(b.Profile.Name+"/fig3/conv", b.Conv, baseConfig(LargeICache, false))
+		rConv, err := h.Run(b.Conv, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}
 		mbf := func(k int) (*uarch.Result, error) {
 			cfg := baseConfig(LargeICache, false)
 			cfg.MultiBlock = uarch.MultiBlockConfig{Blocks: k}
-			return h.Run(fmt.Sprintf("%s/mbf%d", b.Profile.Name, k), b.Conv, cfg)
+			return h.Run(b.Conv, cfg)
 		}
 		r2, err := mbf(2)
 		if err != nil {
@@ -441,11 +432,11 @@ func (h *Harness) AblateMultiBlock() (*stats.Table, error) {
 		}
 		cfgTC := baseConfig(LargeICache, false)
 		cfgTC.TraceCache = uarch.TraceCacheConfig{Sets: 64, Ways: 4}
-		rTC, err := h.Run(b.Profile.Name+"/ablate-tc", b.Conv, cfgTC)
+		rTC, err := h.Run(b.Conv, cfgTC)
 		if err != nil {
 			return nil, err
 		}
-		rBSA, err := h.Run(b.Profile.Name+"/fig3/bsa", b.BSA, baseConfig(LargeICache, false))
+		rBSA, err := h.Run(b.BSA, baseConfig(LargeICache, false))
 		if err != nil {
 			return nil, err
 		}

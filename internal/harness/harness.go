@@ -135,8 +135,11 @@ type Harness struct {
 	Opts    Options
 	Benches []*Bench
 
-	mu      sync.Mutex
-	results map[string]*uarch.Result
+	mu sync.Mutex
+	// results memoizes timing results by program and configuration, for
+	// the prepared executables only: a program compiled on the fly is never
+	// looked up again, so keeping its results would only pin it in memory.
+	results map[runKey]*uarch.Result
 	// traces holds one lazily recorded committed-block trace per prepared
 	// benchmark executable. The committed stream depends only on the program
 	// and the emulation budget — never on the uarch.Config — so every
@@ -145,6 +148,12 @@ type Harness struct {
 	// Programs compiled on the fly (fresh ablation builds) are not in this
 	// map and take the direct emulate-and-time path.
 	traces map[*isa.Program]*traceEntry
+}
+
+// runKey names one memoized timing result.
+type runKey struct {
+	prog *isa.Program
+	cfg  uarch.Config
 }
 
 // traceEntry memoizes one recording with single-flight semantics: with more
@@ -163,7 +172,7 @@ func New(opts Options) (*Harness, error) {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
 	}
-	h := &Harness{Opts: opts, results: map[string]*uarch.Result{}}
+	h := &Harness{Opts: opts, results: map[runKey]*uarch.Result{}}
 	profiles := workload.Profiles(opts.Scale)
 	h.Benches = make([]*Bench, len(profiles))
 	err := forEachIndex(len(profiles), opts.workers(), func(i int) error {
@@ -235,7 +244,7 @@ func baseConfig(icacheBytes int, perfectBP bool) uarch.Config {
 // independent of any timing configuration.
 func (h *Harness) ClearResults() {
 	h.mu.Lock()
-	h.results = map[string]*uarch.Result{}
+	h.results = map[runKey]*uarch.Result{}
 	h.mu.Unlock()
 }
 
@@ -254,69 +263,59 @@ func (h *Harness) Trace(prog *isa.Program) (t *emu.Trace, ok bool, err error) {
 	return e.t, true, e.err
 }
 
-// Run simulates one program under a config, memoizing by key. Prepared
-// benchmark executables replay their shared trace; other programs are
-// functionally emulated.
-func (h *Harness) Run(key string, prog *isa.Program, cfg uarch.Config) (*uarch.Result, error) {
-	rs, err := h.runMany([]string{key}, prog, []uarch.Config{cfg})
+// Run simulates one program under a config. Prepared benchmark
+// executables replay their shared trace, and their results are memoized by
+// program and config; other programs are functionally emulated.
+func (h *Harness) Run(prog *isa.Program, cfg uarch.Config) (*uarch.Result, error) {
+	rs, err := h.runMany(prog, []uarch.Config{cfg})
 	if err != nil {
 		return nil, err
 	}
 	return rs[0], nil
 }
 
-// runMany simulates one program under several configs at once, memoizing
-// each by its key. Missing configurations share a single committed-block
-// trace (recorded on first need) and run on whichever engine uarch.Run
-// routes them to; every engine returns the same results, so routing never
-// changes a table. Programs without a trace slot are emulated directly,
-// once per missing config.
-func (h *Harness) runMany(keys []string, prog *isa.Program, cfgs []uarch.Config) ([]*uarch.Result, error) {
-	if len(keys) != len(cfgs) {
-		return nil, fmt.Errorf("harness: runMany: %d keys, %d configs", len(keys), len(cfgs))
+// runMany simulates one program under several configs at once. For a
+// prepared executable, configurations without a memoized result share its
+// committed-block trace (recorded on first need) and run on whichever
+// engine uarch.Run routes them to; every engine returns the same results,
+// so routing never changes a table. Programs without a trace slot are
+// emulated directly, once per config.
+func (h *Harness) runMany(prog *isa.Program, cfgs []uarch.Config) ([]*uarch.Result, error) {
+	tr, traced, err := h.Trace(prog)
+	if err != nil {
+		return nil, fmt.Errorf("harness: trace %s (%s): %w", prog.Name, prog.Kind, err)
 	}
-	results := make([]*uarch.Result, len(keys))
+	results := make([]*uarch.Result, len(cfgs))
+	if !traced {
+		for i, cfg := range cfgs {
+			if results[i], _, err = uarch.RunProgram(prog, cfg, emu.Config{}); err != nil {
+				return nil, fmt.Errorf("harness: run %s (%s): %w", prog.Name, prog.Kind, err)
+			}
+		}
+		return results, nil
+	}
 	var missing []int
+	var need []uarch.Config
 	h.mu.Lock()
-	for i, key := range keys {
-		if r, ok := h.results[key]; ok {
+	for i, cfg := range cfgs {
+		if r, ok := h.results[runKey{prog, cfg}]; ok {
 			results[i] = r
 		} else {
-			missing = append(missing, i)
+			missing, need = append(missing, i), append(need, cfg)
 		}
 	}
 	h.mu.Unlock()
 	if len(missing) == 0 {
 		return results, nil
 	}
-	tr, traced, err := h.Trace(prog)
+	rs, _, err := uarch.Run(context.Background(), tr, need, nil, nil)
 	if err != nil {
-		return nil, fmt.Errorf("harness: trace %s: %w", keys[missing[0]], err)
-	}
-	if traced {
-		need := make([]uarch.Config, len(missing))
-		for j, i := range missing {
-			need[j] = cfgs[i]
-		}
-		rs, _, err := uarch.Run(context.Background(), tr, need, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("harness: run %s: %w", keys[missing[0]], err)
-		}
-		for j, i := range missing {
-			results[i] = rs[j]
-		}
-	} else {
-		for _, i := range missing {
-			r, _, err := uarch.RunProgram(prog, cfgs[i], emu.Config{})
-			if err != nil {
-				return nil, fmt.Errorf("harness: run %s: %w", keys[i], err)
-			}
-			results[i] = r
-		}
+		return nil, fmt.Errorf("harness: run %s (%s): %w", prog.Name, prog.Kind, err)
 	}
 	h.mu.Lock()
-	for _, i := range missing {
-		h.results[keys[i]] = results[i]
+	for j, i := range missing {
+		results[i] = rs[j]
+		h.results[runKey{prog, need[j]}] = rs[j]
 	}
 	h.mu.Unlock()
 	return results, nil
@@ -331,19 +330,23 @@ func (h *Harness) forEachBench(fn func(i int) error) error {
 // pairResults runs conventional and block-structured executables of every
 // benchmark under the config, in parallel when enabled. Each executable's
 // trace is recorded at most once across all figures and replayed per config.
-func (h *Harness) pairResults(tag string, icache int, perfectBP bool) (conv, bsa []*uarch.Result, err error) {
+func (h *Harness) pairResults(icache int, perfectBP bool) (conv, bsa []*uarch.Result, err error) {
 	conv = make([]*uarch.Result, len(h.Benches))
 	bsa = make([]*uarch.Result, len(h.Benches))
 	cfg := baseConfig(icache, perfectBP)
+	label := PaperICacheLabel(icache)
+	if perfectBP {
+		label += ", perfect BP"
+	}
 	err = h.forEachBench(func(i int) error {
 		b := h.Benches[i]
-		h.Opts.progress("run %-8s %s (conventional)", b.Profile.Name, tag)
-		rc, err := h.Run(fmt.Sprintf("%s/%s/conv", b.Profile.Name, tag), b.Conv, cfg)
+		h.Opts.progress("run %-8s %s (conventional)", b.Profile.Name, label)
+		rc, err := h.Run(b.Conv, cfg)
 		if err != nil {
 			return err
 		}
-		h.Opts.progress("run %-8s %s (block-structured)", b.Profile.Name, tag)
-		rb, err := h.Run(fmt.Sprintf("%s/%s/bsa", b.Profile.Name, tag), b.BSA, cfg)
+		h.Opts.progress("run %-8s %s (block-structured)", b.Profile.Name, label)
+		rb, err := h.Run(b.BSA, cfg)
 		if err != nil {
 			return err
 		}
@@ -390,8 +393,8 @@ func (h *Harness) Table2() (*stats.Table, error) {
 
 // cyclesTable renders a conventional-vs-BSA cycle comparison (Figures 3 and
 // 4 of the paper).
-func (h *Harness) cyclesTable(title, tag string, perfectBP bool) (*stats.Table, error) {
-	conv, bsa, err := h.pairResults(tag, LargeICache, perfectBP)
+func (h *Harness) cyclesTable(title string, perfectBP bool) (*stats.Table, error) {
+	conv, bsa, err := h.pairResults(LargeICache, perfectBP)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +419,7 @@ func (h *Harness) Figure3() (*stats.Table, error) {
 	return h.cyclesTable(
 		fmt.Sprintf("Figure 3: Execution cycles, conventional vs block-structured ISA (%s, real predictor)",
 			PaperICacheLabel(LargeICache)),
-		"fig3", false)
+		false)
 }
 
 // Figure4 repeats Figure 3 with perfect branch prediction.
@@ -424,12 +427,12 @@ func (h *Harness) Figure4() (*stats.Table, error) {
 	return h.cyclesTable(
 		fmt.Sprintf("Figure 4: Execution cycles with PERFECT branch prediction (%s)",
 			PaperICacheLabel(LargeICache)),
-		"fig4", true)
+		true)
 }
 
 // Figure5 reports average retired block sizes.
 func (h *Harness) Figure5() (*stats.Table, error) {
-	conv, bsa, err := h.pairResults("fig3", LargeICache, false)
+	conv, bsa, err := h.pairResults(LargeICache, false)
 	if err != nil {
 		return nil, err
 	}
@@ -473,12 +476,8 @@ func (h *Harness) icacheSensitivity(title string, useBSA bool) (*stats.Table, er
 		}
 		// One batch per benchmark: the perfect-icache reference and every
 		// sweep point share one fused replay of the same trace.
-		keys := []string{fmt.Sprintf("%s/ic-perfect/%s", b.Profile.Name, kindTag)}
-		for _, sz := range ICacheSizes {
-			h.Opts.progress("run %-8s icache %s (%s)", b.Profile.Name, PaperICacheLabel(sz), kindTag)
-			keys = append(keys, fmt.Sprintf("%s/ic-%d/%s", b.Profile.Name, sz, kindTag))
-		}
-		res, err := h.runMany(keys, prog, icacheGrid())
+		h.Opts.progress("run %-8s icache sweep (%s)", b.Profile.Name, kindTag)
+		res, err := h.runMany(prog, icacheGrid())
 		if err != nil {
 			return err
 		}

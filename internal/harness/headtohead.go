@@ -34,8 +34,8 @@ func (b *Bench) programFor(be *backend.Backend) (*isa.Program, error) {
 // Figure 3 machine (large icache, real front end) and renders a four-way
 // comparison: IPC per backend plus the average retired block size — the
 // paper's fetch-rate proxy (operations delivered per block fetch). conv/bsa
-// reproduce the Figure 3 columns exactly and share those runs' memo keys, so
-// the head-to-head is nearly free when the figures already ran; the
+// reproduce the Figure 3 columns exactly and are those very runs, memoized,
+// so the head-to-head is nearly free when the figures already ran; the
 // BasicBlocker and macro-op-fusion executables are compiled on demand and take
 // the direct emulate-and-time path.
 func (h *Harness) HeadToHead() (*stats.Table, error) {
@@ -65,15 +65,8 @@ func (h *Harness) HeadToHead() (*stats.Table, error) {
 			if err != nil {
 				return fmt.Errorf("%s: %w", b.Profile.Name, err)
 			}
-			tag := be.Tag()
-			key := fmt.Sprintf("%s/h2h/%s", b.Profile.Name, tag)
-			if tag == "conv" || tag == "bsa" {
-				// Identical program and config to the Figure 3 runs: share
-				// their memo keys.
-				key = fmt.Sprintf("%s/fig3/%s", b.Profile.Name, tag)
-			}
 			h.Opts.progress("run %-8s head-to-head (%s)", b.Profile.Name, be.Name())
-			r, err := h.Run(key, prog, cfg)
+			r, err := h.Run(prog, cfg)
 			if err != nil {
 				return err
 			}

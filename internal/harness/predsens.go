@@ -30,12 +30,8 @@ func (h *Harness) PredictorSensitivity() (*stats.Table, error) {
 			prog *isa.Program
 			out  *[]*uarch.Result
 		}{{"conv", b.Conv, &convRes[i]}, {"bsa", b.BSA, &bsaRes[i]}} {
-			keys := make([]string, len(grid))
-			for j, cfg := range grid {
-				keys[j] = fmt.Sprintf("%s/predsens-h%d-p%d/%s", b.Profile.Name, cfg.Predictor.HistoryBits, cfg.Predictor.PHTEntries, side.tag)
-			}
 			h.Opts.progress("predsens %-8s %s", b.Profile.Name, side.tag)
-			res, err := h.runMany(keys, side.prog, grid)
+			res, err := h.runMany(side.prog, grid)
 			if err != nil {
 				return err
 			}

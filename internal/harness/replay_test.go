@@ -59,7 +59,7 @@ func TestHarnessReplayMatchesDirect(t *testing.T) {
 	h := getHarness(t)
 	b := h.Benches[0]
 	cfg := baseConfig(ICacheSizes[0], false)
-	got, err := h.Run(b.Profile.Name+"/replay-test", b.Conv, cfg)
+	got, err := h.Run(b.Conv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHarnessReplayMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFresh, err := h.Run(b.Profile.Name+"/replay-test-fresh", prog, cfg)
+	gotFresh, err := h.Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // configuration for both ISAs: the machine-readable companion to the
 // figures (bsbench -json exports it as BENCH_summary.json).
 func (h *Harness) Summary() (*stats.Table, error) {
-	conv, bsa, err := h.pairResults("fig3", LargeICache, false)
+	conv, bsa, err := h.pairResults(LargeICache, false)
 	if err != nil {
 		return nil, err
 	}

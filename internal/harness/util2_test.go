@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"bsisa/internal/core"
 )
 
 func TestPaperICacheLabels(t *testing.T) {
@@ -21,19 +23,45 @@ func TestPaperICacheLabels(t *testing.T) {
 	}
 }
 
+// TestRunMemoizes checks that Run memoizes a prepared executable's result
+// by program and config, and nothing for a program compiled on the fly.
+// Figure 3 and then Figure 7 leave five results per benchmark: Figure 3's
+// two executables at 32 KB, and Figure 7's block-structured sweep of four
+// icaches, whose 32 KB point is Figure 3's run.
 func TestRunMemoizes(t *testing.T) {
 	h := getHarness(t)
 	b := h.Benches[0]
-	r1, err := h.Run("memo-test", b.Conv, baseConfig(LargeICache, false))
+	cfg := baseConfig(LargeICache, false)
+	r1, err := h.Run(b.Conv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := h.Run("memo-test", b.Conv, baseConfig(LargeICache, false))
+	r2, err := h.Run(b.Conv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Error("identical keys should return the cached result pointer")
+		t.Error("one program and config should return the cached result pointer")
+	}
+	h.ClearResults()
+	fresh, _, err := b.CompileBSA(core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(fresh, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(h.results); n != 0 {
+		t.Errorf("a program compiled on the fly left %d memoized results", n)
+	}
+	if _, err := h.Figure3(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Figure7(); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(h.results), 5*len(h.Benches); n != want {
+		t.Errorf("Figure 3 and Figure 7 memoized %d results, want %d", n, want)
 	}
 }
 
@@ -59,11 +87,11 @@ func TestHarnessDeterministicAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := a.Run("det", a.Benches[2].BSA, baseConfig(LargeICache, false))
+	ra, err := a.Run(a.Benches[2].BSA, baseConfig(LargeICache, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Run("det", b.Benches[2].BSA, baseConfig(LargeICache, false))
+	rb, err := b.Run(b.Benches[2].BSA, baseConfig(LargeICache, false))
 	if err != nil {
 		t.Fatal(err)
 	}

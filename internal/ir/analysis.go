@@ -5,116 +5,6 @@ import (
 	"math/bits"
 )
 
-// ReversePostorder returns the blocks reachable from the entry in reverse
-// postorder of a depth-first search. Unreachable blocks are omitted.
-func (f *Func) ReversePostorder() []*Block {
-	var post []*Block
-	visited := make(map[*Block]bool, len(f.Blocks))
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		visited[b] = true
-		for _, s := range b.Succs {
-			if !visited[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
-// Dominators computes the immediate dominator of every reachable block using
-// the Cooper/Harvey/Kennedy iterative algorithm. The entry's idom is itself.
-func (f *Func) Dominators() map[*Block]*Block {
-	rpo := f.ReversePostorder()
-	index := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	idom := make(map[*Block]*Block, len(rpo))
-	idom[f.Entry] = f.Entry
-	f.ComputePreds()
-
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
-			}
-			for index[b] > index[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range rpo {
-			if b == f.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b given an idom map.
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next := idom[b]
-		if next == nil || next == b {
-			return a == b
-		}
-		b = next
-	}
-}
-
-// BackEdge is a CFG edge whose head dominates its tail: the defining edge of
-// a natural loop.
-type BackEdge struct {
-	From *Block // loop latch
-	To   *Block // loop header
-}
-
-// BackEdges returns the natural-loop back edges of the function. The block
-// enlargement optimization uses this to avoid combining separate loop
-// iterations (paper rule 4).
-func (f *Func) BackEdges() []BackEdge {
-	idom := f.Dominators()
-	var edges []BackEdge
-	for _, b := range f.ReversePostorder() {
-		for _, s := range b.Succs {
-			if Dominates(idom, s, b) {
-				edges = append(edges, BackEdge{From: b, To: s})
-			}
-		}
-	}
-	return edges
-}
-
 // RegSet is a dense set of virtual registers: register r is a member when
 // bit r%64 of word r/64 is set. A function's sets span Func.NextReg
 // registers.

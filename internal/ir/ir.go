@@ -2,9 +2,8 @@
 // three-address, virtual-register IR organized as a control flow graph of
 // basic blocks. The MiniC front end lowers into this IR, the optimizer
 // rewrites it, and both the conventional-ISA and block-structured-ISA
-// backends consume it. The package also provides the CFG analyses the
-// compiler and the block enlargement pass need: reverse postorder,
-// dominators, natural-loop back edges, and liveness.
+// backends consume it. The package also provides the one CFG analysis the
+// compiler needs: liveness, for register allocation.
 package ir
 
 import (

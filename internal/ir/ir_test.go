@@ -35,98 +35,6 @@ func buildDiamond() *Func {
 	return f
 }
 
-// buildLoop builds:
-//
-//	b0(entry) -> b1(header) ; b1 -> b2(body), b3(exit) ; b2 -> b1
-func buildLoop() *Func {
-	f := &Func{Name: "loop"}
-	b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
-	f.Entry = b0
-	c := f.NewReg()
-	b0.Instrs = []Instr{{Op: Jmp, Dst: NoReg, A: NoReg, B: NoReg}}
-	b0.Succs = []*Block{b1}
-	b1.Instrs = []Instr{
-		{Op: Const, Dst: c, Imm: 1, A: NoReg, B: NoReg},
-		{Op: Br, A: c, Dst: NoReg, B: NoReg},
-	}
-	b1.Succs = []*Block{b2, b3}
-	b2.Instrs = []Instr{{Op: Jmp, Dst: NoReg, A: NoReg, B: NoReg}}
-	b2.Succs = []*Block{b1}
-	b3.Instrs = []Instr{{Op: Ret, A: NoReg, Dst: NoReg, B: NoReg}}
-	return f
-}
-
-func TestReversePostorder(t *testing.T) {
-	f := buildDiamond()
-	rpo := f.ReversePostorder()
-	if len(rpo) != 4 {
-		t.Fatalf("rpo has %d blocks, want 4", len(rpo))
-	}
-	if rpo[0] != f.Entry {
-		t.Error("rpo must start at entry")
-	}
-	pos := map[*Block]int{}
-	for i, b := range rpo {
-		pos[b] = i
-	}
-	// In a DAG, every edge goes forward in RPO.
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			if s != b && pos[s] <= pos[b] && !(b == f.Blocks[2] && s == f.Blocks[1]) {
-				// diamond is a DAG: all edges forward
-				if pos[s] <= pos[b] {
-					t.Errorf("edge b%d->b%d not forward in RPO", b.ID, s.ID)
-				}
-			}
-		}
-	}
-}
-
-func TestReversePostorderOmitsUnreachable(t *testing.T) {
-	f := buildDiamond()
-	dead := f.NewBlock()
-	dead.Instrs = []Instr{{Op: Ret, A: NoReg}}
-	rpo := f.ReversePostorder()
-	for _, b := range rpo {
-		if b == dead {
-			t.Error("unreachable block in RPO")
-		}
-	}
-}
-
-func TestDominatorsDiamond(t *testing.T) {
-	f := buildDiamond()
-	idom := f.Dominators()
-	b0, b1, b2, b3 := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
-	if idom[b1] != b0 || idom[b2] != b0 {
-		t.Error("b0 should immediately dominate b1 and b2")
-	}
-	if idom[b3] != b0 {
-		t.Errorf("idom(b3) = b%d, want b0", idom[b3].ID)
-	}
-	if !Dominates(idom, b0, b3) {
-		t.Error("b0 should dominate b3")
-	}
-	if Dominates(idom, b1, b3) {
-		t.Error("b1 should not dominate b3")
-	}
-}
-
-func TestBackEdges(t *testing.T) {
-	f := buildLoop()
-	edges := f.BackEdges()
-	if len(edges) != 1 {
-		t.Fatalf("found %d back edges, want 1", len(edges))
-	}
-	if edges[0].From != f.Blocks[2] || edges[0].To != f.Blocks[1] {
-		t.Errorf("back edge b%d->b%d, want b2->b1", edges[0].From.ID, edges[0].To.ID)
-	}
-
-	if got := buildDiamond().BackEdges(); len(got) != 0 {
-		t.Errorf("diamond has %d back edges, want 0", len(got))
-	}
-}
-
 func TestLivenessAcrossBlocks(t *testing.T) {
 	// b0: v0 = const 7; jmp b1
 	// b1: v1 = add v0, v0; ret v1

@@ -179,8 +179,12 @@ const (
 // it.
 const NumKinds = 4
 
+// String returns the kind's canonical name; a kind out of range prints by
+// number, as kind(5).
 func (k Kind) String() string {
 	switch k {
+	case Conventional:
+		return "conventional"
 	case BlockStructured:
 		return "block-structured"
 	case BasicBlocker:
@@ -188,7 +192,7 @@ func (k Kind) String() string {
 	case MacroFused:
 		return "fused"
 	}
-	return "conventional"
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // HeaderBytes returns the per-block encoded header size for the kind: the

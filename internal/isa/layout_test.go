@@ -112,9 +112,23 @@ func TestDisassembleBSAAnnotations(t *testing.T) {
 	}
 }
 
+// TestKindString pins every kind's name, and that a kind out of range
+// prints by number rather than as a valid kind.
 func TestKindString(t *testing.T) {
-	if Conventional.String() != "conventional" || BlockStructured.String() != "block-structured" {
-		t.Error("Kind.String wrong")
+	for _, tc := range []struct {
+		k    Kind
+		want string
+	}{
+		{Conventional, "conventional"},
+		{BlockStructured, "block-structured"},
+		{BasicBlocker, "basicblocker"},
+		{MacroFused, "fused"},
+		{Kind(NumKinds), "kind(4)"},
+		{Kind(255), "kind(255)"},
+	} {
+		if got := tc.k.String(); got != tc.want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(tc.k), got, tc.want)
+		}
 	}
 }
 

@@ -305,16 +305,10 @@ type Op struct {
 	FaultNZ bool
 }
 
-// Reads returns the registers the operation reads. The zero register is
-// included when named (readers treat it as always-ready). A conditional
-// move also reads its destination (the not-taken value).
-func (o *Op) Reads() []Reg {
-	regs, n := o.ReadRegs()
-	return regs[:n:n]
-}
-
-// ReadRegs is the allocation-free form of Reads for hot paths: the first n
-// entries of regs are the registers the operation reads.
+// ReadRegs returns the registers the operation reads: the first n entries
+// of regs. The zero register is included when named (readers treat it as
+// always-ready). A conditional move also reads its destination (the
+// not-taken value).
 func (o *Op) ReadRegs() (regs [3]Reg, n int) {
 	info := &opcodeInfo[o.Opcode]
 	if o.Opcode == CMOVNZ {

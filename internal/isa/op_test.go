@@ -87,22 +87,21 @@ func TestOpReadsWrites(t *testing.T) {
 	if rd, ok := add.Writes(); !ok || rd != 5 {
 		t.Errorf("add Writes = %v %v, want 5 true", rd, ok)
 	}
-	reads := add.Reads()
-	if len(reads) != 2 || reads[0] != 6 || reads[1] != 7 {
-		t.Errorf("add Reads = %v, want [6 7]", reads)
+	if reads, n := add.ReadRegs(); n != 2 || reads[0] != 6 || reads[1] != 7 {
+		t.Errorf("add ReadRegs = %v, %d, want [6 7]", reads[:n], n)
 	}
 
 	st := Op{Opcode: ST, Rs1: 3, Rs2: 4, Imm: 8}
 	if _, ok := st.Writes(); ok {
 		t.Error("st should not write a register")
 	}
-	if got := st.Reads(); len(got) != 2 {
-		t.Errorf("st Reads = %v, want two registers", got)
+	if reads, n := st.ReadRegs(); n != 2 {
+		t.Errorf("st ReadRegs = %v, want two registers", reads[:n])
 	}
 
 	jmp := Op{Opcode: JMP, Target: 3}
-	if got := jmp.Reads(); len(got) != 0 {
-		t.Errorf("jmp Reads = %v, want none", got)
+	if reads, n := jmp.ReadRegs(); n != 0 {
+		t.Errorf("jmp ReadRegs = %v, want none", reads[:n])
 	}
 }
 

@@ -156,13 +156,14 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	defer ct.unref()
 	tr := ct.tr
 
-	// Predecode artifact: the sweep engine flattens the program into
-	// per-lane op tables before walking the trace; share that flattening
-	// across requests (it depends only on program + issue width). With a
-	// store, the trace file carries one aux section per issue width across
-	// restarts: decode the matching section when present, and attach a
-	// freshly flattened table for this width otherwise (sections for other
-	// widths are preserved). Only the sweep route asks for it.
+	// Predecode artifact: the sweep engine flattens the program into the
+	// op table all its lanes run on before walking the trace; share that
+	// flattening across requests (it depends only on program + issue
+	// width). With a store, the trace file carries one aux section per
+	// issue width across restarts: decode the matching section when
+	// present, and attach a freshly flattened table for this width
+	// otherwise (sections for other widths are preserved). Only the sweep
+	// route asks for it.
 	route := uarch.RouteFor(plan.Configs)
 	stage := stageReplay
 	var pre *uarch.Predecoded

@@ -127,11 +127,9 @@ func TestSimulateManyContextCanceled(t *testing.T) {
 
 func TestSweepContextCanceled(t *testing.T) {
 	tr := cancelTrace(t)
-	grids := map[string][]Config{
-		"icache": sweepGrid(false),
-		"pred":   predGrid(1024),
-		"cross":  crossGrid(),
-	}
+	grids := crossGrids()
+	grids["icache"] = sweepGrid(false)
+	grids["pred"] = predGrid(1024)
 	for label, cfgs := range grids {
 		if ok, reason := CanSweep(cfgs); !ok {
 			t.Fatalf("%s: grid should be sweepable: %s", label, reason)

@@ -197,44 +197,14 @@ func fetchCycles(n, issueWidth int) int32 {
 	return int32(max(1, (n+issueWidth-1)/issueWidth))
 }
 
-// atWidth returns p's table re-timed for another issue width: only the
-// per-block metadata is copied, the op arena is shared.
-func (p *Predecoded) atWidth(issueWidth int) *Predecoded {
-	if issueWidth == p.issueWidth {
-		return p
+// tableFor returns the table prog runs on at issueWidth: pre when it was
+// built for prog at that width, and a fresh flatten otherwise (pre nil, or
+// built for another program or width).
+func tableFor(prog *isa.Program, issueWidth int, pre *Predecoded) *Predecoded {
+	if pre != nil && pre.prog == prog && pre.issueWidth == issueWidth {
+		return pre
 	}
-	lp := append([]laneBlock(nil), p.lp...)
-	for i := range lp {
-		if lp[i].ops != nil {
-			lp[i].fetchCycles = fetchCycles(int(lp[i].numOps), issueWidth)
-		}
-	}
-	return &Predecoded{prog: p.prog, issueWidth: issueWidth, lp: lp, noMiss: p.noMiss}
-}
-
-// tablesFor returns the table each configuration runs on. Configurations of
-// one issue width share one table; pre serves when it was built for prog,
-// and otherwise prog is flattened once per call.
-func tablesFor(prog *isa.Program, cfgs []Config, pre *Predecoded) []*Predecoded {
-	if pre != nil && pre.prog != prog {
-		pre = nil
-	}
-	tabs := make([]*Predecoded, len(cfgs))
-next:
-	for i, cfg := range cfgs {
-		iw := cfg.EffectiveIssueWidth()
-		for _, t := range tabs[:i] {
-			if t.issueWidth == iw {
-				tabs[i] = t
-				continue next
-			}
-		}
-		if pre == nil {
-			pre = flatten(prog, iw)
-		}
-		tabs[i] = pre.atWidth(iw)
-	}
-	return tabs
+	return flatten(prog, issueWidth)
 }
 
 // laneRing is the functional-unit scoreboard: a power-of-two ring of

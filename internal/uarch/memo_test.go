@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -18,15 +19,16 @@ import (
 // memoGrids are the grids a memo must serve exactly: those of
 // TestSweepMatchesSimulateMany and TestSweepFolding.
 func memoGrids() map[string][]Config {
-	return map[string][]Config{
+	grids := crossGrids()
+	maps.Copy(grids, map[string][]Config{
 		"icache":                   sweepGrid(false),
 		"icachePerfect":            sweepGrid(true),
 		"pred":                     predGrid(1024),
 		"predPerfectIC":            predGrid(0),
 		"history×icache":           historyICacheGrid(false),
 		"history×icache perfectBP": historyICacheGrid(true),
-		"cross":                    crossGrid(),
-	}
+	})
+	return grids
 }
 
 // runMemo sweeps cfgs through Run with memo, requiring the sweep route and
@@ -46,8 +48,9 @@ func runMemo(t *testing.T, label string, tr *emu.Trace, cfgs []Config, memo *Out
 // TestSweepMemoMatches is the memo's equivalence check: on every backend, a
 // sweep that records the memo and a sweep served from it both equal a
 // memo-less sweep field for field, over the icache, predictor,
-// history×icache, perfect-BP and cross grids. A memo starts empty for each
-// grid, so the first sweep records, and the second is served.
+// history×icache, perfect-BP and cross grids, the last on three machines. A
+// memo starts empty for each grid, so the first sweep records, and the
+// second is served.
 func TestSweepMemoMatches(t *testing.T) {
 	for _, be := range backend.All() {
 		kind := be.Kind()
@@ -115,7 +118,11 @@ func TestSweepMemoConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grids := [][]Config{sweepGrid(false), historyICacheGrid(false), crossGrid()}
+	grids := [][]Config{sweepGrid(false), historyICacheGrid(false)}
+	crosses := crossGrids()
+	for _, name := range slices.Sorted(maps.Keys(crosses)) {
+		grids = append(grids, crosses[name])
+	}
 	want := make([][]*Result, len(grids))
 	for g, cfgs := range grids {
 		if want[g], err = Sweep(tr, cfgs); err != nil {

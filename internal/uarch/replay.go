@@ -55,12 +55,15 @@ func SimulateManyContext(ctx context.Context, t *emu.Trace, cfgs []Config, worke
 }
 
 // simulateMany is SimulateManyContext on a shared predecode (nil flattens
-// the tables this batch needs). It stops at the first error.
+// the tables this batch needs). Each configuration runs on the table the one
+// before it ran on when their issue widths agree, so a batch of one width
+// flattens at most once. It stops at the first error.
 func simulateMany(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded) ([]*Result, error) {
-	tabs := tablesFor(t.Program(), cfgs, pre)
+	prog := t.Program()
 	results := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		r, err := replayTrace(ctx, t, cfg, tabs[i])
+		pre = tableFor(prog, cfg.EffectiveIssueWidth(), pre)
+		r, err := replayTrace(ctx, t, cfg, pre)
 		if err != nil {
 			return nil, fmt.Errorf("uarch: config %d: %w", i, err)
 		}

@@ -11,9 +11,11 @@ import (
 )
 
 // TestRun pins the engine gate: which route each batch shape takes and why,
-// that every route answers exactly what SimulateMany answers with or
-// without a shared predecode, and that a canceled context surfaces as Run's
-// error.
+// that every route answers exactly what SimulateMany answers with no shared
+// predecode, one built at the first configuration's issue width, or one
+// built at another width, and that a canceled context surfaces as Run's
+// error. A batch that mixes core geometries is more than one machine, so it
+// does not sweep.
 func TestRun(t *testing.T) {
 	tr, err := emu.Record(workloadProgram(t, "li", 0.01, isa.BlockStructured), emu.Config{})
 	if err != nil {
@@ -25,6 +27,10 @@ func TestRun(t *testing.T) {
 	}
 	dcGrid := sweepGrid(false)
 	dcGrid[1].DCache = cache.Config{SizeBytes: 8192, Ways: 2}
+	// Issue widths 16, 4, 16, 4: each change of width takes another table.
+	mixed := sweepGrid(false)
+	mixed[1].IssueWidth, mixed[1].NumFUs = 4, 3
+	mixed[3].IssueWidth, mixed[3].WindowBlocks = 4, 4
 	reason := func(cfgs []Config) string {
 		_, r := CanSweep(cfgs)
 		return r
@@ -38,6 +44,7 @@ func TestRun(t *testing.T) {
 		{"icache grid", sweepGrid(false), Route{Engine: EngineSweep}},
 		{"trace-cache grid", tcGrid, Route{Engine: EngineMany, Reason: reason(tcGrid)}},
 		{"mixed-dcache grid", dcGrid, Route{Engine: EngineMany, Reason: reason(dcGrid)}},
+		{"mixed-geometry batch", mixed, Route{Engine: EngineMany, Reason: reason(mixed)}},
 	} {
 		if got := RouteFor(tc.cfgs); got != tc.want {
 			t.Fatalf("%s: RouteFor = %+v, want %+v", tc.name, got, tc.want)
@@ -49,8 +56,8 @@ func TestRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre := Predecode(tr.Program(), tc.cfgs[0].EffectiveIssueWidth())
-		for _, p := range []*Predecoded{nil, pre} {
+		iw := tc.cfgs[0].EffectiveIssueWidth()
+		for _, p := range []*Predecoded{nil, Predecode(tr.Program(), iw), Predecode(tr.Program(), iw/2)} {
 			got, route, err := Run(context.Background(), tr, tc.cfgs, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)

@@ -16,18 +16,18 @@ import (
 	"bsisa/internal/isa"
 )
 
-// This file implements the unified multi-axis sweep engine: the timing
-// kernel's second outcome source (kernel.go). A sweep runs the
-// same trace under N configurations drawn from a config grid whose axes are
-// icache size, predictor tables, and core geometry (issue width, window
-// size, FU count, front-end depth, latencies). Under SimulateMany that costs
-// N full replays, but almost all of the work those replays do is identical:
-// the committed stream fixes the fetch order, so every predictor variant
-// sees the same history (predictor tables never observe timing), the dcache
-// sees the same address sequence, each config's mispredictions classify the
-// same way given its predictor, and the icache address stream — fetches plus
-// wrong-path pollution — depends only on which predictor the config uses;
-// only the per-config *outcomes* and the stall arithmetic differ.
+// This file implements the sweep engine: the timing kernel's second outcome
+// source (kernel.go). A sweep runs the same trace on one machine under N
+// configurations that vary only its icache size (the paper's Figures 6/7)
+// and its predictor tables (the history-length and predictor-sensitivity
+// studies). Under SimulateMany that costs N full replays, but almost all of
+// the work those replays do is identical: the committed stream fixes the
+// fetch order, so every predictor variant sees the same history (predictor
+// tables never observe timing), the dcache sees the same address sequence,
+// each config's mispredictions classify the same way given its predictor,
+// and the icache address stream — fetches plus wrong-path pollution —
+// depends only on which predictor the config uses; only the per-config
+// *outcomes* and the stall arithmetic differ.
 //
 // Sweep therefore splits the grid into one shared enrichment replay and N
 // cheap per-config timing lanes, run a chunk of sweepChunk events at a time
@@ -46,15 +46,15 @@ import (
 //     miss counts for every swept icache size simultaneously, and writes the
 //     class's mispredictions and fetch misses to its outcome streams
 //     (memo.go). Classes profile independently (pollution alters LRU
-//     state), but every class shares pass A and the block tables.
+//     state), but every class shares pass A and the block table.
 //   - Each lane then runs only the timing kernel — window, FU scoreboard,
 //     rename ready times, retire, recovery, serialization — against its
 //     class's outcomes at its icache level, which the walk decodes from the
-//     class's streams once per event. Core-geometry axes need no shared
-//     state at all: they are plain per-lane knobs of the kernel. Lanes of
-//     one predictor class that differ only in icache size fold: while their
-//     timing states coincide up to a cycle shift, one follows another and
-//     does no kernel work (see foldWorker).
+//     class's streams once per event. Every lane runs the one machine on
+//     the one predecoded table, so lanes of one predictor class differ only
+//     in icache size, and they fold: while their timing states coincide up
+//     to a cycle shift, one follows another and does no kernel work (see
+//     foldWorker).
 //
 // A memo-less sweep then cuts the streams and the load bitset, so its
 // outcome memory is bounded by the chunk, the levels and the classes, not
@@ -68,7 +68,8 @@ import (
 // A lane runs the same kernel as a live Sim, so lane results are identical,
 // field for field, to ReplayTrace under the same configuration; sweep_test.go
 // checks the two outcome sources against each other over every backend,
-// including cross-axis grids and per-axis marginals.
+// including history × icache grids on several machines and per-axis
+// marginals.
 
 // sweepChunk is the sweep's unit of work: the enrichment writes this many
 // events' outcomes, the lanes walk them, and a memo-less sweep then cuts
@@ -238,13 +239,12 @@ func (en *sweepEnrich) step(ev *emu.BlockEvent, i int) {
 // the walk decoded from its class's streams at the current event.
 type sweepLane struct {
 	cls   *sweepClass
-	lp    []laneBlock // the lane's table, for wrongly fetched variants
+	lp    []laneBlock // the sweep's table, for wrongly fetched variants
 	level int         // profiler level of this config's icache size; cls.levels() = perfect
 	mp    mispredict
 
-	idx   int // the lane's configuration index
-	group int // the lane's fold group (see foldGroups)
-	pos   int // the lane's slot in foldWorker.lanes
+	idx int // the lane's configuration index
+	pos int // the lane's slot in foldWorker.lanes
 
 	// Folding (see foldWorker). A lane with a nil leader is live and steps
 	// the kernel. A follower does no kernel work: its timing state is its
@@ -319,19 +319,12 @@ func normalizeSweepConfigs(cfgs []Config) []Config {
 	return norm
 }
 
-// stripSweepAxes zeroes the swept axes of a normalized config, leaving only
-// the fields every lane must share: icache geometry (ways, line size),
-// dcache config, perfect-BP mode, and the fetch rivals.
+// stripSweepAxes zeroes the two swept axes of a normalized config, the
+// icache size and the predictor tables, leaving the machine every lane must
+// share.
 func stripSweepAxes(cfg Config) Config {
 	cfg.ICache.SizeBytes = 0
 	cfg.Predictor = bpred.Config{}
-	cfg.IssueWidth = 0
-	cfg.WindowBlocks = 0
-	cfg.WindowOps = 0
-	cfg.NumFUs = 0
-	cfg.FrontEndDepth = 0
-	cfg.L2Latency = 0
-	cfg.FaultSquashPenalty = 0
 	return cfg
 }
 
@@ -349,7 +342,7 @@ func sweepCheck(norm []Config) error {
 			return fmt.Errorf("uarch: sweep: config %d: %w", i, err)
 		}
 		if stripSweepAxes(cfg) != ref {
-			return fmt.Errorf("uarch: sweep: config %d differs from config 0 beyond the swept axes", i)
+			return fmt.Errorf("uarch: sweep: config %d differs from config 0 beyond the icache size and predictor tables", i)
 		}
 	}
 	return nil
@@ -358,13 +351,12 @@ func sweepCheck(norm []Config) error {
 // CanSweep reports whether Sweep accepts cfgs, and if not, why. A grid is
 // sweepable when every configuration is valid, uses neither a trace cache
 // nor multi-block fetch (their fetch paths observe per-config timing, which
-// breaks the shared enrichment), and differs from config 0 only along the
-// swept axes: ICache.SizeBytes
-// (perfect allowed), the Predictor tables, and the core-geometry knobs
-// (IssueWidth, WindowBlocks, WindowOps, NumFUs, FrontEndDepth, L2Latency,
-// FaultSquashPenalty). Icache ways and line size, the dcache, and perfect-BP
-// mode must be shared. Every program kind sweeps. Rejected grids fall back
-// to SimulateMany, which accepts any valid configurations.
+// breaks the shared enrichment), and its normalized configurations differ
+// from config 0 only in ICache.SizeBytes (perfect allowed) and the
+// Predictor tables: one batch is one machine. Everything else — the core
+// geometry and latencies, icache ways and line size, the dcache, and
+// perfect-BP mode — must be shared. Every program kind sweeps. Rejected
+// grids fall back to SimulateMany, which accepts any valid configurations.
 func CanSweep(cfgs []Config) (bool, string) {
 	if err := sweepCheck(normalizeSweepConfigs(cfgs)); err != nil {
 		return false, err.Error()
@@ -372,12 +364,12 @@ func CanSweep(cfgs []Config) (bool, string) {
 	return true, ""
 }
 
-// Sweep simulates one trace under every configuration of a multi-axis grid
-// (see CanSweep for the axes), replaying the trace once — plus one cheap
-// timing lane per configuration and one profiler walk per distinct
-// predictor — instead of once per configuration. Results are returned in
-// configuration order and are identical, field for field, to SimulateMany
-// on the same inputs. The sweep runs on the calling goroutine.
+// Sweep simulates one trace under every configuration of a grid over icache
+// size and predictor tables (see CanSweep), replaying the trace once — plus
+// one cheap timing lane per configuration and one profiler walk per
+// distinct predictor — instead of once per configuration. Results are
+// returned in configuration order and are identical, field for field, to
+// SimulateMany on the same inputs. The sweep runs on the calling goroutine.
 func Sweep(t *emu.Trace, cfgs []Config) ([]*Result, error) {
 	rs, _, err := sweep(context.Background(), t, cfgs, nil, nil, nil)
 	return rs, err
@@ -404,7 +396,7 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	}
 	base := norm[0]
 	prog := t.Program()
-	tabs := tablesFor(prog, norm, pre)
+	tab := tableFor(prog, base.IssueWidth, pre)
 
 	family := backend.For(prog.Kind).Policy().Predictor
 	classOf, classCfgs := predictorClasses(norm, family)
@@ -417,21 +409,21 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	for i, cfg := range norm {
 		ls := &lanes[i]
 		cls := classes[classOf[i]]
-		ls.sw = sweepLane{cls: cls, lp: tabs[i].lp, level: cls.levels(), idx: i}
+		ls.sw = sweepLane{cls: cls, lp: tab.lp, level: cls.levels(), idx: i}
 		if sz := cfg.ICache.SizeBytes; sz != 0 {
 			ls.sw.level = icacheLevels(minSize, sz) - 1
 		}
 		scr := getLaneScratch(cfg.WindowBlocks)
 		ls.sim = Sim{
 			cfg:    cfg,
-			lp:     tabs[i].lp,
-			noMiss: tabs[i].noMiss,
+			lp:     tab.lp,
+			noMiss: tab.noMiss,
 			scr:    scr,
 			win:    scr.win,
 			sw:     &ls.sw,
 		}
 	}
-	fw := newFoldWorker(prog, classes, foldGroups(norm, lanes), st != nil)
+	fw := newFoldWorker(prog, classes, foldGroups(classOf, len(classes), lanes), st != nil)
 
 	// When the memo records every class and the committed loads, the lanes
 	// walk its records; otherwise the enrichment replay writes the
@@ -451,7 +443,7 @@ func sweep(ctx context.Context, t *emu.Trace, cfgs []Config, pre *Predecoded, me
 	} else {
 		rec := memo.newMemoRecording(keys, have, base.DCache, loads, classes)
 		var en *sweepEnrich
-		en, err = enrich(ctx, t, base, tabs[0].lp, family, classCfgs, classes, minSize, maxSize, &fw, rec)
+		en, err = enrich(ctx, t, base, tab.lp, family, classCfgs, classes, minSize, maxSize, &fw, rec)
 		if err == nil {
 			dc = en.dc.Stats()
 			if rec != nil {
@@ -680,36 +672,18 @@ type laneSim struct {
 	sw  sweepLane
 }
 
-// foldGroups partitions the lanes into fold groups: lanes of one predictor
-// class whose normalized configurations agree apart from the icache size
-// and the predictor tables. Such lanes share the mispredict streams, the
-// predecoded table, the load-outcome stream and every kernel knob, so they
-// differ only in icache outcomes. Where the class stands for one predictor
-// configuration, the key is that configuration less the icache size; where
-// nothing predicts, every predictor configuration shares the one class, and
+// foldGroups partitions the lanes into fold groups, one per predictor
+// class: lane i is in group classOf[i] of n. A sweep runs one machine, so
+// the lanes of a class share the mispredict streams, the predecoded table,
+// the load-outcome stream and every kernel knob, and differ only in icache
+// outcomes. Where nothing predicts, every lane is in the one class, and
 // lanes of equal icache size are the same machine, which folds at the first
-// attempt and never splits. Groups are numbered in order of first
-// appearance. Within a group lanes run larger icache first, a perfect one
-// largest of all: the order in which they are preferred as leaders, since a
-// larger icache misses less and so splits its followers off less often.
-func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
-	n := 0
-	for i := range lanes {
-		g := n
-		for j := 0; j < i; j++ {
-			a, b := norm[i], norm[j]
-			a.ICache.SizeBytes, b.ICache.SizeBytes = 0, 0
-			a.Predictor, b.Predictor = bpred.Config{}, bpred.Config{}
-			if lanes[i].sw.cls == lanes[j].sw.cls && a == b {
-				g = lanes[j].sw.group
-				break
-			}
-		}
-		if g == n {
-			n++
-		}
-		lanes[i].sw.group = g
-	}
+// attempt and never splits. Groups are numbered as the classes are, in
+// order of first appearance. Within a group lanes run larger icache first,
+// a perfect one largest of all: the order in which they are preferred as
+// leaders, since a larger icache misses less and so splits its followers
+// off less often.
+func foldGroups(classOf []int, n int, lanes []laneSim) [][]*Sim {
 	capacity := func(s *Sim) int {
 		if sz := s.cfg.ICache.SizeBytes; sz != 0 {
 			return sz
@@ -721,7 +695,7 @@ func foldGroups(norm []Config, lanes []laneSim) [][]*Sim {
 	for g := range groups {
 		start := len(grouped)
 		for i := range lanes {
-			if lanes[i].sw.group == g {
+			if classOf[i] == g {
 				grouped = append(grouped, &lanes[i].sim)
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bsisa/internal/backend"
@@ -51,33 +53,32 @@ func predGrid(icacheBytes int) []Config {
 	return cfgs
 }
 
-// crossGrid is a mixed-axis grid: predictor history × icache size, with
-// core-geometry axes (issue width, window, FU count, latencies) varied on
-// top — the cross-product shape neither old single-axis engine could serve.
-func crossGrid() []Config {
+// crossGrid is the cross of both swept axes, predictor history × icache
+// size, on the machine core describes (its icache and predictor are
+// overwritten).
+func crossGrid(core Config) []Config {
 	var cfgs []Config
 	for _, hist := range []int{2, 8} {
 		for _, sz := range []int{0, 1024, 4096} {
-			cfg := Config{
-				ICache:    cache.Config{SizeBytes: sz, Ways: 4},
-				Predictor: bpred.Config{HistoryBits: hist},
-			}
+			cfg := core
+			cfg.ICache = cache.Config{SizeBytes: sz, Ways: 4}
+			cfg.Predictor = bpred.Config{HistoryBits: hist}
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	// Core-geometry points: same predictor/icache as cfgs[1], different core.
-	narrow := cfgs[1]
-	narrow.IssueWidth = 4
-	narrow.NumFUs = 3
-	cfgs = append(cfgs, narrow)
-	small := cfgs[4]
-	small.WindowBlocks = 4
-	small.WindowOps = 48
-	small.FrontEndDepth = 7
-	small.L2Latency = 11
-	small.FaultSquashPenalty = 9
-	cfgs = append(cfgs, small)
 	return cfgs
+}
+
+// crossGrids is crossGrid on three machines — the paper's, a narrow core,
+// and a small window behind a deep front end with slow recovery — so that
+// every kernel knob runs on the sweep route.
+func crossGrids() map[string][]Config {
+	return map[string][]Config{
+		"cross":        crossGrid(Config{}),
+		"cross narrow": crossGrid(Config{IssueWidth: 4, NumFUs: 3}),
+		"cross small": crossGrid(Config{WindowBlocks: 4, WindowOps: 48, FrontEndDepth: 7,
+			L2Latency: 11, FaultSquashPenalty: 9}),
+	}
 }
 
 // equalResults fails the test unless got and want match field for field.
@@ -95,9 +96,9 @@ func equalResults(t *testing.T, label string, cfgs []Config, got, want []*Result
 // backend, the sweep's outcome streams must drive the kernel to results
 // bitwise-identical to live Sims under SimulateMany on the same trace —
 // every field, including cache statistics, misprediction counts and stall
-// breakdowns — over icache-only, predictor-only and cross-product grids,
-// with real and perfect branch prediction, including degenerate one-point
-// grids. Most random programs run only a handful of blocks, so a small
+// breakdowns — over icache-only, predictor-only and history × icache grids,
+// the last on the paper's machine and on two others, with real and perfect
+// branch prediction, including degenerate one-point grids. Most random programs run only a handful of blocks, so a small
 // Table-2 workload joins them: thousands of events with real icache misses,
 // trap and fault mispredictions, serialization stalls and fused pairs.
 func TestSweepMatchesSimulateMany(t *testing.T) {
@@ -118,14 +119,14 @@ func TestSweepMatchesSimulateMany(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: record: %v", seed, kind, err)
 			}
-			grids := map[string][]Config{
+			grids := crossGrids()
+			maps.Copy(grids, map[string][]Config{
 				"icache":        sweepGrid(false),
 				"icachePerfect": sweepGrid(true),
 				"pred":          predGrid(1024),
 				"predPerfectIC": predGrid(0),
-				"cross":         crossGrid(),
-				"onePoint":      {crossGrid()[1]},
-			}
+				"onePoint":      {grids["cross narrow"][1]},
+			})
 			for label, cfgs := range grids {
 				if ok, reason := CanSweep(cfgs); !ok {
 					t.Fatalf("seed %d %s %s: grid should be sweepable: %s", seed, kind, label, reason)
@@ -230,19 +231,20 @@ func TestSweepMarginals(t *testing.T) {
 	}
 }
 
-// TestSweepConfigValidation pins the accept/reject boundary of the unified
-// gate: axes may vary freely and cross, while the shared remainder — icache
-// geometry, dcache, perfect-BP mode, fetch rivals — must not.
+// TestSweepConfigValidation pins the accept/reject boundary of the gate:
+// the icache size and the predictor tables may vary freely and cross, while
+// the machine — core geometry and latencies, icache ways and line size,
+// dcache, perfect-BP mode, fetch rivals — must be shared.
 func TestSweepConfigValidation(t *testing.T) {
 	ic := func(sz int) Config {
 		return Config{ICache: cache.Config{SizeBytes: sz, Ways: 4}}
 	}
 	withPred := ic(1024)
 	withPred.Predictor = bpred.Config{HistoryBits: 4}
-	narrow := ic(2048)
-	narrow.IssueWidth = 4
-	narrow.WindowBlocks = 8
-	narrow.NumFUs = 2
+	narrow := func(cfg Config) Config {
+		cfg.IssueWidth, cfg.WindowBlocks, cfg.NumFUs = 4, 8, 2
+		return cfg
+	}
 	good := [][]Config{
 		{ic(1024), ic(2048)},
 		{ic(0), ic(1024), ic(4096)},
@@ -250,8 +252,9 @@ func TestSweepConfigValidation(t *testing.T) {
 		{ic(2048)},                    // degenerate one-point grid
 		{ic(0), ic(0)},                // all perfect: no profiler, lanes still run
 		{ic(1024), withPred},          // icache × predictor cross
-		{ic(1024), narrow, withPred},  // three axes at once
 		{predGrid(1024)[0], ic(1024)}, // predictor grid point with plain point
+		{narrow(ic(1024)), narrow(ic(2048)), narrow(withPred)},              // the cross on another machine
+		{{IssueWidth: 16, ICache: cache.Config{SizeBytes: 1024}}, ic(2048)}, // defaults spelled out
 	}
 	for i, cfgs := range good {
 		if ok, reason := CanSweep(cfgs); !ok {
@@ -276,10 +279,25 @@ func TestSweepConfigValidation(t *testing.T) {
 		{ic(1024), mb},       // multi-block fetch ditto
 		{ic(1024), ic(3000)}, // invalid geometry
 		{ic(1024), {ICache: cache.Config{SizeBytes: 2048, Ways: 8}}}, // ways differ
-		{ic(1024), perfect},   // perfect-BP mode must be shared
-		{ic(1024), dcDiffers}, // dcache must be shared
-		{ic(1024), badPHT},    // invalid predictor geometry
-		{ic(1024), badHist},   // history beyond the BHR
+		{ic(1024), perfect},                    // perfect-BP mode must be shared
+		{ic(1024), dcDiffers},                  // dcache must be shared
+		{ic(1024), badPHT},                     // invalid predictor geometry
+		{ic(1024), badHist},                    // history beyond the BHR
+		{ic(1024), narrow(ic(2048)), withPred}, // core geometry must be shared
+	}
+	// Each core knob alone takes a grid off the sweep.
+	for _, knob := range []func(*Config){
+		func(c *Config) { c.IssueWidth = 4 },
+		func(c *Config) { c.WindowBlocks = 8 },
+		func(c *Config) { c.WindowOps = 48 },
+		func(c *Config) { c.NumFUs = 3 },
+		func(c *Config) { c.FrontEndDepth = 7 },
+		func(c *Config) { c.L2Latency = 11 },
+		func(c *Config) { c.FaultSquashPenalty = 9 },
+	} {
+		other := ic(2048)
+		knob(&other)
+		bad = append(bad, []Config{ic(1024), other})
 	}
 	for i, cfgs := range bad {
 		if ok, _ := CanSweep(cfgs); ok {
@@ -407,27 +425,24 @@ func historyICacheGrid(perfectBP bool) []Config {
 // TestSweepFolding checks lane folding on a workload long enough to fold:
 // lanes of one predictor class that differ only in icache size follow a
 // sibling while their timing frontiers coincide and split off when their
-// icache outcomes differ. Every grid must still match SimulateMany field for
-// field, the icache grids must both fold and split so the materialize path runs, and
-// no lane may ever follow a lane whose configuration differs beyond the
-// icache size — another core geometry, or another predictor where the
-// backend predicts (without a predictor, or under perfect prediction, the
-// class ignores the predictor tables, and so does this check). A sweep
-// canceled while lanes follow returns the context's error.
+// icache outcomes differ. Every grid — among them history × icache on
+// three machines — must still match SimulateMany field for field and must
+// both fold and split, so the materialize path runs. No lane may ever
+// follow a lane whose configuration differs beyond the icache size: another
+// predictor where the backend predicts (without a predictor, or under
+// perfect prediction, the class ignores the predictor tables, and so does
+// this check). A sweep canceled while lanes follow returns the context's
+// error.
 func TestSweepFolding(t *testing.T) {
 	// At this scale li runs about 9,000 events: enough to fold, and more than
 	// two context-check chunks for the cancellation case.
 	const scale = 0.01
-	grids := []struct {
-		name     string
-		cfgs     []Config
-		mustFold bool
-	}{
-		{"icache", sweepGrid(false), true},
-		{"history×icache", historyICacheGrid(false), true},
-		{"history×icache perfectBP", historyICacheGrid(true), true},
-		{"cross", crossGrid(), false},
-	}
+	grids := crossGrids()
+	maps.Copy(grids, map[string][]Config{
+		"icache":                   sweepGrid(false),
+		"history×icache":           historyICacheGrid(false),
+		"history×icache perfectBP": historyICacheGrid(true),
+	})
 	for _, be := range backend.All() {
 		kind := be.Kind()
 		noPredictor := be.Policy().Predictor == backend.PredNone
@@ -436,20 +451,21 @@ func TestSweepFolding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: record: %v", kind, err)
 		}
-		for _, g := range grids {
-			want, err := SimulateMany(tr, g.cfgs, 0)
+		for _, name := range slices.Sorted(maps.Keys(grids)) {
+			cfgs := grids[name]
+			want, err := SimulateMany(tr, cfgs, 0)
 			if err != nil {
-				t.Fatalf("%s %s: simulate many: %v", kind, g.name, err)
+				t.Fatalf("%s %s: simulate many: %v", kind, name, err)
 			}
-			norm := normalizeSweepConfigs(g.cfgs)
-			label := fmt.Sprintf("%s %s", kind, g.name)
+			norm := normalizeSweepConfigs(cfgs)
+			label := fmt.Sprintf("%s %s", kind, name)
 			var st foldStats
-			got, _, err := sweep(context.Background(), tr, g.cfgs, nil, nil, &st)
+			got, _, err := sweep(context.Background(), tr, cfgs, nil, nil, &st)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			equalResults(t, label, g.cfgs, got, want)
-			if g.mustFold && (st.folds == 0 || st.splits == 0) {
+			equalResults(t, label, cfgs, got, want)
+			if st.folds == 0 || st.splits == 0 {
 				t.Errorf("%s: %d folds and %d splits, want both", label, st.folds, st.splits)
 			}
 			for _, e := range st.edges {
@@ -463,8 +479,8 @@ func TestSweepFolding(t *testing.T) {
 				}
 			}
 			t.Logf("%s: %d events × %d lanes, %d folds, %d splits, %.1f%% of lane-events followed",
-				label, tr.NumEvents(), len(g.cfgs), st.folds, st.splits,
-				100*float64(st.followed)/float64(tr.NumEvents()*len(g.cfgs)))
+				label, tr.NumEvents(), len(cfgs), st.folds, st.splits,
+				100*float64(st.followed)/float64(tr.NumEvents()*len(cfgs)))
 		}
 
 		// Cancel at the lane walk's last context check — the checks run in a

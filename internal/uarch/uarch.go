@@ -250,8 +250,9 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 }
 
 // newSim is New over a shared table: tab serves when it was built for prog
-// (re-timed if its issue width differs), and a nil or foreign tab flattens
-// afresh. The Sim's scratch comes from the lane pool.
+// at the configuration's issue width, and otherwise (nil, or built for
+// another program or width) prog is flattened afresh (tableFor). The Sim's
+// scratch comes from the lane pool.
 func newSim(prog *isa.Program, cfg Config, tab *Predecoded) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -265,10 +266,7 @@ func newSim(prog *isa.Program, cfg Config, tab *Predecoded) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("uarch: dcache: %w", err)
 	}
-	if tab == nil || tab.prog != prog {
-		tab = flatten(prog, cfg.IssueWidth)
-	}
-	tab = tab.atWidth(cfg.IssueWidth)
+	tab = tableFor(prog, cfg.IssueWidth, tab)
 	scr := getLaneScratch(cfg.WindowBlocks)
 	s := &Sim{
 		cfg:    cfg,
